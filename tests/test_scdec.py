@@ -1,11 +1,12 @@
 import itertools
 from functools import reduce
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from rmpsc._gf2 import pack_row, rank
-from rmpsc._kernels import polar_transform
+from rmpsc._kernels import polar_transform, sc_decode_batch
 from rmpsc.codes import CodeSpec
 from rmpsc.scdec import (
     ae_sc_decode,
@@ -17,6 +18,9 @@ from rmpsc.scdec import (
 )
 
 T2 = np.array([[1, 0], [1, 1]], dtype=np.uint8)
+GOLDEN = Path(__file__).parent / "data" / "sc_golden.npz"
+GOLDEN_CODES = ("8_4", "32_16", "64_37", "128_60", "1024_512", "rand16", "rand64", "rand256")
+GOLDEN_KINDS = ("noisy", "tied", "clamped", "tiny")
 
 
 def noiseless_llr(x, mag=20.0):
@@ -167,6 +171,24 @@ class TestBatchDecode:
             res = sc_decode(llrs[i], code)
             assert np.array_equal(U[i], res.u_hat)
             assert np.array_equal(X[i], res.x_hat)
+
+
+class TestGolden:
+    """Decisions frozen from the iterative kernel the recursive one replaced
+    (written by ``tests/data/make_sc_golden.py``).  The file is never
+    regenerated to make a kernel pass."""
+
+    @pytest.mark.parametrize("rule", ["exact", "minsum"])
+    @pytest.mark.parametrize("name", GOLDEN_CODES)
+    def test_bit_exact(self, name, rule):
+        with np.load(GOLDEN) as g:
+            frozen = g[f"frozen_{name}"]
+            for kind in GOLDEN_KINDS:
+                llrs = g[f"llrs_{name}_{kind}"]
+                U, X = sc_decode_batch(llrs, frozen, rule == "minsum")
+                key = f"{name}_{kind}_{rule}"
+                assert np.array_equal(np.packbits(U, axis=1), g[f"U_{key}"]), key
+                assert np.array_equal(np.packbits(X, axis=1), g[f"X_{key}"]), key
 
 
 class TestAeDecode:
