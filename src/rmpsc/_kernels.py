@@ -1,39 +1,22 @@
-"""Hot numeric kernels: polar transform, SC decoding, GF(2) weight spectra.
-
-Every kernel has a pure-numpy implementation and, when numba is importable
-and the environment variable ``RMPSC_NUMBA`` is not set to ``0``, an
-``@njit``-compiled twin.  The numpy path is the reference; the compiled path
-must agree bit-for-bit on decisions (see tests and benchmarks).
-"""
+"""Hot numeric kernels: polar transform, SC decoding, GF(2) weight spectra."""
 
 from __future__ import annotations
 
-import math
-import os
-
 import numpy as np
 
-_flag = os.environ.get("RMPSC_NUMBA", "1").strip().lower()
-_want_numba = _flag not in {"0", "false", "no", "off"}
-
-NUMBA_ENABLED = False
-if _want_numba:
-    try:
-        from numba import njit
-
-        NUMBA_ENABLED = True
-    except ImportError:  # pragma: no cover - numba is a hard dep, but stay usable
-        NUMBA_ENABLED = False
-
-BACKEND = "numba" if NUMBA_ENABLED else "numpy"
+# the only kernel implementation; recorded with benchmark results
+BACKEND = "numpy"
 
 LLR_CLAMP = 40.0
 
 
 # ----------------------------------------------------------------- transform
 
-def _polar_transform_numpy(u: np.ndarray) -> np.ndarray:
-    """Multiply bit rows by the n-fold Kronecker power of [[1,0],[1,1]]."""
+def polar_transform(u: np.ndarray) -> np.ndarray:
+    """Bit transform for encoding; involutive, accepts (N,) or (batch, N).
+
+    Multiplies bit rows by the n-fold Kronecker power of [[1,0],[1,1]].
+    """
     x = np.array(u, dtype=np.uint8, copy=True)
     N = x.shape[-1]
     d = 1
@@ -42,29 +25,6 @@ def _polar_transform_numpy(u: np.ndarray) -> np.ndarray:
             x[..., i : i + d] ^= x[..., i + d : i + 2 * d]
         d <<= 1
     return x
-
-
-if NUMBA_ENABLED:
-
-    @njit(cache=True)
-    def _polar_transform_numba(u):
-        x = u.copy()
-        N = x.shape[0]
-        d = 1
-        while d < N:
-            for i in range(0, N, 2 * d):
-                for j in range(d):
-                    x[i + j] ^= x[i + j + d]
-            d <<= 1
-        return x
-
-
-def polar_transform(u: np.ndarray) -> np.ndarray:
-    """Bit transform for encoding; involutive, accepts (N,) or (batch, N)."""
-    u = np.asarray(u, dtype=np.uint8)
-    if NUMBA_ENABLED and u.ndim == 1:
-        return _polar_transform_numba(np.ascontiguousarray(u))
-    return _polar_transform_numpy(u)
 
 
 # ------------------------------------------------------------------ boxplus
@@ -87,131 +47,21 @@ def _boxplus_numpy(a, b, minsum):
 
 # ------------------------------------------------------------- SC decoding
 #
-# Iterative successive cancellation in natural bit order.  Level n holds the
-# channel LLRs; level 0 holds the leaves.  The node covering u-indices
-# [b, b + 2^lev) stores its LLR vector at L[lev, b:b+2^lev] and its partial
-# sums (the sub-codeword in the x domain) at X[lev, b:b+2^lev].
+# Recursive successive cancellation in natural bit order on (size, B) node
+# arrays: the node at tree level ``level`` starting at u-index ``start`` gets
+# the LLRs for u-indices [start, start + 2^level) of all B frames and returns
+# its sub-codeword.  Two subtree kinds are decoded without walking their
+# leaves, both with decisions identical to plain SC:
+#
+# - Rate-0 (no information bit): every decision is 0, no LLR is needed.
+# - Rep (one information bit, the last leaf): every left sibling on the path
+#   to that leaf is Rate-0, so each g step is (1.0 - 2.0*0)*a + b = a + b;
+#   folding the halves with + reproduces SC's additions exactly.
 
 
-def _sc_batch_numpy(llrs: np.ndarray, frozen: np.ndarray, minsum: bool):
-    B, N = llrs.shape
-    n = N.bit_length() - 1
-    L = np.empty((n + 1, N, B), dtype=np.float64)
-    X = np.zeros((n + 1, N, B), dtype=np.uint8)
-    L[n, :, :] = llrs.T
-    for t in range(N):
-        if t == 0:
-            hi = n - 1
-        else:
-            hi = (t & -t).bit_length() - 1
-        for lev in range(hi, -1, -1):
-            blk = 1 << lev
-            par = t & ~((blk << 1) - 1)
-            a = L[lev + 1, par : par + blk, :]
-            b = L[lev + 1, par + blk : par + 2 * blk, :]
-            if ((t >> lev) & 1) == 0:
-                L[lev, par : par + blk, :] = _boxplus_numpy(a, b, minsum)
-            else:
-                s = 1.0 - 2.0 * X[lev, par : par + blk, :]
-                L[lev, par + blk : par + 2 * blk, :] = s * a + b
-        if frozen[t]:
-            X[0, t, :] = 0
-        else:
-            X[0, t, :] = L[0, t, :] < 0
-        lev = 0
-        tt = t
-        while (tt & 1) == 1 and lev < n:
-            blk = 1 << lev
-            par = t & ~((blk << 1) - 1)
-            X[lev + 1, par : par + blk, :] = (
-                X[lev, par : par + blk, :] ^ X[lev, par + blk : par + 2 * blk, :]
-            )
-            X[lev + 1, par + blk : par + 2 * blk, :] = X[lev, par + blk : par + 2 * blk, :]
-            tt >>= 1
-            lev += 1
-    return np.ascontiguousarray(X[0].T), np.ascontiguousarray(X[n].T)
-
-
-if NUMBA_ENABLED:
-
-    @njit(cache=True)
-    def _boxplus_scalar(a, b, minsum):
-        aa = abs(a)
-        ab = abs(b)
-        mag = aa if aa < ab else ab
-        if not minsum:
-            mag = mag + math.log1p(math.exp(-(aa + ab))) - math.log1p(math.exp(-abs(aa - ab)))
-            if mag < 0.0:
-                mag = 0.0
-        if (a < 0.0) != (b < 0.0):
-            return -mag
-        return mag
-
-    @njit(cache=True)
-    def _sc_scalar_numba(llr, frozen, minsum, L, X):
-        N = llr.shape[0]
-        n = 0
-        while (1 << n) < N:
-            n += 1
-        for k in range(N):
-            L[n, k] = llr[k]
-        for t in range(N):
-            if t == 0:
-                hi = n - 1
-            else:
-                hi = 0
-                while ((t >> hi) & 1) == 0:
-                    hi += 1
-            for lev in range(hi, -1, -1):
-                blk = 1 << lev
-                par = t & ~((blk << 1) - 1)
-                if ((t >> lev) & 1) == 0:
-                    for j in range(blk):
-                        L[lev, par + j] = _boxplus_scalar(
-                            L[lev + 1, par + j], L[lev + 1, par + blk + j], minsum
-                        )
-                else:
-                    for j in range(blk):
-                        a = L[lev + 1, par + j]
-                        b = L[lev + 1, par + blk + j]
-                        if X[lev, par + j]:
-                            L[lev, par + blk + j] = b - a
-                        else:
-                            L[lev, par + blk + j] = b + a
-            if frozen[t]:
-                X[0, t] = 0
-            else:
-                X[0, t] = 1 if L[0, t] < 0.0 else 0
-            lev = 0
-            tt = t
-            while (tt & 1) == 1 and lev < n:
-                blk = 1 << lev
-                par = t & ~((blk << 1) - 1)
-                for j in range(blk):
-                    X[lev + 1, par + j] = X[lev, par + j] ^ X[lev, par + blk + j]
-                    X[lev + 1, par + blk + j] = X[lev, par + blk + j]
-                tt >>= 1
-                lev += 1
-
-    @njit(cache=True)
-    def _sc_batch_numba(llrs, frozen, minsum):
-        B, N = llrs.shape
-        n = 0
-        while (1 << n) < N:
-            n += 1
-        U = np.empty((B, N), dtype=np.uint8)
-        Xout = np.empty((B, N), dtype=np.uint8)
-        L = np.empty((n + 1, N), dtype=np.float64)
-        X = np.zeros((n + 1, N), dtype=np.uint8)
-        for f in range(B):
-            _sc_scalar_numba(llrs[f], frozen, minsum, L, X)
-            for k in range(N):
-                U[f, k] = X[0, k]
-                Xout[f, k] = X[n, k]
-        return U, Xout
-
-
-def sc_decode_batch(llrs: np.ndarray, frozen: np.ndarray, minsum: bool = False):
+def sc_decode_batch(
+    llrs: np.ndarray, frozen: np.ndarray, minsum: bool = False, trace=None
+):
     """Decode a batch of LLR rows.
 
     Parameters
@@ -219,6 +69,10 @@ def sc_decode_batch(llrs: np.ndarray, frozen: np.ndarray, minsum: bool = False):
     llrs : (B, N) float array of channel LLRs (positive favours bit 0).
     frozen : (N,) uint8 mask, 1 on frozen u-positions.
     minsum : replace the exact check-node rule by min-sum.
+    trace : optional callable ``trace(level, start, node_llrs)``, called with
+        the (2^level, B) LLR array of every node the recursion visits, in
+        decoding order; the subtrees below a Rate-0 or Rep node are not
+        visited and not reported.
 
     Returns
     -------
@@ -226,10 +80,37 @@ def sc_decode_batch(llrs: np.ndarray, frozen: np.ndarray, minsum: bool = False):
         with X the polar transform of U by construction.
     """
     llrs = np.ascontiguousarray(llrs, dtype=np.float64)
-    frozen = np.ascontiguousarray(frozen, dtype=np.uint8)
-    if NUMBA_ENABLED:
-        return _sc_batch_numba(llrs, frozen, minsum)
-    return _sc_batch_numpy(llrs, frozen, minsum)
+    B, N = llrs.shape
+    is_frozen = np.asarray(frozen, dtype=bool).tolist()
+    # info_before[i]: number of information bits among u-indices [0, i)
+    info_before = [0]
+    for f in is_frozen:
+        info_before.append(info_before[-1] + (not f))
+    U = np.zeros((N, B), dtype=np.uint8)
+
+    def node(v, level, start):
+        if trace is not None:
+            trace(level, start, v)
+        size = v.shape[0]
+        end = start + size
+        info = info_before[end] - info_before[start]
+        if info == 0:
+            return np.zeros((size, B), dtype=np.uint8)
+        if info == 1 and not is_frozen[end - 1]:
+            while v.shape[0] > 1:
+                h = v.shape[0] // 2
+                v = v[:h] + v[h:]
+            bit = (v[0] < 0).view(np.uint8)
+            U[end - 1] = bit
+            return np.broadcast_to(bit, (size, B))
+        h = size // 2
+        a, b = v[:h], v[h:]
+        left = node(_boxplus_numpy(a, b, minsum), level - 1, start)
+        right = node((1.0 - 2.0 * left) * a + b, level - 1, start + h)
+        return np.concatenate((left ^ right, right))
+
+    X = node(np.ascontiguousarray(llrs.T), N.bit_length() - 1, 0)
+    return np.ascontiguousarray(U.T), np.ascontiguousarray(X.T)
 
 
 # --------------------------------------------------- GF(2) weight spectrum
@@ -243,18 +124,6 @@ def _popcount_u64(arr: np.ndarray) -> np.ndarray:
         return table[as_bytes].sum(axis=-1)
 
 
-def _gray_weight_hist_numpy(basis: np.ndarray, nbits: int) -> np.ndarray:
-    k = len(basis)
-    k1 = k // 2
-    lo = _gray_span(basis[:k1])
-    hi = _gray_span(basis[k1:])
-    counts = np.zeros(nbits + 1, dtype=np.int64)
-    for word in hi:
-        w = _popcount_u64(lo ^ word)
-        counts += np.bincount(w.astype(np.int64), minlength=nbits + 1)
-    return counts
-
-
 def _gray_span(basis: np.ndarray) -> np.ndarray:
     """All XOR combinations of the given uint64 basis words, Gray order."""
     out = np.zeros(1 << len(basis), dtype=np.uint64)
@@ -265,42 +134,17 @@ def _gray_span(basis: np.ndarray) -> np.ndarray:
     return out
 
 
-if NUMBA_ENABLED:
-
-    @njit(cache=True)
-    def _gray_weight_hist_numba(basis, nbits):
-        counts = np.zeros(nbits + 1, dtype=np.int64)
-        counts[0] = 1
-        x = np.uint64(0)
-        total = 1 << len(basis)
-        for g in range(1, total):
-            gg = g
-            tz = 0
-            while (gg & 1) == 0:
-                gg >>= 1
-                tz += 1
-            x ^= basis[tz]
-            v = x
-            v = v - ((v >> np.uint64(1)) & np.uint64(0x5555555555555555))
-            v = (v & np.uint64(0x3333333333333333)) + (
-                (v >> np.uint64(2)) & np.uint64(0x3333333333333333)
-            )
-            v = (v + (v >> np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
-            w = (v * np.uint64(0x0101010101010101)) >> np.uint64(56)
-            counts[np.int64(w)] += 1
-        return counts
-
-
 def gray_weight_histogram(basis, nbits: int) -> np.ndarray:
     """Weight distribution of the span of packed words (codewords as uint64).
 
-    Walks all 2^k XOR combinations in Gray order; the zero word is counted.
+    Walks all 2^k XOR combinations, split into two Gray-ordered halves; the
+    zero word is counted.
     """
     basis = np.asarray(basis, dtype=np.uint64)
-    if len(basis) == 0:
-        counts = np.zeros(nbits + 1, dtype=np.int64)
-        counts[0] = 1
-        return counts
-    if NUMBA_ENABLED:
-        return _gray_weight_hist_numba(basis, nbits)
-    return _gray_weight_hist_numpy(basis, nbits)
+    counts = np.zeros(nbits + 1, dtype=np.int64)
+    k1 = len(basis) // 2
+    lo = _gray_span(basis[:k1])
+    for word in _gray_span(basis[k1:]):
+        w = _popcount_u64(lo ^ word)
+        counts += np.bincount(w.astype(np.int64), minlength=nbits + 1)
+    return counts

@@ -7,12 +7,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import _gf2
 from .codes import CodeSpec, dim_rm
 from .scdec import sc_decode_frames, encode_batch
-from .channel import noise_sigma
+from .channel import awgn_bpsk_llr
 
 __all__ = [
     "BlockStructure",
@@ -277,10 +276,7 @@ def _probe_batch(code: CodeSpec, trials: int, snr_db: float, seed: int, minsum: 
     """Fixed batch of noisy-codeword LLRs plus the plain SC reference output."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0xAB5,)))
     bits = rng.integers(0, 2, size=(trials, code.K), dtype=np.uint8)
-    x = encode_batch(bits, code)
-    sigma = noise_sigma(snr_db, code.rate)
-    y = (1.0 - 2.0 * x) + sigma * ndtri(rng.random((trials, code.N)))
-    llrs = 2.0 * y / (sigma * sigma)
+    llrs = awgn_bpsk_llr(encode_batch(bits, code), snr_db, code.rate, rng)
     _, sc_ref = sc_decode_frames(llrs, code, minsum=minsum)
     return llrs, sc_ref
 

@@ -83,8 +83,12 @@ def awgn_bpsk_llr(x: np.ndarray, ebn0_db: float, rate: float, seed) -> np.ndarra
     x = np.asarray(x, dtype=np.uint8)
     sigma = noise_sigma(ebn0_db, rate)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    noise = ndtri(rng.random(x.shape))
-    y = (1.0 - 2.0 * x) + sigma * noise
+    return _bpsk_llr(x, rng.random(x.shape), sigma)
+
+
+def _bpsk_llr(x: np.ndarray, uniforms: np.ndarray, sigma: float) -> np.ndarray:
+    """LLRs of BPSK-mapped bits ``x`` plus noise ``sigma * ndtri(uniforms)``."""
+    y = (1.0 - 2.0 * x) + sigma * ndtri(uniforms)
     return 2.0 * y / (sigma * sigma)
 
 
@@ -114,16 +118,14 @@ def _simulate_range(cfg: SimConfig, grid_idx: int, start: int, count: int) -> np
     """Frame-error flags for trials [start, start+count), in trial order."""
     code = cfg.code
     ebn0 = cfg.ebn0_grid_db[grid_idx]
-    sigma = noise_sigma(ebn0, code.rate)
     bits = np.empty((count, code.K), dtype=np.uint8)
-    noise = np.empty((count, code.N), dtype=np.float64)
+    uniforms = np.empty((count, code.N), dtype=np.float64)
     for i in range(count):
         rng = _trial_rng(cfg.seed, grid_idx, start + i)
         bits[i] = rng.integers(0, 2, size=code.K)
-        noise[i] = ndtri(rng.random(code.N))
+        uniforms[i] = rng.random(code.N)
     x = encode_batch(bits, code)
-    y = (1.0 - 2.0 * x) + sigma * noise
-    llrs = 2.0 * y / (sigma * sigma)
+    llrs = _bpsk_llr(x, uniforms, noise_sigma(ebn0, code.rate))
     if cfg.decoder == "sc":
         _, x_hat = sc_decode_frames(llrs, code, minsum=cfg.minsum)
     else:

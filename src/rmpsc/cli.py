@@ -286,7 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extend", help="double the length, reusing the generators")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--imin", type=_parse_imin, required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write the extended code JSON here")
     p.set_defaults(func=cmd_extend)
 

@@ -87,15 +87,24 @@ def sc_decode(llr, code: CodeSpec, *, minsum: bool = False, trace=None) -> Decod
 
     Frozen positions are forced to zero; an information decision at an exact
     LLR tie resolves to zero.  ``trace`` optionally names a CSV file that
-    receives the decoder's internal per-level LLRs for debugging.
+    receives, for debugging, the LLRs of every tree node the decoder visits
+    (columns ``level,position,llr``; pruned subtrees have no rows).
     """
     llr = _check_llrs(np.asarray(llr, dtype=np.float64), code.N)
-    if trace is not None:
-        u, x = _traced_sc(llr, code, minsum, trace)
-    else:
+    if trace is None:
         U, X = sc_decode_batch(llr[None, :], code.frozen_mask(), minsum)
-        u, x = U[0], X[0]
-    return DecodeResult(u, x, correlation_score(x, llr))
+    else:
+        rows = []
+
+        def record(level, start, node_llrs):
+            rows.extend((level, start + pos, float(v)) for pos, v in enumerate(node_llrs[:, 0]))
+
+        U, X = sc_decode_batch(llr[None, :], code.frozen_mask(), minsum, trace=record)
+        with open(trace, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["level", "position", "llr"])
+            writer.writerows(rows)
+    return DecodeResult(U[0], X[0], correlation_score(X[0], llr))
 
 
 def ae_sc_decode_frames(
@@ -131,44 +140,3 @@ def ae_sc_decode(llr, code: CodeSpec, perms, *, minsum: bool = False) -> DecodeR
     llr = _check_llrs(np.asarray(llr, dtype=np.float64), code.N)
     U, X, _ = ae_sc_decode_frames(llr[None, :], code, perms, minsum=minsum)
     return DecodeResult(U[0], X[0], correlation_score(X[0], llr))
-
-
-# ------------------------------------------------------------------- tracing
-
-
-def _traced_sc(llr, code: CodeSpec, minsum: bool, trace):
-    """Reference recursive SC that mirrors the kernels and logs internal LLRs."""
-    frozen = code.frozen_mask()
-    n = code.n
-    rows = []
-
-    def boxplus(a, b):
-        aa, ab = np.abs(a), np.abs(b)
-        sign = np.where((a < 0) != (b < 0), -1.0, 1.0)
-        if minsum:
-            return sign * np.minimum(aa, ab)
-        mag = (
-            np.minimum(aa, ab)
-            + np.log1p(np.exp(-(aa + ab)))
-            - np.log1p(np.exp(-np.abs(aa - ab)))
-        )
-        return sign * np.maximum(mag, 0.0)
-
-    def rec(vals, start, level):
-        for pos, v in enumerate(vals):
-            rows.append((level, start + pos, float(v)))
-        if len(vals) == 1:
-            u = 0 if frozen[start] or vals[0] >= 0 else 1
-            return np.array([u], dtype=np.uint8)
-        h = len(vals) // 2
-        left = rec(boxplus(vals[:h], vals[h:]), start, level - 1)
-        right = rec((1.0 - 2.0 * left) * vals[:h] + vals[h:], start + h, level - 1)
-        return np.concatenate([left ^ right, right])
-
-    x = rec(llr, 0, n)
-    u = polar_transform(x)
-    with open(trace, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["level", "position", "llr"])
-        writer.writerows(rows)
-    return u, x
