@@ -44,6 +44,6 @@ from .autgroup import (
     sample_distinct_class_automorphisms,
 )
 from .scdec import DecodeResult, ae_sc_decode, encode, sc_decode
-from .channel import FerPoint, SimConfig, awgn_bpsk_llr, run_fer, tub_ml_bound
+from .channel import FerPoint, SimConfig, noisy_frames, run_fer, tub_ml_bound
 
 __version__ = "0.1.0"

@@ -11,12 +11,6 @@ def pack_row(bits: np.ndarray) -> int:
     return int.from_bytes(b.tobytes(), "little")
 
 
-def unpack_row(word: int, length: int) -> np.ndarray:
-    nbytes = (length + 7) // 8
-    raw = np.frombuffer(word.to_bytes(nbytes, "little"), dtype=np.uint8)
-    return np.unpackbits(raw, bitorder="little")[:length]
-
-
 def rank(rows) -> int:
     """GF(2) rank by elimination on packed rows."""
     pivots: dict[int, int] = {}

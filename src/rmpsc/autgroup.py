@@ -10,8 +10,9 @@ import numpy as np
 
 from . import _gf2
 from .codes import CodeSpec, dim_rm
+# encode_batch is unused here but kept importable: perfbench/spans.py wraps it by name
 from .scdec import sc_decode_frames, encode_batch
-from .channel import awgn_bpsk_llr
+from .channel import noisy_frames
 
 __all__ = [
     "BlockStructure",
@@ -274,9 +275,7 @@ PROBE_MINSUM = True
 
 def _probe_batch(code: CodeSpec, trials: int, snr_db: float, seed: int, minsum: bool):
     """Fixed batch of noisy-codeword LLRs plus the plain SC reference output."""
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0xAB5,)))
-    bits = rng.integers(0, 2, size=(trials, code.K), dtype=np.uint8)
-    llrs = awgn_bpsk_llr(encode_batch(bits, code), snr_db, code.rate, rng)
+    _, llrs = noisy_frames(code, snr_db, seed, (0xAB5,), 0, trials)
     _, sc_ref = sc_decode_frames(llrs, code, minsum=minsum)
     return llrs, sc_ref
 

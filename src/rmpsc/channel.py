@@ -16,7 +16,7 @@ from .scdec import ae_sc_decode_frames, encode_batch, sc_decode_frames
 __all__ = [
     "SimConfig",
     "FerPoint",
-    "awgn_bpsk_llr",
+    "noisy_frames",
     "run_fer",
     "tub_ml_bound",
     "write_fer_csv",
@@ -73,23 +73,33 @@ def noise_sigma(ebn0_db: float, rate: float) -> float:
     return math.sqrt(1.0 / (2.0 * rate * 10.0 ** (ebn0_db / 10.0)))
 
 
-def awgn_bpsk_llr(x: np.ndarray, ebn0_db: float, rate: float, seed) -> np.ndarray:
-    """Transmit bits over BPSK/AWGN and return channel LLRs.
+def noisy_frames(
+    code: CodeSpec, ebn0_db: float, seed: int, stream: tuple, start: int, count: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Trials [start, start+count) of stream (seed, stream): the codewords
+    ``x`` (count, N) and their BPSK/AWGN LLRs (bit 0 -> +1, LLR 2y/sigma^2).
 
-    Bit 0 maps to +1, bit 1 to -1; the LLR of sample y is 2*y/sigma^2.
-    ``seed`` is an integer or numpy Generator; the noise comes from the
-    inverse normal CDF of that stream's uniforms.
+    Counter-based (Salmon et al., SC'11): trial t is Philox counter block
+    t*stride under a key from (seed, stream), so results do not depend on
+    batching or workers.  Of its 4*stride words, the first ceil(K/64) give
+    the bits (little-endian) and the next N the uniforms
+    ((w >> 12) + 0.5) * 2^-52: exact and strictly inside (0, 1), where 53
+    bits would round w = 2^64 - 1 to 1.0 and give an infinite LLR.
     """
-    x = np.asarray(x, dtype=np.uint8)
-    sigma = noise_sigma(ebn0_db, rate)
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    return _bpsk_llr(x, rng.random(x.shape), sigma)
-
-
-def _bpsk_llr(x: np.ndarray, uniforms: np.ndarray, sigma: float) -> np.ndarray:
-    """LLRs of BPSK-mapped bits ``x`` plus noise ``sigma * ndtri(uniforms)``."""
+    sigma = noise_sigma(ebn0_db, code.rate)
+    words = -(-code.K // 64)
+    stride = -(-(words + code.N) // 4)
+    key = np.random.SeedSequence(seed, spawn_key=stream).generate_state(2, np.uint64)
+    gen = np.random.Philox(key=key)
+    gen.advance(start * stride)
+    raw = gen.random_raw(count * stride * 4).reshape(count, 4 * stride)
+    bits = np.unpackbits(
+        raw[:, :words].astype("<u8").view(np.uint8), axis=1, count=code.K, bitorder="little"
+    )
+    x = encode_batch(bits, code)
+    uniforms = ((raw[:, words : words + code.N] >> 12) + 0.5) * 2.0**-52
     y = (1.0 - 2.0 * x) + sigma * ndtri(uniforms)
-    return 2.0 * y / (sigma * sigma)
+    return x, 2.0 * y / (sigma * sigma)
 
 
 def tub_ml_bound(dmin: int, a_dmin: int, rate: float, ebn0_db: float) -> float:
@@ -106,26 +116,10 @@ def tub_ml_bound(dmin: int, a_dmin: int, rate: float, ebn0_db: float) -> float:
 # ------------------------------------------------------------- simulation
 
 
-def _trial_rng(seed: int, grid_idx: int, trial_idx: int) -> np.random.Generator:
-    # substream fully determined by (seed, grid point, trial); results are
-    # therefore independent of batching and worker count
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=(grid_idx, trial_idx))
-    )
-
-
 def _simulate_range(cfg: SimConfig, grid_idx: int, start: int, count: int) -> np.ndarray:
     """Frame-error flags for trials [start, start+count), in trial order."""
     code = cfg.code
-    ebn0 = cfg.ebn0_grid_db[grid_idx]
-    bits = np.empty((count, code.K), dtype=np.uint8)
-    uniforms = np.empty((count, code.N), dtype=np.float64)
-    for i in range(count):
-        rng = _trial_rng(cfg.seed, grid_idx, start + i)
-        bits[i] = rng.integers(0, 2, size=code.K)
-        uniforms[i] = rng.random(code.N)
-    x = encode_batch(bits, code)
-    llrs = _bpsk_llr(x, uniforms, noise_sigma(ebn0, code.rate))
+    x, llrs = noisy_frames(code, cfg.ebn0_grid_db[grid_idx], cfg.seed, (grid_idx,), start, count)
     if cfg.decoder == "sc":
         _, x_hat = sc_decode_frames(llrs, code, minsum=cfg.minsum)
     else:

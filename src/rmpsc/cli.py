@@ -114,9 +114,7 @@ def cmd_analyze(ns) -> int:
 
 
 def cmd_search(ns) -> int:
-    mode = "exhaustive" if ns.exhaustive or ns.n <= 6 else "heuristic"
-    if ns.exhaustive and ns.n > 6:
-        raise ValueError("exhaustive search is limited to --n 6")
+    mode = "exhaustive" if ns.n <= 6 else "heuristic"
     rel = load_reliability(ns.rel) if ns.rel is not None else None
     if rel is not None and rel.n != ns.n:
         raise ValueError(f"reliability file is for n={rel.n}, expected {ns.n}")
@@ -264,7 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="per-dimension maximum-symmetry atlas as CSV")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--exhaustive", action="store_true")
     p.add_argument("--rel", help="reliability sequence file (validated)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")

@@ -3,48 +3,87 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import ndtri
 
 from rmpsc.channel import (
     FerPoint,
     SimConfig,
-    awgn_bpsk_llr,
     noise_sigma,
+    noisy_frames,
     run_fer,
     tub_ml_bound,
     write_fer_csv,
 )
 from rmpsc.codes import CodeSpec
+from rmpsc.scdec import encode
 
 
 def q_func(x):
     return 0.5 * math.erfc(x / math.sqrt(2.0))
 
 
-class TestAwgnLlr:
+class TestNoisyFrames:
     def test_high_snr_signs(self):
-        x = np.array([0, 1, 1, 0], dtype=np.uint8)
-        llr = awgn_bpsk_llr(x, 40.0, 0.5, seed=0)
+        code = CodeSpec.from_i_min({19}, 6)
+        x, llr = noisy_frames(code, 40.0, 0, (0,), 0, 16)
         assert np.array_equal(np.sign(llr), 1.0 - 2.0 * x)
 
     def test_moments(self):
-        x = np.zeros(100_000, dtype=np.uint8)
-        ebn0, rate = 2.0, 0.5
-        llr = awgn_bpsk_llr(x, ebn0, rate, seed=1)
-        sigma2 = noise_sigma(ebn0, rate) ** 2
-        assert abs(llr.mean() - 2.0 / sigma2) < 0.05 * (2.0 / sigma2)
-        assert abs(llr.var() - 4.0 / sigma2) < 0.05 * (4.0 / sigma2)
+        code = CodeSpec.from_i_min({19}, 6)   # (64,37)
+        ebn0 = 2.0
+        x, llr = noisy_frames(code, ebn0, 1, (0,), 0, 2000)
+        sigma2 = noise_sigma(ebn0, code.rate) ** 2
+        z = (1.0 - 2.0 * x) * llr   # LLR as if the all-zero word were sent
+        assert abs(z.mean() - 2.0 / sigma2) < 0.05 * (2.0 / sigma2)
+        assert abs(z.var() - 4.0 / sigma2) < 0.05 * (4.0 / sigma2)
+        assert abs(x.mean() - 0.5) < 0.01
 
     def test_deterministic(self):
-        x = np.random.default_rng(2).integers(0, 2, 64).astype(np.uint8)
-        a = awgn_bpsk_llr(x, 1.0, 0.8, seed=7)
-        b = awgn_bpsk_llr(x, 1.0, 0.8, seed=7)
-        assert np.array_equal(a, b)
+        code = CodeSpec.from_i_min({11}, 5)
+        a = noisy_frames(code, 1.0, 7, (3,), 5, 9)
+        b = noisy_frames(code, 1.0, 7, (3,), 5, 9)
+        assert all(np.array_equal(u, v) for u, v in zip(a, b))
+        for seed, stream in ((8, (3,)), (7, (4,))):
+            _, other = noisy_frames(code, 1.0, seed, stream, 5, 9)
+            assert not np.array_equal(a[1], other)
 
     def test_rate_validated(self):
         with pytest.raises(ValueError):
-            awgn_bpsk_llr(np.zeros(4, dtype=np.uint8), 1.0, 0.0, seed=0)
+            noise_sigma(1.0, 0.0)
         with pytest.raises(ValueError):
-            awgn_bpsk_llr(np.zeros(4, dtype=np.uint8), 1.0, 1.5, seed=0)
+            noise_sigma(1.0, 1.5)
+
+    @pytest.mark.parametrize("i_min,n", [({1}, 1), ({19}, 6), ({63, 121}, 10)])
+    def test_block_mid_stream_matches_longer_draw(self, i_min, n):
+        # (2,1), (64,37) and (1024,512): one, one and eight words of bits
+        code = CodeSpec.from_i_min(i_min, n)
+        x, llr = noisy_frames(code, 2.0, 11, (1,), 0, 40)
+        x_mid, llr_mid = noisy_frames(code, 2.0, 11, (1,), 13, 7)
+        assert np.array_equal(x_mid, x[13:20])
+        assert np.array_equal(llr_mid, llr[13:20])
+
+    def test_trial_rebuilt_from_bare_philox(self):
+        code = CodeSpec.from_i_min({63, 121}, 10)   # (1024,512), K > 64
+        ebn0, seed, stream, trial = 2.5, 3, (2,), 5
+        words = -(-code.K // 64)
+        stride = -(-(words + code.N) // 4)
+        key = np.random.SeedSequence(seed, spawn_key=stream).generate_state(2, np.uint64)
+        gen = np.random.Philox(key=key)
+        gen.advance(trial * stride)
+        w = [int(v) for v in gen.random_raw(4 * stride)]
+        bits = np.array([(w[i // 64] >> (i % 64)) & 1 for i in range(code.K)], np.uint8)
+        uniforms = np.array([((v >> 12) + 0.5) * 2.0**-52 for v in w[words : words + code.N]])
+        x = encode(bits, code)
+        sigma = noise_sigma(ebn0, code.rate)
+        llr = 2.0 * ((1.0 - 2.0 * x) + sigma * ndtri(uniforms)) / (sigma * sigma)
+        (x_got,), (llr_got,) = noisy_frames(code, ebn0, seed, stream, trial, 1)
+        assert np.array_equal(x_got, x)
+        assert np.array_equal(llr_got, llr)
+        # the extreme words map strictly inside (0, 1), so noise is finite
+        for v in (0, 2**64 - 1):
+            assert 0.0 < ((v >> 12) + 0.5) * 2.0**-52 < 1.0
 
 
 class TestTub:
@@ -123,6 +162,18 @@ class TestRunFer:
         a = run_fer(cfg, batch_size=64)
         b = run_fer(cfg, batch_size=257)
         assert a == b
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(st.integers(1, 700))
+    def test_batch_size_invariant(self, batch_size):
+        cfg = SimConfig(
+            code=CodeSpec.from_i_min({11}, 5),
+            ebn0_grid_db=(1.0, 2.0),
+            max_trials=600,
+            target_errors=40,
+            seed=3,
+        )
+        assert run_fer(cfg, batch_size=batch_size) == run_fer(cfg, batch_size=600)
 
     def test_deterministic_across_workers(self):
         code = CodeSpec.from_i_min({11}, 5)

@@ -70,11 +70,6 @@ class TestSearch:
         for line in lines[1:]:
             assert line.startswith("16,")
 
-    def test_exhaustive_guard(self, capsys):
-        code, _, err = run_cli(["search", "--n", "7", "--exhaustive"], capsys)
-        assert code == 1
-        assert "error:" in err
-
     def test_byte_identical_reruns(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert main(["search", "--n", "4", "--seed", "3", "--out", str(a)]) == 0

@@ -195,6 +195,15 @@ def sc_inputs(draw):
     return llrs, frozen, draw(st.booleans())
 
 
+@st.composite
+def code_inputs(draw):
+    n = draw(st.integers(1, 6))
+    i_min = draw(st.sets(st.integers(0, (1 << n) - 1), min_size=1, max_size=3))
+    code = CodeSpec.from_i_min(i_min, n)
+    llrs = draw(hnp.arrays(np.float64, (draw(st.integers(1, 8)), code.N), elements=LLR_VALUES))
+    return code, llrs, draw(st.booleans())
+
+
 class TestProperties:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(sc_inputs())
@@ -207,6 +216,19 @@ class TestProperties:
             Ui, Xi = sc_decode_batch(llrs[i : i + 1], frozen, minsum)
             assert np.array_equal(Ui[0], U[i])
             assert np.array_equal(Xi[0], X[i])
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(code_inputs())
+    def test_ae_identity_is_sc(self, case):
+        from rmpsc.autgroup import Permutation
+
+        code, llrs, minsum = case
+        identity = [Permutation.identity(code.N)]
+        U, X, winner = ae_sc_decode_frames(llrs, code, identity, minsum=minsum)
+        U_sc, X_sc = sc_decode_frames(llrs, code, minsum=minsum)
+        assert np.array_equal(X, X_sc)
+        assert np.array_equal(U, U_sc)
+        assert not winner.any()
 
 
 class TestGolden:
