@@ -26,7 +26,7 @@ from .codes import (
     count_min_weight_codewords,
     extend_code,
     load_reliability,
-    min_weight_count_via_dual,
+    min_weight_count,
     rm_polar_construct,
     search_rm_psc,
 )

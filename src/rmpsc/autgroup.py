@@ -70,6 +70,27 @@ class BlockStructure:
         it defines is a subgroup)."""
         return self.n == other.n and self.boundaries() >= other.boundaries()
 
+    def contains(self, p: "Permutation") -> bool:
+        """Exact membership of a code-bit permutation in BLTA(S).
+
+        p is affine iff it equals z -> A z + b with b = p(0) and column i of
+        A equal to p(e_i) + b; the map lies in the group iff no column has a
+        bit in a row of an earlier block than its own.
+        """
+        if p.N != 1 << self.n:
+            raise ValueError(f"permutation length {p.N} does not match 2^{self.n}")
+        b = int(p.perm[0])
+        cols = [int(p.perm[1 << i]) ^ b for i in range(self.n)]
+        start = 0
+        for size in self.blocks:
+            if any(cols[i] & ((1 << start) - 1) for i in range(start, start + size)):
+                return False
+            start += size
+        affine = np.array([b], dtype=np.intp)
+        for col in cols:
+            affine = np.concatenate([affine, affine ^ col])
+        return bool(np.array_equal(affine, p.perm))
+
     def __str__(self):
         return "(" + ",".join(str(b) for b in self.blocks) + ")"
 
@@ -386,45 +407,33 @@ def sample_distinct_class_automorphisms(
     *,
     trials: int = 500,
     snr_db: float = 2.0,
-    max_draws: int | None = None,
-    minsum: bool = PROBE_MINSUM,
 ) -> list[Permutation]:
     """Draw m automorphisms from pairwise distinct absorption classes.
 
     The first element is the identity.  Candidates are sampled uniformly
-    from the full group and accepted when no accepted representative r makes
-    candidate . r^-1 empirically absorbed.
+    from the full group and accepted when no accepted representative r puts
+    candidate . r^-1 in BLTA(S_abs), the probed absorption structure.  The
+    probe is one-sided, so the true absorption group lies inside BLTA(S_abs)
+    and accepted candidates are truly distinct.
     """
     full = compute_blta_structure(code)
-    abs_structure = absorption_structure_empirical(
-        code, trials=trials, snr_db=snr_db, seed=seed, minsum=minsum
-    )
+    abs_structure = absorption_structure_empirical(code, trials=trials, snr_db=snr_db, seed=seed)
     available = equivalent_class_count(full, abs_structure)
     if m > available:
         raise ValueError(f"requested {m} classes but the code has only {available}")
     reps = [Permutation.identity(code.N)]
-    if m == 1:
-        return reps
-    llrs, sc_ref = _probe_batch(code, trials, snr_db, seed + 1, minsum)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0x5A,)))
-    budget = max_draws if max_draws is not None else 128 + 64 * m
-    draws = 0
-    while len(reps) < m:
-        if draws >= budget:
-            raise RuntimeError(
-                f"probe budget exhausted after {draws} draws with "
-                f"{len(reps)}/{m} classes found"
-            )
-        draws += 1
+    budget = 128 + 64 * m
+    for _ in range(budget):
+        if len(reps) == m:
+            break
         cand = permutation_from_affine(sample_blta(full, rng))
-        distinct = True
-        for rep in reps:
-            relative = cand.compose(rep.inverse)
-            if _branch_matches_sc(llrs, sc_ref, relative, code, minsum):
-                distinct = False
-                break
-        if distinct:
+        if not any(abs_structure.contains(cand.compose(rep.inverse)) for rep in reps):
             reps.append(cand)
+    if len(reps) < m:
+        raise RuntimeError(
+            f"sampling budget exhausted after {budget} draws with {len(reps)}/{m} classes found"
+        )
     return reps
 
 

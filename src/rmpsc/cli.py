@@ -6,6 +6,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 from .autgroup import (
@@ -19,10 +20,10 @@ from .autgroup import (
 from .channel import SimConfig, run_fer, tub_ml_bound, write_fer_csv
 from .codes import (
     CodeSpec,
-    count_min_weight_codewords,
     dim_rm,
+    extend_code,
     load_reliability,
-    min_weight_count_via_dual,
+    min_weight_count,
     search_max_symmetry,
 )
 
@@ -43,8 +44,9 @@ def _build_code(ns) -> CodeSpec:
     return CodeSpec.from_i_min(ns.imin, ns.n)
 
 
-def _open_out(path):
-    return open(path, "w", encoding="utf-8", newline="") if path else sys.stdout
+def _output(path):
+    """Context manager for the file at ``path``, or for stdout (left open)."""
+    return open(path, "w", encoding="utf-8", newline="") if path else nullcontext(sys.stdout)
 
 
 def _parse_imin(text: str) -> tuple[int, ...]:
@@ -97,16 +99,12 @@ def _analyze_report(code: CodeSpec, ns) -> dict:
 def cmd_analyze(ns) -> int:
     code = _build_code(ns)
     report = _analyze_report(code, ns)
-    out = _open_out(ns.out)
-    try:
+    with _output(ns.out) as out:
         if ns.json:
             out.write(json.dumps(report) + "\n")
         else:
             for key, value in report.items():
                 out.write(f"{key}: {value}\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 
@@ -118,8 +116,7 @@ def cmd_search(ns) -> int:
     rel = load_reliability(ns.rel) if ns.rel is not None else None
     if rel is not None and rel.n != ns.n:
         raise ValueError(f"reliability file is for n={rel.n}, expected {ns.n}")
-    out = _open_out(ns.out)
-    try:
+    with _output(ns.out) as out:
         out.write("N,K,max_t,i_min,blta_structure,absorption_structure\n")
         lo, hi = dim_rm(1, ns.n), dim_rm(ns.n - 2, ns.n)
         for k in range(lo, hi + 1):
@@ -135,24 +132,15 @@ def cmd_search(ns) -> int:
                 f"{';'.join(map(str, full.blocks))},"
                 f"{';'.join(map(str, absorbed.blocks))}\n"
             )
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 
 # ----------------------------------------------------------------- simulate
 
 
-def _auto_a_dmin(code: CodeSpec):
-    try:
-        if code.N <= 64 and code.N - code.K <= 30:
-            return min_weight_count_via_dual(code)
-        if code.K <= 24:
-            return count_min_weight_codewords(code)
-    except (ValueError, ArithmeticError):
-        return None
-    return None
+# a named step of cmd_simulate: perfbench/spans.py wraps it to time the TUB set-up
+def _auto_a_dmin(code: CodeSpec) -> int:
+    return min_weight_count(code)
 
 
 def cmd_simulate(ns) -> int:
@@ -180,18 +168,9 @@ def cmd_simulate(ns) -> int:
         seed=ns.seed,
     )
     points = run_fer(cfg, workers=ns.workers)
-    a_dmin = ns.a_dmin if ns.a_dmin is not None else _auto_a_dmin(code)
-    tub = None
-    if a_dmin is not None:
-        d = code.min_distance
-        rate = code.rate
-        tub = lambda e: tub_ml_bound(d, a_dmin, rate, e)  # noqa: E731
-    out = _open_out(ns.out)
-    try:
-        write_fer_csv(points, out, tub=tub)
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    d, a_dmin, rate = code.min_distance, _auto_a_dmin(code), code.rate
+    with _output(ns.out) as out:
+        write_fer_csv(points, out, tub=lambda e: tub_ml_bound(d, a_dmin, rate, e))
     return 0
 
 
@@ -199,10 +178,6 @@ def cmd_simulate(ns) -> int:
 
 
 def cmd_extend(ns) -> int:
-    from .codes import extend_code
-
-    if ns.imin is None or ns.n is None:
-        raise ValueError("extend needs --imin and --n")
     base = CodeSpec.from_i_min(ns.imin, ns.n)
     base_structure = compute_blta_structure(base)
     extended = extend_code(ns.imin, ns.n)
@@ -276,7 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target-errors", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--a-dmin", type=int, help="minimum-weight multiplicity for the TUB column")
     p.add_argument("--out")
     p.set_defaults(func=cmd_simulate)
 

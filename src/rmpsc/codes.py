@@ -31,7 +31,7 @@ __all__ = [
     "extend_code",
     "search_rm_psc",
     "count_min_weight_codewords",
-    "min_weight_count_via_dual",
+    "min_weight_count",
     "weight_distribution_via_dual",
 ]
 
@@ -259,23 +259,9 @@ def rm_polar_construct(n: int, k: int, rel: ReliabilityOrder | None = None) -> C
     layer = [i for i in range(N) if (~i & full).bit_count() == r]
     rank = rel.ranks()
     layer.sort(key=lambda i: (int(rank[i]), i), reverse=True)
-    chosen = set(layer[:need])
-    # close the degree-r pick downward; a consistent order never triggers this
-    added = True
-    while added:
-        added = False
-        for cand in layer:
-            if cand in chosen:
-                continue
-            mc = ~cand & full
-            if any(_mask_leq(mc, ~s & full, n) for s in chosen):
-                chosen.add(cand)
-                added = True
-    if len(chosen) > need:
-        raise ValueError(
-            "closing the degree-r layer forces more than the requested dimension"
-        )
-    return CodeSpec.from_info_set(frozenset(base) | chosen, n)
+    # a consistent order ranks every layer member below a chosen one higher,
+    # so the pick is already closed downward
+    return CodeSpec.from_info_set(frozenset(base + layer[:need]), n)
 
 
 def extend_code(i_min, n: int) -> CodeSpec:
@@ -544,10 +530,20 @@ def weight_distribution_via_dual(code: CodeSpec) -> list[int]:
     return dist
 
 
-def min_weight_count_via_dual(code: CodeSpec) -> int:
-    """Exact number of minimum-weight codewords via the dual spectrum."""
-    dist = weight_distribution_via_dual(code)
-    d = code.min_distance
-    if any(v != 0 for v in dist[1:d]):
-        raise ArithmeticError("nonzero weight below the declared minimum distance")
-    return dist[d]
+def min_weight_count(code: CodeSpec) -> int:
+    """Exact number of minimum-weight codewords, in closed form.
+
+    Bardet, Dragoi, Otmani & Tillich (ISIT 2016) show that the minimum-weight
+    codewords of a decreasing monomial code are the orbits of its top-degree
+    monomials under the lower-triangular affine group.  A monomial m of top
+    degree r has an orbit of 2^(r + lambda(m)) words, where lambda(m) counts
+    the pairs (j, i) with variable i in m, variable j not in m, and j < i.
+    """
+    masks = code.gen_set.masks
+    r = max(m.bit_count() for m in masks)
+    total = 0
+    for m in masks:
+        if m.bit_count() == r:
+            lam = sum((~m & ((1 << i) - 1)).bit_count() for i in range(code.n) if m >> i & 1)
+            total += 1 << (r + lam)
+    return total

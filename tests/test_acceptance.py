@@ -32,6 +32,7 @@ from rmpsc.codes import (
     _MonomialPoset,
     dim_rm,
     extend_code,
+    min_weight_count,
     rm_order,
     search_max_symmetry,
     search_rm_psc,
@@ -412,7 +413,7 @@ class TestCriterion9Fer:
     def test_ae4_reaches_tub(self):
         t0 = time.time()
         code = CodeSpec.from_i_min({19}, 6)
-        a_dmin = 3480   # exact multiplicity, dual-spectrum computation
+        a_dmin = min_weight_count(code)   # 3480
         d, rate = code.min_distance, code.rate
 
         lo, hi = 2.0, 7.0

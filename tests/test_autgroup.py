@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rmpsc._gf2 import is_invertible
 from rmpsc.codes import CodeSpec, dim_rm, search_max_symmetry
@@ -226,6 +228,34 @@ class TestBltaSize:
             BlockStructure((2, 0))
 
 
+class TestBlockMembership:
+    def test_exhaustive_ga3(self):
+        # contains(p) agrees with a direct look at A for every affine map on
+        # 3 bits, and accepts exactly blta_size(S) of them
+        elements = [(t, permutation_from_affine(t)) for t in all_ga_elements(3)]
+        for blocks in ((3,), (2, 1), (1, 2), (1, 1, 1)):
+            s = BlockStructure(blocks)
+            block_of = np.repeat(np.arange(len(blocks)), blocks)
+            upper = block_of[:, None] < block_of[None, :]  # row block before column block
+            hits = 0
+            for t, p in elements:
+                inside = not (t.A.astype(bool) & upper).any()
+                assert s.contains(p) == inside, (blocks, t)
+                hits += inside
+            assert hits == blta_size(s)
+
+    def test_non_affine_rejected(self):
+        # a transposition of two code bits fixes six points of GF(2)^3, which
+        # span it, so it is no affine map
+        perm = np.arange(8)
+        perm[[0, 1]] = perm[[1, 0]]
+        assert not BlockStructure((3,)).contains(Permutation(perm))
+
+    def test_length_mismatch(self):
+        with pytest.raises(ValueError):
+            BlockStructure((2, 1)).contains(Permutation.identity(16))
+
+
 class TestSampling:
     def test_all_ones_diagonal_forced(self):
         rng = np.random.default_rng(6)
@@ -287,6 +317,25 @@ class TestAbsorption:
         code = CodeSpec.from_i_min({11}, 5)
         with pytest.raises(ValueError):
             absorption_structure_empirical(code, trials=50)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        st.integers(3, 6).flatmap(
+            lambda n: st.integers(dim_rm(1, n), dim_rm(n - 2, n)).map(
+                lambda k: search_max_symmetry(n, k)[1][0]
+            )
+        ),
+        st.integers(0, 2**32 - 1),
+    )
+    @example(CodeSpec.from_i_min({19}, 6), 0)
+    def test_probed_group_absorbed(self, code, draw_seed):
+        # the whole group BLTA(S_abs), not only its swaps, is absorbed on a
+        # probe batch other than the one that found S_abs
+        s_abs = absorption_structure_empirical(code, seed=0)
+        rng = np.random.default_rng(draw_seed)
+        for _ in range(10):
+            h = permutation_from_affine(sample_blta(s_abs, rng))
+            assert is_absorbed_empirical(h, code, seed=1)
 
 
 class TestClassCount:

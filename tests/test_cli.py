@@ -111,6 +111,24 @@ class TestSimulate:
         assert lines[0] == "ebn0_db,trials,errors,fer,ci95,tub"
         assert len(lines) == 4
 
+    def test_tub_beyond_weight_walks(self, tmp_path, capsys):
+        # (128,60) is too large for either codeword walk; the closed-form
+        # multiplicity 33048 still gives the bound column
+        out = tmp_path / "fer.csv"
+        code = main(
+            [
+                "simulate", "--imin", "27", "--n", "7", "--ebn0", "3",
+                "--max-trials", "64", "--target-errors", "64", "--out", str(out),
+            ]
+        )
+        capsys.readouterr()
+        assert code == 0
+        header, row = out.read_text().splitlines()
+        assert header == "ebn0_db,trials,errors,fer,ci95,tub"
+        from rmpsc.channel import tub_ml_bound
+
+        assert float(row.split(",")[-1]) == pytest.approx(tub_ml_bound(16, 33048, 60 / 128, 3.0))
+
     def test_ae_m1_equals_sc(self, tmp_path, capsys):
         sc, ae = tmp_path / "sc.csv", tmp_path / "ae.csv"
         base = [

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rmpsc.codes import (
     CodeSpec,
@@ -13,7 +15,7 @@ from rmpsc.codes import (
     dim_rm,
     extend_code,
     load_reliability,
-    min_weight_count_via_dual,
+    min_weight_count,
     rm_order,
     rm_polar_construct,
     search_max_symmetry,
@@ -28,6 +30,7 @@ from rmpsc.monomials import (
     min_distance,
     monomial_from_index,
     upward_closure,
+    _mask_leq,
 )
 
 
@@ -182,6 +185,26 @@ class TestRmPolarConstruct:
         with pytest.raises(ValueError):
             rm_polar_construct(3, 4, rel)
 
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(4, 5), st.integers(0, 2**32 - 1))
+    def test_every_linear_extension_gives_dimension_k(self, n, seed):
+        # a random linear extension of the index order: a channel is placed
+        # only after every channel whose monomial lies above its own
+        rng = np.random.default_rng(seed)
+        N, full = 1 << n, (1 << n) - 1
+        above = [
+            {j for j in range(N) if j != i and _mask_leq(~i & full, ~j & full, n)}
+            for i in range(N)
+        ]
+        order: list[int] = []
+        while len(order) < N:
+            ready = [i for i in range(N) if i not in order and above[i] <= set(order)]
+            order.append(ready[int(rng.integers(len(ready)))])
+        rel = ReliabilityOrder(n, tuple(order))
+        assert rel.upo_consistent
+        for k in range(1, N + 1):
+            assert rm_polar_construct(n, k, rel).K == k
+
 
 class TestExtend:
     def test_extend_3_to_rm24(self):
@@ -317,6 +340,14 @@ def _dominated(p, m):
     return _mask_leq(p, m, 5)
 
 
+@st.composite
+def small_codes(draw):
+    """Decreasing codes with n <= 5: closures of 1-3 random generator indices."""
+    n = draw(st.integers(1, 5))
+    i_min = draw(st.sets(st.integers(0, (1 << n) - 1), min_size=1, max_size=3))
+    return CodeSpec.from_i_min(i_min, n)
+
+
 class TestMinWeightCounts:
     def test_r13(self):
         code = CodeSpec.from_i_min({3, 5, 6}, 3)
@@ -341,7 +372,9 @@ class TestMinWeightCounts:
             code = CodeSpec.from_i_min(i_min, n)
             if code.K > 20:
                 continue
-            assert min_weight_count_via_dual(code) == count_min_weight_codewords(code)
+            brute = count_min_weight_codewords(code)
+            assert min_weight_count(code) == brute
+            assert weight_distribution_via_dual(code)[code.min_distance] == brute
 
     def test_dual_full_distribution_small(self):
         code = CodeSpec.from_i_min({3, 5, 6}, 3)
@@ -353,4 +386,29 @@ class TestMinWeightCounts:
 
     def test_64_37_frozen_value(self):
         code = CodeSpec.from_i_min({19}, 6)
-        assert min_weight_count_via_dual(code) == 3480
+        assert min_weight_count(code) == 3480
+        assert weight_distribution_via_dual(code)[code.min_distance] == 3480
+
+    def test_reed_muller_multiplicities(self):
+        # beyond both walks: the classical count of minimum-weight words of
+        # RM(r, m), 2^r * prod_{i < m-r} (2^(m-i) - 1) / (2^(m-r-i) - 1)
+        for m in range(1, 11):
+            for r in range(m + 1):
+                num = math.prod((1 << (m - i)) - 1 for i in range(m - r))
+                den = math.prod((1 << (m - r - i)) - 1 for i in range(m - r))
+                expect = (1 << r) * num // den
+                top = [i for i in range(1 << m) if (m - i.bit_count()) == r]
+                assert min_weight_count(CodeSpec.from_i_min(top, m)) == expect, (r, m)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(small_codes())
+    def test_closed_form_matches_walks(self, code):
+        # each walk where it is cheap; for n <= 5 every code gets at least one
+        d = code.min_distance
+        count = min_weight_count(code)
+        if code.K <= 16:
+            assert count == count_min_weight_codewords(code)
+        if code.N - code.K <= 20:
+            dist = weight_distribution_via_dual(code)
+            assert dist[1:d] == [0] * (d - 1)
+            assert count == dist[d]
