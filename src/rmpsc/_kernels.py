@@ -50,13 +50,18 @@ def _boxplus_numpy(a, b, minsum):
 # Recursive successive cancellation in natural bit order on (size, B) node
 # arrays: the node at tree level ``level`` starting at u-index ``start`` gets
 # the LLRs for u-indices [start, start + 2^level) of all B frames and returns
-# its sub-codeword.  Two subtree kinds are decoded without walking their
-# leaves, both with decisions identical to plain SC:
+# its sub-codeword.  Three subtree kinds are decoded without walking their
+# leaves, all with decisions identical to plain SC:
 #
 # - Rate-0 (no information bit): every decision is 0, no LLR is needed.
 # - Rep (one information bit, the last leaf): every left sibling on the path
 #   to that leaf is Rate-0, so each g step is (1.0 - 2.0*0)*a + b = a + b;
 #   folding the halves with + reproduces SC's additions exactly.
+# - Rate-1 (no frozen bit) under min-sum, when no node LLR is +-0.0: min-sum's
+#   f is zero only if an input is, and g then adds two values of the same
+#   sign, so by induction SC's codeword is the hard decision x = (v < 0) and
+#   U is its polar transform.  A zero anywhere in the node, or the exact rule
+#   (whose f can round to 0 from nonzero inputs), keeps the recursion.
 
 
 def sc_decode_batch(
@@ -71,15 +76,16 @@ def sc_decode_batch(
     minsum : replace the exact check-node rule by min-sum.
     trace : optional callable ``trace(level, start, node_llrs)``, called with
         the (2^level, B) LLR array of every node the recursion visits, in
-        decoding order; the subtrees below a Rate-0 or Rep node are not
-        visited and not reported.
+        decoding order; the subtrees below a Rate-0 or Rep node, and below a
+        Rate-1 node under min-sum with no zero LLR, are not visited and not
+        reported.
 
     Returns
     -------
     (U, X) : (B, N) uint8 arrays of decided input bits and codeword bits,
         with X the polar transform of U by construction.
     """
-    llrs = np.ascontiguousarray(llrs, dtype=np.float64)
+    llrs = np.asarray(llrs, dtype=np.float64)
     B, N = llrs.shape
     is_frozen = np.asarray(frozen, dtype=bool).tolist()
     # info_before[i]: number of information bits among u-indices [0, i)
@@ -103,12 +109,23 @@ def sc_decode_batch(
             bit = (v[0] < 0).view(np.uint8)
             U[end - 1] = bit
             return np.broadcast_to(bit, (size, B))
+        if minsum and info == size and v.all():
+            x = (v < 0).view(np.uint8)
+            u = U[start:end]
+            u[:] = x
+            d = 1
+            while d < size:  # polar transform along the node axis, in place
+                w = u.reshape(size // (2 * d), 2, d * B)
+                w[:, 0] ^= w[:, 1]
+                d <<= 1
+            return x
         h = size // 2
         a, b = v[:h], v[h:]
         left = node(_boxplus_numpy(a, b, minsum), level - 1, start)
         right = node((1.0 - 2.0 * left) * a + b, level - 1, start + h)
         return np.concatenate((left ^ right, right))
 
+    # node arrays are (size, B); a (B, N) view of an (N, B) array is not copied
     X = node(np.ascontiguousarray(llrs.T), N.bit_length() - 1, 0)
     return np.ascontiguousarray(U.T), np.ascontiguousarray(X.T)
 

@@ -11,6 +11,10 @@ import numpy as np
 from ._kernels import LLR_CLAMP, polar_transform, sc_decode_batch
 from .codes import CodeSpec
 
+# LLRs (N times rows) per stacked AE kernel call: the kernel's working set
+# scales with it, and more branches per call cost peak memory
+_SC_CALL_LLRS = 1 << 16
+
 __all__ = [
     "DecodeResult",
     "encode",
@@ -69,6 +73,8 @@ def _perm_array(p, N: int) -> np.ndarray:
     arr = np.asarray(getattr(p, "perm", p), dtype=np.intp)
     if arr.shape != (N,):
         raise ValueError(f"permutation length {arr.shape} does not match N={N}")
+    if not np.array_equal(np.sort(arr), np.arange(N)):
+        raise ValueError(f"not a permutation of range({N})")
     return arr
 
 
@@ -88,7 +94,9 @@ def sc_decode(llr, code: CodeSpec, *, minsum: bool = False, trace=None) -> Decod
     Frozen positions are forced to zero; an information decision at an exact
     LLR tie resolves to zero.  ``trace`` optionally names a CSV file that
     receives, for debugging, the LLRs of every tree node the decoder visits
-    (columns ``level,position,llr``; pruned subtrees have no rows).
+    (columns ``level,position,llr``; pruned subtrees have no rows: those
+    below Rate-0 and Rep nodes, and under min-sum those below a Rate-1 node
+    with no zero LLR).
     """
     llr = _check_llrs(np.asarray(llr, dtype=np.float64), code.N)
     if trace is None:
@@ -112,23 +120,33 @@ def ae_sc_decode_frames(
 ):
     """Ensemble decoding over a batch: each permutation drives one SC branch
     on the permuted LLRs, candidates are mapped back, and the best-correlating
-    codeword wins (ties go to the earliest branch).  Returns (U, X, winner)."""
+    codeword wins (ties go to the earliest branch).  Returns (U, X, winner).
+
+    Branches are stacked as extra rows of shared kernel calls, as many per
+    call as fit in ``_SC_CALL_LLRS`` LLRs (at least one)."""
     if not perms:
         raise ValueError("at least one permutation is required")
     llrs = _check_llrs(np.atleast_2d(llrs), code.N)
     B = llrs.shape[0]
     frozen = code.frozen_mask()
     perm_arrays = [_perm_array(p, code.N) for p in perms]
-    candidates = np.empty((len(perm_arrays), B, code.N), dtype=np.uint8)
-    scores = np.empty((len(perm_arrays), B), dtype=np.float64)
+    M = len(perm_arrays)
+    candidates = np.empty((M, B, code.N), dtype=np.uint8)
+    scores = np.empty((M, B), dtype=np.float64)
     signs = 1.0 - 2.0 * np.arange(2, dtype=np.float64)  # lookup for 0/1 bits
-    for bi, p in enumerate(perm_arrays):
-        branch_in = np.empty_like(llrs)
-        branch_in[:, p] = llrs
-        _, X = sc_decode_batch(branch_in, frozen, minsum)
-        cand = X[:, p]  # inverse permutation of the branch codeword
-        candidates[bi] = cand
-        scores[bi] = (signs[cand] * llrs).sum(axis=1)
+    # branch j decodes llrs[:, inverse_j] (branch_in[:, p] = llrs); a group's
+    # branches are stacked in the kernel's (N, rows) layout, frame b of
+    # branch j on row j*B + b
+    inverses = np.argsort(perm_arrays, axis=1)
+    group = max(1, _SC_CALL_LLRS // (code.N * max(B, 1)))
+    for first in range(0, M, group):
+        branch_perms = perm_arrays[first : first + group]
+        stacked = llrs.T[inverses[first : first + group].T]
+        _, X = sc_decode_batch(stacked.reshape(code.N, -1).T, frozen, minsum)
+        for j, p in enumerate(branch_perms):
+            cand = X[j * B : (j + 1) * B][:, p]  # map the branch codeword back
+            candidates[first + j] = cand
+            scores[first + j] = (signs[cand] * llrs).sum(axis=1)
     winner = scores.argmax(axis=0)
     x = candidates[winner, np.arange(B), :]
     u = polar_transform(x)

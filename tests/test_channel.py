@@ -184,6 +184,27 @@ class TestRunFer:
         b = run_fer(cfg, workers=2, batch_size=97)
         assert a == b
 
+    # each example starts a process pool, so the example count stays small
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    @given(st.integers(1, 700), st.sampled_from([1, 2, 3]))
+    def test_ae_worker_and_batch_invariant(self, batch_size, workers):
+        # AE stacks branches into kernel calls by batch size, so batch sizes
+        # also change how the branches are grouped
+        from rmpsc.autgroup import sample_distinct_class_automorphisms
+
+        code = CodeSpec.from_i_min({12}, 5)   # (32,16)
+        cfg = SimConfig(
+            code=code,
+            decoder="ae",
+            perms=tuple(sample_distinct_class_automorphisms(code, 4, seed=0)),
+            ebn0_grid_db=(1.0, 2.0),
+            max_trials=500,
+            target_errors=40,
+            seed=5,
+        )
+        expect = run_fer(cfg, workers=1, batch_size=600)
+        assert run_fer(cfg, workers=workers, batch_size=batch_size) == expect
+
     def test_early_stop_exact_cut(self):
         code = CodeSpec.from_i_min({11}, 5)
         cfg = SimConfig(

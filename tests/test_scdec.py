@@ -10,6 +10,7 @@ from hypothesis.extra import numpy as hnp
 
 from rmpsc._gf2 import pack_row, rank
 from rmpsc._kernels import polar_transform, sc_decode_batch
+from rmpsc.autgroup import compute_blta_structure, permutation_from_affine, sample_blta
 from rmpsc.codes import CodeSpec
 from rmpsc.scdec import (
     ae_sc_decode,
@@ -167,6 +168,16 @@ class TestScDecode:
         assert len(lines) == 1 + 22
         root = [float(line.split(",")[2]) for line in lines[1:9]]
         assert np.array_equal(root, llr)
+        # min-sum decides the Rate-1 node u6-u7 (no zero LLR) by hard
+        # decision and does not descend to its two leaves
+        ms_path = tmp_path / "trace_minsum.csv"
+        res = sc_decode(llr, code, minsum=True, trace=ms_path)
+        assert np.array_equal(res.x_hat, sc_decode(llr, code, minsum=True).x_hat)
+        lines = ms_path.read_text().splitlines()
+        assert lines[0] == "level,position,llr"
+        assert len(lines) == 1 + 20
+        root = [float(line.split(",")[2]) for line in lines[1:9]]
+        assert np.array_equal(root, llr)
 
 
 class TestBatchDecode:
@@ -204,6 +215,44 @@ def code_inputs(draw):
     return code, llrs, draw(st.booleans())
 
 
+NONZERO_LLR_VALUES = st.one_of(
+    st.sampled_from([40.0, -40.0, 1e-3, -1e-3]),
+    st.floats(-40.0, 40.0, allow_nan=False).filter(lambda v: v != 0.0),
+)
+
+
+@st.composite
+def ae_inputs(draw, n, batch):
+    i_min = draw(st.sets(st.integers(0, (1 << n) - 1), min_size=1, max_size=3))
+    code = CodeSpec.from_i_min(i_min, n)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    full = compute_blta_structure(code)
+    perms = [
+        permutation_from_affine(sample_blta(full, rng))
+        for _ in range(draw(st.integers(1, 8)))
+    ]
+    llrs = draw(st.sampled_from([1.0, 1e-3])) * rng.normal(0.0, 3.0, (batch, code.N))
+    special = rng.choice([0.0, -0.0, 40.0, -40.0], size=llrs.shape)
+    llrs = np.where(rng.random(llrs.shape) < draw(st.sampled_from([0.0, 0.1, 0.5])), special, llrs)
+    return code, perms, llrs, draw(st.booleans())
+
+
+def ae_reference(llrs, code, perms, minsum):
+    """AE decoding with one kernel call per branch, as a plain loop."""
+    llrs = np.clip(llrs, -40.0, 40.0)
+    cands, scores = [], []
+    for p in perms:
+        branch_in = np.empty_like(llrs)
+        branch_in[:, p.perm] = llrs
+        _, X = sc_decode_batch(branch_in, code.frozen_mask(), minsum)
+        cand = X[:, p.perm]
+        cands.append(cand)
+        scores.append(((1.0 - 2.0 * cand) * llrs).sum(axis=1))
+    winner = np.argmax(scores, axis=0)
+    X = np.array(cands)[winner, np.arange(len(llrs))]
+    return polar_transform(X), X, winner
+
+
 class TestProperties:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(sc_inputs())
@@ -229,6 +278,44 @@ class TestProperties:
         assert np.array_equal(X, X_sc)
         assert np.array_equal(U, U_sc)
         assert not winner.any()
+
+    # branches per kernel call: 1024, 341, 16 and 3 at N = 64, 6 at
+    # (N, B) = (32, 300), 64 and 5461 for the small codes; with up to 8
+    # branches, groups end both past and inside the ensemble
+    @pytest.mark.parametrize(
+        "n, batch", [(6, 1), (6, 3), (6, 64), (6, 300), (5, 300), (4, 64), (2, 3)]
+    )
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_stacked_branches_match_branch_loop(self, n, batch, data):
+        code, perms, llrs, minsum = data.draw(ae_inputs(n, batch))
+        U, X, winner = ae_sc_decode_frames(llrs, code, perms, minsum=minsum)
+        U_ref, X_ref, winner_ref = ae_reference(llrs, code, perms, minsum)
+        assert np.array_equal(U, U_ref)
+        assert np.array_equal(X, X_ref)
+        assert np.array_equal(winner, winner_ref)
+
+    def test_exact_rule_rate_one_is_not_hard_decision(self):
+        # the exact rule's f rounds to 0 from nonzero inputs here, so its SC
+        # decision differs from the hard decision that min-sum gives
+        llrs = np.array([[1e-9, 1e-9, 1e-9, -1e-9]])
+        info_only = np.zeros(4, dtype=np.uint8)
+        _, X = sc_decode_batch(llrs, info_only, False)
+        assert X.tolist() == [[0, 0, 0, 0]]
+        _, X = sc_decode_batch(llrs, info_only, True)
+        assert X.tolist() == [[0, 0, 0, 1]]
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(0, 6).flatmap(
+        lambda n: hnp.arrays(
+            np.float64, st.tuples(st.integers(1, 8), st.just(1 << n)),
+            elements=NONZERO_LLR_VALUES,
+        )
+    ))
+    def test_minsum_rate_one_is_hard_decision(self, llrs):
+        U, X = sc_decode_batch(llrs, np.zeros(llrs.shape[1], dtype=np.uint8), True)
+        assert np.array_equal(X, (llrs < 0).astype(np.uint8))
+        assert np.array_equal(U, polar_transform(X))
 
 
 class TestGolden:
@@ -323,6 +410,30 @@ class TestAeDecode:
         code = CodeSpec.from_i_min({11}, 5)
         with pytest.raises(ValueError):
             ae_sc_decode(np.zeros(32), code, [np.arange(16)])
+
+    def test_repeated_index_rejected(self):
+        code = CodeSpec.from_i_min({11}, 5)
+        with pytest.raises(ValueError, match="not a permutation"):
+            ae_sc_decode(np.zeros(32), code, [np.zeros(32, int)])
+
+    @pytest.mark.parametrize("batch, calls", [(256, 4), (64, 1)])
+    def test_branches_share_kernel_calls(self, monkeypatch, batch, calls):
+        import rmpsc.scdec
+
+        code = CodeSpec.from_i_min({27}, 7)   # (128,60)
+        rng = np.random.default_rng(15)
+        full = compute_blta_structure(code)
+        perms = [permutation_from_affine(sample_blta(full, rng)) for _ in range(8)]
+        rows = []
+
+        def counting(llrs, frozen, minsum=False, trace=None):
+            rows.append(len(llrs))
+            return sc_decode_batch(llrs, frozen, minsum, trace)
+
+        monkeypatch.setattr(rmpsc.scdec, "sc_decode_batch", counting)
+        ae_sc_decode_frames(rng.normal(0.5, 2, (batch, 128)), code, perms)
+        assert len(rows) == calls
+        assert sum(rows) == 8 * batch
 
 
 class TestKernelBackends:
