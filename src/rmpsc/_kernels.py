@@ -13,36 +13,53 @@ LLR_CLAMP = 40.0
 # ----------------------------------------------------------------- transform
 
 def polar_transform(u: np.ndarray) -> np.ndarray:
-    """Bit transform for encoding; involutive, accepts (N,) or (batch, N).
+    """Bit transform for encoding; involutive, accepts (..., N) bit arrays.
 
-    Multiplies bit rows by the n-fold Kronecker power of [[1,0],[1,1]].
+    Multiplies bit rows by the n-fold Kronecker power of [[1,0],[1,1]], as
+    log2(N) butterfly stages of one XOR each.
     """
-    x = np.array(u, dtype=np.uint8, copy=True)
+    # C order, so that every reshape below is a view of x
+    x = np.array(u, dtype=np.uint8, order="C", copy=True)
     N = x.shape[-1]
     d = 1
     while d < N:
-        for i in range(0, N, 2 * d):
-            x[..., i : i + d] ^= x[..., i + d : i + 2 * d]
+        w = x.reshape(-1, N // (2 * d), 2, d)
+        w[:, :, 0] ^= w[:, :, 1]
         d <<= 1
     return x
 
 
 # ------------------------------------------------------------------ boxplus
 
+def _negate_where(x, bits):
+    """Negate float64 ``x`` in place where the 0/1 ``bits`` are set, by XOR of
+    its sign bit; exactly ``(1.0 - 2.0*bits) * x``, for +-0.0 too."""
+    xv = x.view(np.uint64)
+    np.bitwise_xor(xv, np.left_shift(bits, 63, dtype=np.uint64), out=xv)
+    return x
+
+
 def _boxplus_numpy(a, b, minsum):
     aa = np.abs(a)
     ab = np.abs(b)
-    sign = np.where((a < 0) != (b < 0), -1.0, 1.0)
+    # strict < 0, not the sign bit: -0.0 counts as non-negative
+    flip = (a < 0) != (b < 0)
     if minsum:
-        return sign * np.minimum(aa, ab)
+        return _negate_where(np.minimum(aa, ab, out=aa), flip)
     # overflow-safe magnitude of the exact check-node rule; clamping at zero
-    # keeps the output sign exactly multiplicative, as the tanh form would be
-    mag = (
-        np.minimum(aa, ab)
-        + np.log1p(np.exp(-(aa + ab)))
-        - np.log1p(np.exp(-np.abs(aa - ab)))
-    )
-    return sign * np.maximum(mag, 0.0)
+    # keeps the output sign exactly multiplicative, as the tanh form would be.
+    # mag = min + log1p(exp(-(aa+ab))) - log1p(exp(-|aa-ab|)), in that order
+    mag = np.minimum(aa, ab)
+    t = np.add(aa, ab)
+    np.negative(t, out=t)
+    np.exp(t, out=t)
+    mag += np.log1p(t, out=t)
+    np.subtract(aa, ab, out=t)
+    np.abs(t, out=t)
+    np.negative(t, out=t)
+    np.exp(t, out=t)
+    mag -= np.log1p(t, out=t)
+    return _negate_where(np.maximum(mag, 0.0, out=mag), flip)
 
 
 # ------------------------------------------------------------- SC decoding
@@ -62,6 +79,11 @@ def _boxplus_numpy(a, b, minsum):
 #   sign, so by induction SC's codeword is the hard decision x = (v < 0) and
 #   U is its polar transform.  A zero anywhere in the node, or the exact rule
 #   (whose f can round to 0 from nonzero inputs), keeps the recursion.
+#
+# Below a node that recurses, f is not computed for a Rate-0 left child unless
+# tracing: the child needs no LLR, and g is then a + b.  Signs are applied by
+# flipping the float64 sign bit (``_negate_where``), which gives the same bits
+# as the products with +-1.0 of the textbook f and g, +-0.0 included.
 
 
 def sc_decode_batch(
@@ -78,7 +100,11 @@ def sc_decode_batch(
         the (2^level, B) LLR array of every node the recursion visits, in
         decoding order; the subtrees below a Rate-0 or Rep node, and below a
         Rate-1 node under min-sum with no zero LLR, are not visited and not
-        reported.
+        reported.  Without a trace, f is not computed for a Rate-0 left
+        child; with one, it is, so that the child's LLRs are reported.
+
+    f and g apply their signs by flipping the float64 sign bit, with the same
+    bits as multiplying by 1.0 - 2.0*bit.
 
     Returns
     -------
@@ -121,8 +147,15 @@ def sc_decode_batch(
             return x
         h = size // 2
         a, b = v[:h], v[h:]
+        if trace is None and info_before[start + h] == info_before[start]:
+            # Rate-0 left child: its decisions are 0, so f is not needed and
+            # g is (1.0 - 2.0*0)*a + b = a + b
+            right = node(a + b, level - 1, start + h)
+            return np.concatenate((right, right))
         left = node(_boxplus_numpy(a, b, minsum), level - 1, start)
-        right = node((1.0 - 2.0 * left) * a + b, level - 1, start + h)
+        g = _negate_where(a.copy(), left)
+        g += b
+        right = node(g, level - 1, start + h)
         return np.concatenate((left ^ right, right))
 
     # node arrays are (size, B); a (B, N) view of an (N, B) array is not copied

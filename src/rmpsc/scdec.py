@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import LLR_CLAMP, polar_transform, sc_decode_batch
+from ._kernels import LLR_CLAMP, _negate_where, polar_transform, sc_decode_batch
 from .codes import CodeSpec
 
 # LLRs (N times rows) per stacked AE kernel call: the kernel's working set
@@ -133,7 +133,6 @@ def ae_sc_decode_frames(
     M = len(perm_arrays)
     candidates = np.empty((M, B, code.N), dtype=np.uint8)
     scores = np.empty((M, B), dtype=np.float64)
-    signs = 1.0 - 2.0 * np.arange(2, dtype=np.float64)  # lookup for 0/1 bits
     # branch j decodes llrs[:, inverse_j] (branch_in[:, p] = llrs); a group's
     # branches are stacked in the kernel's (N, rows) layout, frame b of
     # branch j on row j*B + b
@@ -146,7 +145,7 @@ def ae_sc_decode_frames(
         for j, p in enumerate(branch_perms):
             cand = X[j * B : (j + 1) * B][:, p]  # map the branch codeword back
             candidates[first + j] = cand
-            scores[first + j] = (signs[cand] * llrs).sum(axis=1)
+            scores[first + j] = _negate_where(llrs.copy(), cand).sum(axis=1)
     winner = scores.argmax(axis=0)
     x = candidates[winner, np.arange(B), :]
     u = polar_transform(x)

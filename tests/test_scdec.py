@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from rmpsc._gf2 import pack_row, rank
-from rmpsc._kernels import polar_transform, sc_decode_batch
+import rmpsc._kernels
+from rmpsc._kernels import _boxplus_numpy, _negate_where, polar_transform, sc_decode_batch
 from rmpsc.autgroup import compute_blta_structure, permutation_from_affine, sample_blta
 from rmpsc.codes import CodeSpec
 from rmpsc.scdec import (
@@ -66,6 +67,21 @@ class TestEncode:
         code = CodeSpec.from_i_min({3, 5, 6}, 3)
         with pytest.raises(ValueError):
             encode(np.zeros(5, dtype=np.uint8), code)
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_transform_matches_kronecker(self, n):
+        N = 1 << n
+        G = reduce(np.kron, [T2] * n, np.ones((1, 1), dtype=np.uint8)).astype(np.int64)
+        rng = np.random.default_rng(n)
+        inputs = [rng.integers(0, 2, shape).astype(np.uint8) for shape in ((N,), (5, N), (2, 3, N))]
+        # not C-contiguous; the (2, 3, N) one cannot be reshaped as a view
+        inputs += [rng.integers(0, 2, shape).astype(np.uint8).T for shape in ((N, 7), (N, 3, 2))]
+        for u in inputs:
+            before = u.copy()
+            x = polar_transform(u)
+            assert x.dtype == np.uint8
+            assert np.array_equal(x, (u.astype(np.int64) @ G) % 2)
+            assert np.array_equal(u, before)
 
 
 class TestScDecode:
@@ -181,6 +197,44 @@ class TestScDecode:
 
 
 class TestBatchDecode:
+    @pytest.mark.parametrize("minsum", [False, True])
+    @pytest.mark.parametrize("name", ["rand16", "rand64", "rand256"])
+    def test_traced_matches_untraced_golden_masks(self, name, minsum):
+        # untraced, f is skipped for Rate-0 left children; traced, it is not
+        with np.load(GOLDEN) as g:
+            frozen = g[f"frozen_{name}"]
+            for kind in GOLDEN_KINDS:
+                llrs = g[f"llrs_{name}_{kind}"]
+                U, X = sc_decode_batch(llrs, frozen, minsum)
+                U_t, X_t = sc_decode_batch(llrs, frozen, minsum, trace=lambda *node: None)
+                assert np.array_equal(U, U_t), kind
+                assert np.array_equal(X, X_t), kind
+
+    # f LLRs per frame, exact rule: the Rate-0 left children of (128,60) and
+    # (64,37) take 40 and 16 of them when traced; (1024,512) has none
+    @pytest.mark.parametrize(
+        "i_min, n, untraced, traced",
+        [({27}, 7, 306, 346), ({19}, 6, 131, 147), ({63, 121}, 10, 4013, 4013)],
+    )
+    def test_rate0_left_child_skips_f(self, monkeypatch, i_min, n, untraced, traced):
+        code = CodeSpec.from_i_min(i_min, n)
+        B = 3
+        llrs = np.random.default_rng(16).normal(0.5, 2, (B, code.N))
+        sizes = []
+
+        def counting(a, b, minsum):
+            sizes.append(a.size)
+            return _boxplus_numpy(a, b, minsum)
+
+        monkeypatch.setattr(rmpsc._kernels, "_boxplus_numpy", counting)
+        U, X = sc_decode_batch(llrs, code.frozen_mask())
+        assert sum(sizes) == untraced * B
+        sizes.clear()
+        U_t, X_t = sc_decode_batch(llrs, code.frozen_mask(), trace=lambda *node: None)
+        assert sum(sizes) == traced * B
+        assert np.array_equal(U, U_t)
+        assert np.array_equal(X, X_t)
+
     def test_batch_matches_single(self):
         code = CodeSpec.from_i_min({11}, 5)
         rng = np.random.default_rng(8)
@@ -237,6 +291,40 @@ def ae_inputs(draw, n, batch):
     return code, perms, llrs, draw(st.booleans())
 
 
+@st.composite
+def llr_pairs(draw):
+    """Node-array pairs (a, b) of channel-like LLRs at scale 1 or 1e-3, some
+    entries replaced by +-0.0 and +-40, and a 0/1 uint8 array u."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (draw(st.integers(1, 16)), draw(st.integers(1, 16)))
+    scale = draw(st.sampled_from([1.0, 1e-3]))
+    frac = draw(st.sampled_from([0.0, 0.1, 0.5]))
+    a, b = (
+        np.where(
+            rng.random(shape) < frac,
+            rng.choice([0.0, -0.0, 40.0, -40.0], size=shape),
+            scale * rng.normal(0.0, 3.0, shape),
+        )
+        for _ in range(2)
+    )
+    return a, b, rng.integers(0, 2, shape).astype(np.uint8)
+
+
+def boxplus_reference(a, b, minsum):
+    """The check-node rule with its sign as a product with +-1.0."""
+    aa = np.abs(a)
+    ab = np.abs(b)
+    sign = np.where((a < 0) != (b < 0), -1.0, 1.0)
+    if minsum:
+        return sign * np.minimum(aa, ab)
+    mag = (
+        np.minimum(aa, ab)
+        + np.log1p(np.exp(-(aa + ab)))
+        - np.log1p(np.exp(-np.abs(aa - ab)))
+    )
+    return sign * np.maximum(mag, 0.0)
+
+
 def ae_reference(llrs, code, perms, minsum):
     """AE decoding with one kernel call per branch, as a plain loop."""
     llrs = np.clip(llrs, -40.0, 40.0)
@@ -261,10 +349,33 @@ class TestProperties:
         U, X = sc_decode_batch(llrs, frozen, minsum)
         assert np.array_equal(X, polar_transform(U))
         assert not U[:, frozen == 1].any()
+        # traced, f is also computed for Rate-0 left children
+        U_t, X_t = sc_decode_batch(llrs, frozen, minsum, trace=lambda *node: None)
+        assert np.array_equal(U_t, U)
+        assert np.array_equal(X_t, X)
         for i in range(len(llrs)):
             Ui, Xi = sc_decode_batch(llrs[i : i + 1], frozen, minsum)
             assert np.array_equal(Ui[0], U[i])
             assert np.array_equal(Xi[0], X[i])
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(llr_pairs())
+    def test_boxplus_bytes_match_sign_product(self, case):
+        a, b, _ = case
+        for minsum in (False, True):
+            got = _boxplus_numpy(a, b, minsum)
+            assert got.tobytes() == boxplus_reference(a, b, minsum).tobytes()
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(llr_pairs())
+    def test_sign_flip_bytes_match_sign_product(self, case):
+        a, b, u = case
+        for bits in (u, np.broadcast_to(u[0], u.shape)):  # Rep nodes return a broadcast row
+            g = _negate_where(a.copy(), bits)
+            g += b
+            assert g.tobytes() == ((1.0 - 2.0 * bits) * a + b).tobytes()
+            score = _negate_where(a.copy(), bits).sum(axis=1)
+            assert score.tobytes() == ((1.0 - 2.0 * bits) * a).sum(axis=1).tobytes()
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(code_inputs())
