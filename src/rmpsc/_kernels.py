@@ -12,20 +12,40 @@ LLR_CLAMP = 40.0
 
 # ----------------------------------------------------------------- transform
 
+def _butterfly(x: np.ndarray, size: int, inner: int = 1) -> np.ndarray:
+    """Polar transform in place along an axis of ``size`` blocks of ``inner``
+    contiguous elements each (``x`` C-ordered): log2(size) XOR stages."""
+    d = 1
+    while d < size:
+        w = x.reshape(-1, 2, d * inner)
+        w[:, 0] ^= w[:, 1]
+        d <<= 1
+    return x
+
+
+# byte lanes of a little-endian uint64 with lane bit d clear, for d = 1, 2, 4
+_LANE_MASKS = tuple(
+    (d, np.uint64(sum(0xFF << (8 * j) for j in range(8) if not j & d))) for d in (1, 2, 4)
+)
+
+
 def polar_transform(u: np.ndarray) -> np.ndarray:
     """Bit transform for encoding; involutive, accepts (..., N) bit arrays.
 
     Multiplies bit rows by the n-fold Kronecker power of [[1,0],[1,1]], as
-    log2(N) butterfly stages of one XOR each.
+    log2(N) butterfly stages of one XOR each.  From N = 8 on, the rows are
+    read as little-endian uint64 words of 8 bits each: the first three
+    stages run inside each word by shifts, the others XOR whole words.
     """
     # C order, so that every reshape below is a view of x
     x = np.array(u, dtype=np.uint8, order="C", copy=True)
     N = x.shape[-1]
-    d = 1
-    while d < N:
-        w = x.reshape(-1, N // (2 * d), 2, d)
-        w[:, :, 0] ^= w[:, :, 1]
-        d <<= 1
+    if N < 8:
+        return _butterfly(x, N)
+    w = x.view("<u8")
+    for d, mask in _LANE_MASKS:
+        w ^= (w >> np.uint64(8 * d)) & mask
+    _butterfly(w, N // 8)
     return x
 
 
@@ -139,11 +159,7 @@ def sc_decode_batch(
             x = (v < 0).view(np.uint8)
             u = U[start:end]
             u[:] = x
-            d = 1
-            while d < size:  # polar transform along the node axis, in place
-                w = u.reshape(size // (2 * d), 2, d * B)
-                w[:, 0] ^= w[:, 1]
-                d <<= 1
+            _butterfly(u, size, B)  # polar transform along the node axis
             return x
         h = size // 2
         a, b = v[:h], v[h:]

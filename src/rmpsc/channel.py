@@ -134,6 +134,10 @@ def run_fer(cfg: SimConfig, *, workers: int = 1, batch_size: int = 256) -> list[
     exact trial that reaches the target, so the outcome does not depend on
     ``batch_size`` or ``workers``.
     """
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be at least 1, got {batch_size}")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     points = []
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
@@ -143,7 +147,7 @@ def run_fer(cfg: SimConfig, *, workers: int = 1, batch_size: int = 256) -> list[
             next_start = 0
             while next_start < cfg.max_trials and errors < cfg.target_errors:
                 starts = []
-                while len(starts) < max(1, workers) and next_start < cfg.max_trials:
+                while len(starts) < workers and next_start < cfg.max_trials:
                     n = min(batch_size, cfg.max_trials - next_start)
                     starts.append((next_start, n))
                     next_start += n

@@ -3,6 +3,7 @@ symmetry-maximising search, and minimum-weight counting."""
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from dataclasses import dataclass, field
@@ -17,7 +18,6 @@ from .monomials import (
     monomial_from_index,
     reduce_to_antichain,
     upward_closure,
-    _mask_leq,
 )
 
 __all__ = [
@@ -197,13 +197,20 @@ class ReliabilityOrder:
         return self._consistent[0]
 
     def _check_consistency(self) -> bool:
-        n, N = self.n, 1 << self.n
+        # The index order is generated by two kinds of step down from i:
+        # clearing one set bit, and moving a set bit from position v to an
+        # unset v-1.  The ranks respect the order iff no step raises them, so
+        # N*n pairs decide what the N^2 pairs of the order would.
+        n = self.n
         rank = self.ranks()
-        full = N - 1
-        for j in range(N):
-            mj = ~j & full
-            for i in range(N):
-                if rank[i] < rank[j] and _mask_leq(~i & full, mj, n):
+        idx = np.arange(1 << n)
+        for v in range(n):
+            hi = idx[(idx >> v) & 1 == 1]
+            if (rank[hi ^ (1 << v)] > rank[hi]).any():
+                return False
+            if v:
+                hi = hi[(hi >> (v - 1)) & 1 == 0]
+                if (rank[hi ^ (3 << (v - 1))] > rank[hi]).any():
                     return False
         return True
 
@@ -297,18 +304,20 @@ class _MonomialPoset:
         self.size = len(masks)
         self.pos = {m: i for i, m in enumerate(masks)}
         self.full = full
-        self.below = [
-            frozenset(
-                j for j, mj in enumerate(masks) if j != i and _mask_leq(mj, mi, n)
-            )
-            for i, mi in enumerate(masks)
-        ]
-        self.above = [
-            frozenset(
-                j for j, mj in enumerate(masks) if j != i and _mask_leq(mi, mj, n)
-            )
-            for i, mi in enumerate(masks)
-        ]
+        # _mask_leq's prefix-count form, one prefix at a time: with d the
+        # degree and c[x] the number of variables among {0..x}, mi <= mj iff
+        # d_i <= d_j and c_i[x] - d_i >= c_j[x] - d_j for every x
+        arr = np.array(masks, dtype=np.int64)
+        deg = np.array([m.bit_count() for m in masks], dtype=np.int8)
+        leq = deg[:, None] <= deg[None, :]
+        count = np.zeros(len(masks), dtype=np.int8)
+        for x in range(n):
+            count += ((arr >> x) & 1).astype(np.int8)
+            excess = count - deg
+            leq &= excess[:, None] >= excess[None, :]
+        np.fill_diagonal(leq, False)  # now leq[i, j] iff masks[i] < masks[j]
+        self.below = [frozenset(np.flatnonzero(col).tolist()) for col in leq.T]
+        self.above = [frozenset(np.flatnonzero(row).tolist()) for row in leq]
 
     def ideals_of_size(self, size: int):
         """All downward-closed subsets of the given cardinality (position sets)."""
@@ -364,7 +373,7 @@ class _MonomialPoset:
         ]
 
     def removable(self, positions: set) -> list[int]:
-        return [i for i in positions if not (self.above[i] & positions)]
+        return [i for i in positions if self.above[i].isdisjoint(positions)]
 
 
 def search_max_symmetry(
@@ -389,6 +398,8 @@ def search_max_symmetry(
         raise ValueError(f"unknown search mode {mode!r}")
     if mode == "exhaustive" and n > 6:
         raise ValueError("exhaustive search is limited to n <= 6")
+    if rel is not None and rel.n != n:
+        raise ValueError(f"reliability order is for n={rel.n}, expected {n}")
     r = rm_order(k, n)
     poset = _MonomialPoset(n, r)
 
@@ -426,44 +437,62 @@ def search_rm_psc(
 
 
 def _search_heuristic(n, k, poset: _MonomialPoset, *, seed, restarts, rel=None):
+    # First-improvement hill-climb over single-monomial swaps, keyed by
+    # (symmetry, reliability sum).  A swap's key is taken from the running
+    # per-variable counts and sum in O(n), and candidates are visited in the
+    # order of the plain search: e_out in the set order of ``positions``
+    # (``removable``), e_in ascending, so the same swaps win.
     rng = np.random.default_rng(seed)
     if rel is None:
         rel = beta_expansion_reliability(n)
     rel_rank = rel.ranks()
-
-    def rel_score(positions):
-        return sum(int(rel_rank[~poset.masks[p] & poset.full]) for p in positions)
-
-    def key_of(positions):
-        return (poset.symmetry_of(positions), rel_score(positions))
+    score = [int(rel_rank[~m & poset.full]) for m in poset.masks]
+    bits = [[(m >> v) & 1 for v in range(n)] for m in poset.masks]
 
     def seeded_ideal():
         info = rm_polar_construct(n, k, rel if rel.upo_consistent else None).info_set
         return {poset.pos[~i & poset.full] for i in info}
 
     def random_ideal():
+        # each draw indexes the ascending addable list, kept up to date by
+        # counting the predecessors still missing from the ideal
+        missing = [len(b) for b in poset.below]
+        cands = [i for i in range(poset.size) if not missing[i]]
         positions: set = set()
         while len(positions) < k:
-            cands = poset.addable(positions)
-            positions.add(cands[int(rng.integers(len(cands)))])
+            e = cands.pop(int(rng.integers(len(cands))))
+            positions.add(e)
+            for j in poset.above[e]:
+                missing[j] -= 1
+                if not missing[j]:
+                    bisect.insort(cands, j)
         return positions
+
+    def key_of(counts, total):
+        lo = min(counts)
+        return (counts.count(lo), total)
 
     best_key, best_pos = None, None
     for attempt in range(max(1, restarts)):
         positions = seeded_ideal() if attempt == 0 else random_ideal()
-        key = key_of(positions)
+        counts = [sum(bits[p][v] for p in positions) for v in range(n)]
+        key = key_of(counts, sum(score[p] for p in positions))
         improved = True
         while improved:
             improved = False
+            addable = poset.addable(positions)
             for e_out in poset.removable(positions):
-                rest = positions - {e_out}
-                for e_in in poset.addable(rest):
-                    if e_in == e_out:
+                # addable(positions - {e_out}) without e_out itself
+                base = [c - b for c, b in zip(counts, bits[e_out])]
+                rest_total = key[1] - score[e_out]
+                for e_in in addable:
+                    if e_out in poset.below[e_in]:
                         continue
-                    cand = rest | {e_in}
-                    ck = key_of(cand)
+                    cand_counts = [c + b for c, b in zip(base, bits[e_in])]
+                    ck = key_of(cand_counts, rest_total + score[e_in])
                     if ck > key:
-                        positions, key, improved = cand, ck, True
+                        positions = (positions - {e_out}) | {e_in}
+                        counts, key, improved = cand_counts, ck, True
                         break
                 if improved:
                     break

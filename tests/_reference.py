@@ -1,0 +1,212 @@
+"""Reference implementations that the tests hold the library to.
+
+These are the plain forms of code that ``rmpsc.codes`` runs in a faster
+shape: the pairwise dominance relation of the monomial poset, the pairwise
+consistency check of a reliability order, and the symmetry search that
+rescans the whole ideal for every candidate swap.  Results must be equal,
+not just close.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from rmpsc.codes import (
+    CodeSpec,
+    ReliabilityOrder,
+    beta_expansion_reliability,
+    rm_order,
+    rm_polar_construct,
+)
+from rmpsc.monomials import _mask_leq
+
+
+def check_consistency(rel) -> bool:
+    """``ReliabilityOrder.upo_consistent``, over all N^2 pairs of channels."""
+    n, N = rel.n, 1 << rel.n
+    rank = rel.ranks()
+    full = N - 1
+    for j in range(N):
+        mj = ~j & full
+        for i in range(N):
+            if rank[i] < rank[j] and _mask_leq(~i & full, mj, n):
+                return False
+    return True
+
+
+class MonomialPoset:
+    """The monomials of degree <= r over n variables, with dominance order.
+
+    Elements are index masks; a dimension-K decreasing code of maximal
+    minimum distance is exactly a K-element downward-closed subset here.
+    """
+
+    def __init__(self, n: int, r: int):
+        self.n = n
+        self.r = r
+        full = (1 << n) - 1
+        masks = [m for m in range(1 << n) if m.bit_count() <= r]
+        masks.sort(key=lambda m: (m.bit_count(), m))  # linear extension
+        self.masks = masks
+        self.size = len(masks)
+        self.pos = {m: i for i, m in enumerate(masks)}
+        self.full = full
+        self.below = [
+            frozenset(
+                j for j, mj in enumerate(masks) if j != i and _mask_leq(mj, mi, n)
+            )
+            for i, mi in enumerate(masks)
+        ]
+        self.above = [
+            frozenset(
+                j for j, mj in enumerate(masks) if j != i and _mask_leq(mi, mj, n)
+            )
+            for i, mi in enumerate(masks)
+        ]
+
+    def ideals_of_size(self, size: int):
+        """All downward-closed subsets of the given cardinality (position sets)."""
+        if size > self.size - size:
+            # enumerate the complement side: filters are ideals of the dual
+            universe = frozenset(range(self.size))
+            for filt in self._ideals(
+                self.above, list(range(self.size - 1, -1, -1)), self.size - size
+            ):
+                yield universe - filt
+        else:
+            yield from self._ideals(self.below, list(range(self.size)), size)
+
+    def _ideals(self, preds, order, size):
+        m = len(order)
+        out_sets = []
+        in_set: set = set()
+
+        def rec(pos: int, count: int):
+            if count == size:
+                out_sets.append(frozenset(in_set))
+                return
+            if pos == m or count + (m - pos) < size:
+                return
+            e = order[pos]
+            if preds[e] <= in_set:
+                in_set.add(e)
+                rec(pos + 1, count + 1)
+                in_set.remove(e)
+            rec(pos + 1, count)
+
+        rec(0, 0)
+        return out_sets
+
+    def symmetry_of(self, positions) -> int:
+        counts = [0] * self.n
+        for p in positions:
+            m = self.masks[p]
+            for v in range(self.n):
+                if (m >> v) & 1:
+                    counts[v] += 1
+        lo = min(counts)
+        return sum(1 for c in counts if c == lo)
+
+    def info_indices(self, positions) -> frozenset[int]:
+        return frozenset(~self.masks[p] & self.full for p in positions)
+
+    def addable(self, positions: set) -> list[int]:
+        return [
+            i
+            for i in range(self.size)
+            if i not in positions and self.below[i] <= positions
+        ]
+
+    def removable(self, positions: set) -> list[int]:
+        return [i for i in positions if not (self.above[i] & positions)]
+
+
+def search_max_symmetry(
+    n: int,
+    k: int,
+    mode: str = "exhaustive",
+    *,
+    seed: int = 0,
+    restarts: int = 32,
+    rel: ReliabilityOrder | None = None,
+) -> tuple[int, list[CodeSpec]]:
+    """Best achievable symmetry among dimension-k RM-polar codes.
+
+    Returns ``(max_t, codes)``: exhaustively all maximisers (n <= 6), or the
+    best code found by seeded hill-climbing over single-monomial swaps,
+    tie-broken toward high reliability sums (``rel`` overrides the default
+    beta-expansion order).
+    """
+    if not 1 <= k <= (1 << n):
+        raise ValueError(f"dimension {k} out of range for n={n}")
+    if mode not in ("exhaustive", "heuristic"):
+        raise ValueError(f"unknown search mode {mode!r}")
+    if mode == "exhaustive" and n > 6:
+        raise ValueError("exhaustive search is limited to n <= 6")
+    r = rm_order(k, n)
+    poset = MonomialPoset(n, r)
+
+    if mode == "exhaustive":
+        best_t = 0
+        best: list[frozenset] = []
+        for ideal in poset.ideals_of_size(k):
+            t = poset.symmetry_of(ideal)
+            if t > best_t:
+                best_t, best = t, [ideal]
+            elif t == best_t:
+                best.append(ideal)
+        codes = sorted(
+            (CodeSpec.from_info_set(poset.info_indices(s), n) for s in best),
+            key=lambda c: c.i_min,
+        )
+        return best_t, codes
+
+    return _search_heuristic(n, k, poset, seed=seed, restarts=restarts, rel=rel)
+
+
+def _search_heuristic(n, k, poset: MonomialPoset, *, seed, restarts, rel=None):
+    rng = np.random.default_rng(seed)
+    if rel is None:
+        rel = beta_expansion_reliability(n)
+    rel_rank = rel.ranks()
+
+    def rel_score(positions):
+        return sum(int(rel_rank[~poset.masks[p] & poset.full]) for p in positions)
+
+    def key_of(positions):
+        return (poset.symmetry_of(positions), rel_score(positions))
+
+    def seeded_ideal():
+        info = rm_polar_construct(n, k, rel if rel.upo_consistent else None).info_set
+        return {poset.pos[~i & poset.full] for i in info}
+
+    def random_ideal():
+        positions: set = set()
+        while len(positions) < k:
+            cands = poset.addable(positions)
+            positions.add(cands[int(rng.integers(len(cands)))])
+        return positions
+
+    best_key, best_pos = None, None
+    for attempt in range(max(1, restarts)):
+        positions = seeded_ideal() if attempt == 0 else random_ideal()
+        key = key_of(positions)
+        improved = True
+        while improved:
+            improved = False
+            for e_out in poset.removable(positions):
+                rest = positions - {e_out}
+                for e_in in poset.addable(rest):
+                    if e_in == e_out:
+                        continue
+                    cand = rest | {e_in}
+                    ck = key_of(cand)
+                    if ck > key:
+                        positions, key, improved = cand, ck, True
+                        break
+                if improved:
+                    break
+        if best_key is None or key > best_key:
+            best_key, best_pos = key, positions
+    code = CodeSpec.from_info_set(poset.info_indices(best_pos), n)
+    return best_key[0], [code]

@@ -154,6 +154,14 @@ class TestRunFer:
         assert point.frame_errors == 0
         assert point.trials == 1000
 
+    @pytest.mark.parametrize("kwargs", [{"batch_size": 0}, {"workers": 0}, {"workers": -1}])
+    def test_rejects_empty_batches_and_pools(self, kwargs):
+        cfg = SimConfig(
+            code=CodeSpec.from_i_min({11}, 5), ebn0_grid_db=(1.0,), max_trials=10, target_errors=10
+        )
+        with pytest.raises(ValueError):
+            run_fer(cfg, **kwargs)
+
     def test_deterministic_across_batching(self):
         code = CodeSpec.from_i_min({11}, 5)
         cfg = SimConfig(

@@ -170,6 +170,17 @@ class TestSimulate:
         assert code == 1
         assert "error:" in err
 
+    def test_zero_workers_fails(self, capsys):
+        code, _, err = run_cli(
+            [
+                "simulate", "--imin", "11", "--n", "5", "--ebn0", "1:1:1",
+                "--max-trials", "100", "--target-errors", "10", "--workers", "0",
+            ],
+            capsys,
+        )
+        assert code == 1
+        assert "error:" in err
+
     def test_byte_identical_with_workers(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         base = [

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _reference as reference
 from rmpsc.codes import (
     CodeSpec,
     ReliabilityOrder,
@@ -21,6 +22,7 @@ from rmpsc.codes import (
     search_max_symmetry,
     search_rm_psc,
     weight_distribution_via_dual,
+    _MonomialPoset,
 )
 from rmpsc.monomials import (
     GeneratorSet,
@@ -32,6 +34,22 @@ from rmpsc.monomials import (
     upward_closure,
     _mask_leq,
 )
+
+
+def random_linear_extension(n: int, seed: int) -> ReliabilityOrder:
+    """A random linear extension of the index order: a channel is placed only
+    after every channel whose monomial lies above its own."""
+    rng = np.random.default_rng(seed)
+    N, full = 1 << n, (1 << n) - 1
+    above = [
+        {j for j in range(N) if j != i and _mask_leq(~i & full, ~j & full, n)}
+        for i in range(N)
+    ]
+    order: list[int] = []
+    while len(order) < N:
+        ready = [i for i in range(N) if i not in order and above[i] <= set(order)]
+        order.append(ready[int(rng.integers(len(ready)))])
+    return ReliabilityOrder(n, tuple(order))
 
 
 def enumerate_codeword_weights(code: CodeSpec):
@@ -188,20 +206,9 @@ class TestRmPolarConstruct:
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(st.integers(4, 5), st.integers(0, 2**32 - 1))
     def test_every_linear_extension_gives_dimension_k(self, n, seed):
-        # a random linear extension of the index order: a channel is placed
-        # only after every channel whose monomial lies above its own
-        rng = np.random.default_rng(seed)
-        N, full = 1 << n, (1 << n) - 1
-        above = [
-            {j for j in range(N) if j != i and _mask_leq(~i & full, ~j & full, n)}
-            for i in range(N)
-        ]
-        order: list[int] = []
-        while len(order) < N:
-            ready = [i for i in range(N) if i not in order and above[i] <= set(order)]
-            order.append(ready[int(rng.integers(len(ready)))])
-        rel = ReliabilityOrder(n, tuple(order))
+        rel = random_linear_extension(n, seed)
         assert rel.upo_consistent
+        N = 1 << n
         for k in range(1, N + 1):
             assert rm_polar_construct(n, k, rel).K == k
 
@@ -332,6 +339,73 @@ class TestSearch:
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             search_rm_psc(5, 10, mode="stochastic")
+
+    @pytest.mark.parametrize("mode", ["exhaustive", "heuristic"])
+    def test_reliability_length_checked(self, mode):
+        # an n=7 order that breaks the index order, so that the construction
+        # does not reject it first
+        order = list(beta_expansion_reliability(7).order)
+        order[0], order[-1] = order[-1], order[0]
+        rel = ReliabilityOrder(7, tuple(order))
+        with pytest.raises(ValueError, match="n=7"):
+            search_max_symmetry(6, 30, mode, rel=rel)
+
+
+class TestMatchesReference:
+    """The library's poset relation, consistency check and symmetry search
+    against the plain forms in ``tests/_reference.py``."""
+
+    def test_poset_relation(self):
+        for n in range(9):
+            for r in range(n + 1):
+                fast, plain = _MonomialPoset(n, r), reference.MonomialPoset(n, r)
+                assert fast.masks == plain.masks
+                assert fast.below == plain.below, (n, r)
+                assert fast.above == plain.above, (n, r)
+
+    def test_consistency_verdict(self):
+        verdicts = []
+        for n in range(1, 9):
+            rel = beta_expansion_reliability(n)
+            assert rel.upo_consistent and reference.check_consistency(rel)
+        rng = np.random.default_rng(5)
+        for n in range(2, 7):
+            N = 1 << n
+            base = beta_expansion_reliability(n).order
+            swaps = [(i, i + 1) for i in range(N - 1)]
+            swaps += [tuple(rng.choice(N, 2, replace=False)) for _ in range(40)]
+            for i, j in swaps:
+                order = list(base)
+                order[i], order[j] = order[j], order[i]
+                rel = ReliabilityOrder(n, tuple(order))
+                verdicts.append(rel.upo_consistent)
+                assert verdicts[-1] == reference.check_consistency(rel), (n, i, j)
+            rel = random_linear_extension(n, n)
+            assert rel.upo_consistent and reference.check_consistency(rel)
+        # both verdicts occur among the transposed orders
+        assert any(verdicts) and not all(verdicts)
+
+    @pytest.mark.parametrize("mode", ["exhaustive", "heuristic"])
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_search_every_dimension(self, n, mode):
+        for k in range(1, (1 << n) + 1):
+            assert search_max_symmetry(n, k, mode) == reference.search_max_symmetry(
+                n, k, mode
+            ), k
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_search_n7(self, seed):
+        rels = (None, random_linear_extension(7, 11))
+        assert rels[1].upo_consistent and rels[1] != beta_expansion_reliability(7)
+        for rel in rels:
+            for k in (8, 20, 34, 44, 64, 84, 99, 114):
+                got = search_max_symmetry(7, k, "heuristic", seed=seed, rel=rel)
+                want = reference.search_max_symmetry(7, k, "heuristic", seed=seed, rel=rel)
+                assert got == want, (k, rel is None)
+
+    def test_search_256_128(self):
+        got = search_max_symmetry(8, 128, "heuristic", seed=0)
+        assert got == reference.search_max_symmetry(8, 128, "heuristic", seed=0)
 
 
 def _dominated(p, m):

@@ -68,7 +68,8 @@ class TestEncode:
         with pytest.raises(ValueError):
             encode(np.zeros(5, dtype=np.uint8), code)
 
-    @pytest.mark.parametrize("n", range(9))
+    # n <= 2 runs the byte butterfly alone; from n = 3 on, the word path
+    @pytest.mark.parametrize("n", range(11))
     def test_transform_matches_kronecker(self, n):
         N = 1 << n
         G = reduce(np.kron, [T2] * n, np.ones((1, 1), dtype=np.uint8)).astype(np.int64)
