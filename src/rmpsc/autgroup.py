@@ -416,6 +416,8 @@ def sample_distinct_class_automorphisms(
     probe is one-sided, so the true absorption group lies inside BLTA(S_abs)
     and accepted candidates are truly distinct.
     """
+    if m < 1:
+        raise ValueError(f"need at least one class, got m={m}")
     full = compute_blta_structure(code)
     abs_structure = absorption_structure_empirical(code, trials=trials, snr_db=snr_db, seed=seed)
     available = equivalent_class_count(full, abs_structure)

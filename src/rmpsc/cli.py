@@ -144,6 +144,8 @@ def _auto_a_dmin(code: CodeSpec) -> int:
 
 
 def cmd_simulate(ns) -> int:
+    if ns.workers < 1:
+        raise ValueError(f"workers must be at least 1, got {ns.workers}")
     code = _build_code(ns)
     perms = ()
     if ns.dec == "ae":

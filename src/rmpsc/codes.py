@@ -13,10 +13,10 @@ import numpy as np
 from . import _gf2, _kernels
 from .monomials import (
     GeneratorSet,
+    _steps_below,
     evaluate_monomial,
     minimal_generators,
     monomial_from_index,
-    reduce_to_antichain,
     upward_closure,
 )
 
@@ -58,16 +58,13 @@ class CodeSpec:
     order; the generator monomials are the monomials of those indices.
     """
 
-    def __init__(self, i_min, n: int, _info_set=None):
+    def __init__(self, i_min, n: int):
         self.n = int(n)
         self.N = 1 << self.n
-        gens = reduce_to_antichain(i_min, self.n)
-        if not gens:
+        self.info_set = upward_closure(i_min, self.n)
+        if not self.info_set:
             raise ValueError("a code needs at least one generator index")
-        self.i_min = tuple(sorted(gens))
-        self.info_set = (
-            frozenset(_info_set) if _info_set is not None else upward_closure(gens, self.n)
-        )
+        self.i_min = tuple(sorted(minimal_generators(self.info_set, self.n)))
         self.K = len(self.info_set)
         self.gen_set = GeneratorSet.from_indices(self.info_set, self.n)
 
@@ -77,9 +74,7 @@ class CodeSpec:
 
     @classmethod
     def from_info_set(cls, info_set, n: int) -> "CodeSpec":
-        info = frozenset(int(i) for i in info_set)
-        gens = minimal_generators(info, n)  # raises if not closed
-        return cls(gens, n, _info_set=info)
+        return cls(minimal_generators(info_set, n), n)  # raises if not closed
 
     # -- derived quantities ------------------------------------------------
 
@@ -197,22 +192,12 @@ class ReliabilityOrder:
         return self._consistent[0]
 
     def _check_consistency(self) -> bool:
-        # The index order is generated by two kinds of step down from i:
-        # clearing one set bit, and moving a set bit from position v to an
-        # unset v-1.  The ranks respect the order iff no step raises them, so
-        # N*n pairs decide what the N^2 pairs of the order would.
-        n = self.n
-        rank = self.ranks()
-        idx = np.arange(1 << n)
-        for v in range(n):
-            hi = idx[(idx >> v) & 1 == 1]
-            if (rank[hi ^ (1 << v)] > rank[hi]).any():
-                return False
-            if v:
-                hi = hi[(hi >> (v - 1)) & 1 == 0]
-                if (rank[hi ^ (3 << (v - 1))] > rank[hi]).any():
-                    return False
-        return True
+        # the steps generate the order, so the ranks respect it iff no step
+        # down raises them: O(N n) pairs decide what N^2 pairs would
+        rank = self.ranks().tolist()
+        return all(
+            rank[j] < rank[i] for i in range(1 << self.n) for j in _steps_below(i)
+        )
 
     def ranks(self) -> np.ndarray:
         rank = np.empty(1 << self.n, dtype=np.int64)
@@ -238,7 +223,7 @@ def load_reliability(path) -> ReliabilityOrder:
     with open(path, "r", encoding="utf-8") as fh:
         entries = [int(line) for line in fh if line.strip()]
     n = len(entries).bit_length() - 1
-    if (1 << n) != len(entries):
+    if not entries or (1 << n) != len(entries):
         raise ValueError(f"sequence length {len(entries)} is not a power of two")
     return ReliabilityOrder(n, tuple(entries))
 
@@ -287,6 +272,10 @@ def extend_code(i_min, n: int) -> CodeSpec:
 # --------------------------------------------------------------------- search
 
 
+# hill-climbs per heuristic search: the seeded RM-polar start, then random ideals
+SEARCH_RESTARTS = 32
+
+
 class _MonomialPoset:
     """The monomials of degree <= r over n variables, with dominance order.
 
@@ -304,20 +293,23 @@ class _MonomialPoset:
         self.size = len(masks)
         self.pos = {m: i for i, m in enumerate(masks)}
         self.full = full
-        # _mask_leq's prefix-count form, one prefix at a time: with d the
-        # degree and c[x] the number of variables among {0..x}, mi <= mj iff
-        # d_i <= d_j and c_i[x] - d_i >= c_j[x] - d_j for every x
-        arr = np.array(masks, dtype=np.int64)
-        deg = np.array([m.bit_count() for m in masks], dtype=np.int8)
-        leq = deg[:, None] <= deg[None, :]
-        count = np.zeros(len(masks), dtype=np.int8)
-        for x in range(n):
-            count += ((arr >> x) & 1).astype(np.int8)
-            excess = count - deg
-            leq &= excess[:, None] >= excess[None, :]
-        np.fill_diagonal(leq, False)  # now leq[i, j] iff masks[i] < masks[j]
-        self.below = [frozenset(np.flatnonzero(col).tolist()) for col in leq.T]
-        self.above = [frozenset(np.flatnonzero(row).tolist()) for row in leq]
+        # a step below an index is a step above its monomial, and it lands
+        # later in the linear extension, so one reverse sweep gathers every
+        # monomial above; ``below`` is the transpose
+        above: list = [None] * self.size
+        below: list = [set() for _ in masks]
+        for p in range(self.size - 1, -1, -1):
+            up = set()
+            for i in _steps_below(~masks[p] & full):
+                q = self.pos.get(~i & full)
+                if q is not None:
+                    up.add(q)
+                    up |= above[q]
+            above[p] = frozenset(up)
+            for q in up:
+                below[q].add(p)
+        self.above = above
+        self.below = [frozenset(b) for b in below]
 
     def ideals_of_size(self, size: int):
         """All downward-closed subsets of the given cardinality (position sets)."""
@@ -382,7 +374,6 @@ def search_max_symmetry(
     mode: str = "exhaustive",
     *,
     seed: int = 0,
-    restarts: int = 32,
     rel: ReliabilityOrder | None = None,
 ) -> tuple[int, list[CodeSpec]]:
     """Best achievable symmetry among dimension-k RM-polar codes.
@@ -418,7 +409,7 @@ def search_max_symmetry(
         )
         return best_t, codes
 
-    return _search_heuristic(n, k, poset, seed=seed, restarts=restarts, rel=rel)
+    return _search_heuristic(n, k, poset, seed=seed, rel=rel)
 
 
 def search_rm_psc(
@@ -427,16 +418,15 @@ def search_rm_psc(
     mode: str = "exhaustive",
     *,
     seed: int = 0,
-    restarts: int = 32,
     rel: ReliabilityOrder | None = None,
 ) -> list[CodeSpec]:
     """Dimension-k RM-polar codes of maximal symmetry t >= 2, or [] when the
     dimension admits no partially/fully symmetric code."""
-    best_t, codes = search_max_symmetry(n, k, mode, seed=seed, restarts=restarts, rel=rel)
+    best_t, codes = search_max_symmetry(n, k, mode, seed=seed, rel=rel)
     return codes if best_t >= 2 else []
 
 
-def _search_heuristic(n, k, poset: _MonomialPoset, *, seed, restarts, rel=None):
+def _search_heuristic(n, k, poset: _MonomialPoset, *, seed, rel=None):
     # First-improvement hill-climb over single-monomial swaps, keyed by
     # (symmetry, reliability sum).  A swap's key is taken from the running
     # per-variable counts and sum in O(n), and candidates are visited in the
@@ -473,7 +463,7 @@ def _search_heuristic(n, k, poset: _MonomialPoset, *, seed, restarts, rel=None):
         return (counts.count(lo), total)
 
     best_key, best_pos = None, None
-    for attempt in range(max(1, restarts)):
+    for attempt in range(SEARCH_RESTARTS):
         positions = seeded_ideal() if attempt == 0 else random_ideal()
         counts = [sum(bits[p][v] for p in positions) for v in range(n)]
         key = key_of(counts, sum(score[p] for p in positions))

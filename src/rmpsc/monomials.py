@@ -9,6 +9,7 @@ monomials drives every construction in this package.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -117,24 +118,45 @@ def evaluate_monomial(m: Monomial) -> np.ndarray:
     return ((k & m.mask) == 0).astype(np.uint8)
 
 
-def _mask_leq(m1: int, m2: int, n: int) -> bool:
-    # Prefix-count form of the order: with delta the degree gap, m1 <= m2 iff
-    # every prefix {0..x} holds at least as many variables of m1 as of m2
-    # minus delta.  Equivalent to index-wise domination of m1 by the
-    # largest-degree(m1) divisor of m2, which dominates all other divisors.
-    d1 = m1.bit_count()
-    d2 = m2.bit_count()
-    if d1 > d2:
-        return False
-    delta = d2 - d1
-    c1 = 0
-    c2 = 0
-    for x in range(n):
-        c1 += (m1 >> x) & 1
-        c2 += (m2 >> x) & 1
-        if c1 < c2 - delta:
-            return False
-    return True
+def _steps_below(i: int) -> list[int]:
+    """The indices one step below ``i`` in the index order.
+
+    A step clears bit 0 (i - 1), or moves a set bit from position v to an
+    unset v-1 (i - 2^(v-1)).  Clearing any other set bit v is a chain of
+    steps: move it to v-1 when that bit is unset, else clear bit v-1 first
+    and move bit v into its place.  Steps lower the integer, so ascending
+    index order is a linear extension of the order, and the steps are its
+    cover relations.
+    """
+    out = [i - 1] if i & 1 else []
+    moves = i & ~(i << 1) & ~1  # set bits v >= 1 whose bit v-1 is unset
+    while moves:
+        bit = moves & -moves
+        out.append(i - (bit >> 1))
+        moves ^= bit
+    return out
+
+
+def _closure_pass(indices, n: int) -> tuple[frozenset[int], frozenset[int]]:
+    """The upward closure of ``indices`` and its minimal elements, from one
+    ascending pass: an index is in the closure iff it is a member or a step
+    below it is, and a member is minimal iff no step below it is."""
+    N = 1 << n
+    members = set()
+    for i in indices:
+        i = int(i)
+        if not 0 <= i < N:
+            raise ValueError(f"index {i} out of range for n={n}")
+        members.add(i)
+    inside = bytearray(N)
+    minimal = []
+    for i in range(min(members, default=N), N):
+        if any(inside[j] for j in _steps_below(i)):
+            inside[i] = 1
+        elif i in members:
+            inside[i] = 1
+            minimal.append(i)
+    return frozenset(compress(range(N), inside)), frozenset(minimal)
 
 
 def monomial_leq(m1: Monomial, m2: Monomial) -> bool:
@@ -146,7 +168,7 @@ def monomial_leq(m1: Monomial, m2: Monomial) -> bool:
     """
     if m1.n != m2.n:
         raise ValueError(f"mismatched variable counts {m1.n} != {m2.n}")
-    return _mask_leq(m1.mask, m2.mask, m1.n)
+    return index_leq(m2.index, m1.index, m1.n)
 
 
 def index_leq(j: int, i: int, n: int) -> bool:
@@ -155,34 +177,17 @@ def index_leq(j: int, i: int, n: int) -> bool:
     N = 1 << n
     if not (0 <= i < N and 0 <= j < N):
         raise ValueError(f"indices ({j}, {i}) out of range for n={n}")
-    full = N - 1
-    return _mask_leq(~i & full, ~j & full, n)
+    return i in upward_closure((j,), n)
 
 
 def upward_closure(i_min, n: int) -> frozenset[int]:
     """All indices above some element of ``i_min`` in the index order."""
-    gens = [~int(j) & ((1 << n) - 1) for j in i_min]
-    for j in i_min:
-        if not 0 <= int(j) < (1 << n):
-            raise ValueError(f"generator index {j} out of range for n={n}")
-    out = []
-    for i in range(1 << n):
-        mi = ~i & ((1 << n) - 1)
-        if any(_mask_leq(mi, g, n) for g in gens):
-            out.append(i)
-    return frozenset(out)
+    return _closure_pass(i_min, n)[0]
 
 
 def reduce_to_antichain(indices, n: int) -> frozenset[int]:
     """Drop every index dominated by another member (in the index order)."""
-    idx = set(int(i) for i in indices)
-    full = (1 << n) - 1
-    keep = []
-    for i in idx:
-        mi = ~i & full
-        if not any(j != i and _mask_leq(mi, ~j & full, n) for j in idx):
-            keep.append(i)
-    return frozenset(keep)
+    return _closure_pass(indices, n)[1]
 
 
 def minimal_generators(info_set, n: int) -> frozenset[int]:
@@ -191,16 +196,15 @@ def minimal_generators(info_set, n: int) -> frozenset[int]:
     Raises ValueError when ``info_set`` is not upward closed.
     """
     info = frozenset(int(i) for i in info_set)
-    gens = reduce_to_antichain(info, n)
-    if upward_closure(gens, n) != info:
+    closure, gens = _closure_pass(info, n)
+    if closure != info:
         raise ValueError("info_set is not closed under the index partial order")
     return gens
 
 
 def is_decreasing(g: GeneratorSet) -> bool:
     """True iff the set contains every monomial below each of its members."""
-    gens = reduce_to_antichain(g.indices, g.n)
-    return upward_closure(gens, g.n) == g.indices
+    return upward_closure(g.indices, g.n) == g.indices
 
 
 def partial_derivative(g: GeneratorSet, i: int) -> GeneratorSet:

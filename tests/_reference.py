@@ -1,10 +1,11 @@
 """Reference implementations that the tests hold the library to.
 
-These are the plain forms of code that ``rmpsc.codes`` runs in a faster
-shape: the pairwise dominance relation of the monomial poset, the pairwise
-consistency check of a reliability order, and the symmetry search that
-rescans the whole ideal for every candidate swap.  Results must be equal,
-not just close.
+These are the plain forms of code that ``rmpsc`` runs in another shape: the
+index order as a pairwise prefix-count test (the library derives it from its
+generating steps), the pairwise closure and antichain of an index set, the
+pairwise dominance relation of the monomial poset, the pairwise consistency
+check of a reliability order, and the symmetry search that rescans the whole
+ideal for every candidate swap.  Results must be equal, not just close.
 """
 
 from __future__ import annotations
@@ -18,7 +19,52 @@ from rmpsc.codes import (
     rm_order,
     rm_polar_construct,
 )
-from rmpsc.monomials import _mask_leq
+
+
+def _mask_leq(m1: int, m2: int, n: int) -> bool:
+    # Prefix-count form of the order: with delta the degree gap, m1 <= m2 iff
+    # every prefix {0..x} holds at least as many variables of m1 as of m2
+    # minus delta.  Equivalent to index-wise domination of m1 by the
+    # largest-degree(m1) divisor of m2, which dominates all other divisors.
+    d1 = m1.bit_count()
+    d2 = m2.bit_count()
+    if d1 > d2:
+        return False
+    delta = d2 - d1
+    c1 = 0
+    c2 = 0
+    for x in range(n):
+        c1 += (m1 >> x) & 1
+        c2 += (m2 >> x) & 1
+        if c1 < c2 - delta:
+            return False
+    return True
+
+
+def upward_closure(i_min, n: int) -> frozenset[int]:
+    """All indices above some element of ``i_min`` in the index order."""
+    gens = [~int(j) & ((1 << n) - 1) for j in i_min]
+    for j in i_min:
+        if not 0 <= int(j) < (1 << n):
+            raise ValueError(f"generator index {j} out of range for n={n}")
+    out = []
+    for i in range(1 << n):
+        mi = ~i & ((1 << n) - 1)
+        if any(_mask_leq(mi, g, n) for g in gens):
+            out.append(i)
+    return frozenset(out)
+
+
+def reduce_to_antichain(indices, n: int) -> frozenset[int]:
+    """Drop every index dominated by another member (in the index order)."""
+    idx = set(int(i) for i in indices)
+    full = (1 << n) - 1
+    keep = []
+    for i in idx:
+        mi = ~i & full
+        if not any(j != i and _mask_leq(mi, ~j & full, n) for j in idx):
+            keep.append(i)
+    return frozenset(keep)
 
 
 def check_consistency(rel) -> bool:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rmpsc import autgroup
 from rmpsc._gf2 import is_invertible
 from rmpsc.codes import CodeSpec, dim_rm, search_max_symmetry
 from rmpsc.autgroup import (
@@ -396,3 +397,12 @@ class TestDistinctClassSampling:
         available = equivalent_class_count(full, absorbed)
         with pytest.raises(ValueError):
             sample_distinct_class_automorphisms(code, available + 1, seed=0)
+
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_nonpositive_m_rejected_before_probing(self, m, monkeypatch):
+        def no_probe(*args, **kwargs):
+            raise AssertionError("probed before validating m")
+
+        monkeypatch.setattr(autgroup, "absorption_structure_empirical", no_probe)
+        with pytest.raises(ValueError, match="at least one class"):
+            sample_distinct_class_automorphisms(CodeSpec.from_i_min({19}, 6), m)

@@ -170,7 +170,7 @@ class TestSimulate:
         assert code == 1
         assert "error:" in err
 
-    def test_zero_workers_fails(self, capsys):
+    def test_zero_workers_fails(self, tmp_path, capsys):
         code, _, err = run_cli(
             [
                 "simulate", "--imin", "11", "--n", "5", "--ebn0", "1:1:1",
@@ -180,6 +180,32 @@ class TestSimulate:
         )
         assert code == 1
         assert "error:" in err
+        # rejected before the AE permutations are sampled and logged
+        out = tmp_path / "ae.csv"
+        code, _, err = run_cli(
+            [
+                "simulate", "--imin", "19", "--n", "6", "--dec", "ae", "--m", "4",
+                "--max-trials", "100", "--target-errors", "10", "--workers", "0",
+                "--out", str(out),
+            ],
+            capsys,
+        )
+        assert code == 1
+        assert "error:" in err
+        assert not out.with_suffix(".perms.txt").exists()
+
+    def test_zero_m_fails(self, tmp_path, capsys):
+        out = tmp_path / "ae.csv"
+        code, _, err = run_cli(
+            [
+                "simulate", "--imin", "19", "--n", "6", "--dec", "ae", "--m", "0",
+                "--max-trials", "100", "--target-errors", "10", "--out", str(out),
+            ],
+            capsys,
+        )
+        assert code == 1
+        assert "error:" in err
+        assert not out.with_suffix(".perms.txt").exists()
 
     def test_byte_identical_with_workers(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -235,6 +261,16 @@ class TestSamplePerms:
         assert main(args + ["--out", str(b)]) == 0
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
+
+    def test_zero_m_fails(self, tmp_path, capsys):
+        out = tmp_path / "perms.txt"
+        code, _, err = run_cli(
+            ["sample-perms", "--imin", "19", "--n", "6", "--m", "0", "--out", str(out)],
+            capsys,
+        )
+        assert code == 1
+        assert "error:" in err
+        assert not out.exists()
 
 
 class TestEntryPoint:

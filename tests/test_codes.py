@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _reference as reference
+from _reference import _mask_leq
 from rmpsc.codes import (
     CodeSpec,
     ReliabilityOrder,
@@ -32,7 +33,6 @@ from rmpsc.monomials import (
     min_distance,
     monomial_from_index,
     upward_closure,
-    _mask_leq,
 )
 
 
@@ -152,6 +152,12 @@ class TestReliability:
         path = tmp_path / "bad.txt"
         path.write_text("0\n1\n2\n")
         with pytest.raises(ValueError):
+            load_reliability(path)
+
+    def test_empty_file_rejected(self, tmp_path):
+        path = tmp_path / "empty.txt"
+        path.write_text("\n")
+        with pytest.raises(ValueError, match="length 0 is not a power of two"):
             load_reliability(path)
 
 
@@ -409,7 +415,7 @@ class TestMatchesReference:
 
 
 def _dominated(p, m):
-    from rmpsc.monomials import _mask_leq
+    from _reference import _mask_leq
 
     return _mask_leq(p, m, 5)
 

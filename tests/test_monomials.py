@@ -3,7 +3,10 @@ from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import _reference as reference
 from rmpsc.monomials import (
     GeneratorSet,
     Monomial,
@@ -213,6 +216,34 @@ class TestClosureAndGenerators:
         for n in range(2, 7):
             for r in range(n + 1):
                 assert is_decreasing(rm_genset(r, n))
+
+
+@st.composite
+def index_sets(draw):
+    n = draw(st.integers(0, 8))
+    return n, draw(st.sets(st.integers(0, (1 << n) - 1), max_size=8))
+
+
+class TestMatchesReference:
+    """Closure, antichain and closedness from the generating steps against
+    the pairwise prefix-count forms in ``tests/_reference.py``."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(index_sets())
+    def test_random_index_sets(self, case):
+        n, s = case
+        closure = reference.upward_closure(s, n)
+        antichain = reference.reduce_to_antichain(s, n)
+        assert upward_closure(s, n) == closure
+        assert reduce_to_antichain(s, n) == antichain
+        assert minimal_generators(closure, n) == antichain
+        closed = closure == s
+        assert is_decreasing(GeneratorSet.from_indices(s, n)) == closed
+        if closed:
+            assert minimal_generators(s, n) == antichain
+        else:
+            with pytest.raises(ValueError, match="not closed"):
+                minimal_generators(s, n)
 
 
 class TestDerivativesAndSymmetry:
