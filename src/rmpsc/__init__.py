@@ -23,7 +23,6 @@ from .codes import (
     CodeSpec,
     ReliabilityOrder,
     beta_expansion_reliability,
-    count_min_weight_codewords,
     extend_code,
     load_reliability,
     min_weight_count,
@@ -43,7 +42,7 @@ from .autgroup import (
     sample_blta,
     sample_distinct_class_automorphisms,
 )
-from .scdec import DecodeResult, ae_sc_decode, encode, sc_decode
+from .scdec import ae_sc_decode_frames, encode_batch, sc_decode_frames
 from .channel import FerPoint, SimConfig, noisy_frames, run_fer, tub_ml_bound
 
 __version__ = "0.1.0"

@@ -100,10 +100,10 @@ def _boxplus_numpy(a, b, minsum):
 #   U is its polar transform.  A zero anywhere in the node, or the exact rule
 #   (whose f can round to 0 from nonzero inputs), keeps the recursion.
 #
-# Below a node that recurses, f is not computed for a Rate-0 left child unless
-# tracing: the child needs no LLR, and g is then a + b.  Signs are applied by
-# flipping the float64 sign bit (``_negate_where``), which gives the same bits
-# as the products with +-1.0 of the textbook f and g, +-0.0 included.
+# Below a node that recurses, a Rate-0 left child is not visited and f is not
+# computed for it: the child needs no LLR, and g is then a + b.  Signs are
+# applied by flipping the float64 sign bit (``_negate_where``), which gives the
+# same bits as the products with +-1.0 of the textbook f and g, +-0.0 included.
 
 
 def sc_decode_batch(
@@ -118,10 +118,10 @@ def sc_decode_batch(
     minsum : replace the exact check-node rule by min-sum.
     trace : optional callable ``trace(level, start, node_llrs)``, called with
         the (2^level, B) LLR array of every node the recursion visits, in
-        decoding order; the subtrees below a Rate-0 or Rep node, and below a
-        Rate-1 node under min-sum with no zero LLR, are not visited and not
-        reported.  Without a trace, f is not computed for a Rate-0 left
-        child; with one, it is, so that the child's LLRs are reported.
+        decoding order.  Not visited, and not reported: the Rate-0 left
+        child of a node that recurses (f is not computed for it), and the
+        subtrees below a Rate-0 or Rep node and below a Rate-1 node under
+        min-sum with no zero LLR.  The trace does not change the recursion.
 
     f and g apply their signs by flipping the float64 sign bit, with the same
     bits as multiplying by 1.0 - 2.0*bit.
@@ -163,7 +163,7 @@ def sc_decode_batch(
             return x
         h = size // 2
         a, b = v[:h], v[h:]
-        if trace is None and info_before[start + h] == info_before[start]:
+        if info_before[start + h] == info_before[start]:
             # Rate-0 left child: its decisions are 0, so f is not needed and
             # g is (1.0 - 2.0*0)*a + b = a + b
             right = node(a + b, level - 1, start + h)

@@ -21,13 +21,11 @@ __all__ = [
     "AbsorptionProbeError",
     "permutation_from_affine",
     "variable_swap",
-    "compose_affine",
     "is_code_automorphism",
     "compute_blta_structure",
     "blta_size",
     "sample_blta",
     "absorption_structure_empirical",
-    "is_absorbed_empirical",
     "equivalent_class_count",
     "sample_distinct_class_automorphisms",
     "save_permutations",
@@ -172,11 +170,6 @@ def permutation_from_affine(t: AffineMap) -> Permutation:
     return Permutation(perm)
 
 
-def compose_affine(t1: AffineMap, t2: AffineMap) -> AffineMap:
-    """t1 after t2: z -> A1 (A2 z + b2) + b1."""
-    return AffineMap((t1.A @ t2.A) & 1, ((t1.A @ t2.b) + t1.b) & 1)
-
-
 def variable_swap(n: int, a: int, b: int) -> AffineMap:
     """Transposition of coordinates a and b as an affine map."""
     A = np.eye(n, dtype=np.uint8)
@@ -313,21 +306,6 @@ def _branch_matches_sc(
         if not np.array_equal(x_hat[:, p], sc_ref[lo : lo + chunk]):
             return False
     return True
-
-
-def is_absorbed_empirical(
-    perm: Permutation,
-    code: CodeSpec,
-    trials: int = 500,
-    snr_db: float = 2.0,
-    seed: int = 0,
-    minsum: bool = PROBE_MINSUM,
-) -> bool:
-    """Probe whether the permuted-decode branch reproduces plain SC on every
-    trial.  One-sided: a non-absorbed map may pass with probability shrinking
-    in the trial count, an absorbed one never fails."""
-    llrs, sc_ref = _probe_batch(code, trials, snr_db, seed, minsum)
-    return _branch_matches_sc(llrs, sc_ref, perm, code, minsum)
 
 
 def absorption_structure_empirical(

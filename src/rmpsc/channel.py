@@ -175,12 +175,11 @@ def _sim_star(args):
     return _simulate_range(*args)
 
 
-def write_fer_csv(points, fh, tub=None) -> None:
-    """Write FER rows; ``tub`` optionally maps each point to a bound column."""
-    header = FER_CSV_HEADER + (",tub" if tub is not None else "")
-    fh.write(header + "\n")
+def write_fer_csv(points, fh, tub) -> None:
+    """Write FER rows; ``tub`` maps each point's Eb/N0 to its bound column."""
+    fh.write(FER_CSV_HEADER + ",tub\n")
     for p in points:
-        row = f"{p.ebn0_db:g},{p.trials},{p.frame_errors},{p.fer:.8g},{p.ci_halfwidth:.8g}"
-        if tub is not None:
-            row += f",{tub(p.ebn0_db):.8g}"
-        fh.write(row + "\n")
+        fh.write(
+            f"{p.ebn0_db:g},{p.trials},{p.frame_errors},{p.fer:.8g},"
+            f"{p.ci_halfwidth:.8g},{tub(p.ebn0_db):.8g}\n"
+        )

@@ -6,7 +6,8 @@ from __future__ import annotations
 import bisect
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,7 +31,6 @@ __all__ = [
     "rm_polar_construct",
     "extend_code",
     "search_rm_psc",
-    "count_min_weight_codewords",
     "min_weight_count",
     "weight_distribution_via_dual",
 ]
@@ -60,6 +60,8 @@ class CodeSpec:
 
     def __init__(self, i_min, n: int):
         self.n = int(n)
+        if self.n < 0:
+            raise ValueError(f"n must be non-negative, got {n}")
         self.N = 1 << self.n
         self.info_set = upward_closure(i_min, self.n)
         if not self.info_set:
@@ -144,8 +146,18 @@ class CodeSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "CodeSpec":
+        """Parse ``{"n": <int>, "i_min": [<int>, ...]}``; anything else
+        raises ValueError."""
         obj = json.loads(text)
-        return cls(obj["i_min"], int(obj["n"]))
+        if not isinstance(obj, dict) or not {"n", "i_min"} <= obj.keys():
+            raise ValueError('a code spec is a JSON object with fields "n" and "i_min"')
+        n, i_min = obj["n"], obj["i_min"]
+        # json gives exact types; bool, a subclass of int, is no integer here
+        if type(n) is not int:
+            raise ValueError(f'"n" must be an integer, got {n!r}')
+        if type(i_min) is not list or any(type(i) is not int for i in i_min):
+            raise ValueError(f'"i_min" must be a list of integers, got {i_min!r}')
+        return cls(i_min, n)
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -177,21 +189,15 @@ class ReliabilityOrder:
 
     n: int
     order: tuple[int, ...]
-    _consistent: list = field(default_factory=lambda: [None], repr=False, compare=False)
 
     def __post_init__(self):
         if sorted(self.order) != list(range(1 << self.n)):
             raise ValueError("order must be a permutation of all channel indices")
 
-    @property
+    @cached_property
     def upo_consistent(self) -> bool:
         """Whether a channel is always ranked at least as reliable as every
         channel below it in the index order (checked once, then cached)."""
-        if self._consistent[0] is None:
-            self._consistent[0] = self._check_consistency()
-        return self._consistent[0]
-
-    def _check_consistency(self) -> bool:
         # the steps generate the order, so the ranks respect it iff no step
         # down raises them: O(N n) pairs decide what N^2 pairs would
         rank = self.ranks().tolist()
@@ -493,21 +499,6 @@ def _search_heuristic(n, k, poset: _MonomialPoset, *, seed, rel=None):
 
 
 # ------------------------------------------------------------- weight counts
-
-
-def count_min_weight_codewords(code: CodeSpec, k_limit: int = 24) -> int:
-    """Exact count of minimum-weight codewords by walking all 2^K codewords."""
-    if code.K > k_limit:
-        raise ValueError(f"dimension {code.K} exceeds the brute-force limit {k_limit}")
-    rows = code.generator_rows_packed()
-    d = code.min_distance
-    x = 0
-    count = 0
-    for g in range(1, 1 << code.K):
-        x ^= rows[(g & -g).bit_length() - 1]
-        if x.bit_count() == d:
-            count += 1
-    return count
 
 
 def weight_distribution_via_dual(code: CodeSpec) -> list[int]:

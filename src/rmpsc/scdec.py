@@ -1,10 +1,7 @@
 """Polar encoding, successive cancellation decoding, and automorphism-ensemble
-decoding with least-squares candidate selection."""
+decoding with least-squares candidate selection, over batches of frames."""
 
 from __future__ import annotations
-
-import csv
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,41 +12,13 @@ from .codes import CodeSpec
 # scales with it, and more branches per call cost peak memory
 _SC_CALL_LLRS = 1 << 16
 
-__all__ = [
-    "DecodeResult",
-    "encode",
-    "encode_batch",
-    "sc_decode",
-    "sc_decode_frames",
-    "ae_sc_decode",
-    "ae_sc_decode_frames",
-    "correlation_score",
-]
-
-
-@dataclass(frozen=True)
-class DecodeResult:
-    """Decoder output: input-bit decisions, codeword decisions, and the
-    correlation of the codeword with the received LLRs (higher is better;
-    maximising it minimises the Euclidean distance to the BPSK point)."""
-
-    u_hat: np.ndarray
-    x_hat: np.ndarray
-    score: float
-
-
-def encode(u_info: np.ndarray, code: CodeSpec) -> np.ndarray:
-    """Scatter information bits into the information positions (ascending
-    index), zeros elsewhere, and apply the polar transform."""
-    u_info = np.asarray(u_info, dtype=np.uint8)
-    if u_info.shape != (code.K,):
-        raise ValueError(f"expected {code.K} information bits, got {u_info.shape}")
-    u = np.zeros(code.N, dtype=np.uint8)
-    u[sorted(code.info_set)] = u_info
-    return polar_transform(u)
+__all__ = ["encode_batch", "sc_decode_frames", "ae_sc_decode_frames"]
 
 
 def encode_batch(u_info: np.ndarray, code: CodeSpec) -> np.ndarray:
+    """Scatter each row of (B, K) information bits into the information
+    positions (ascending index), zeros elsewhere, and apply the polar
+    transform; returns the (B, N) codewords."""
     u_info = np.asarray(u_info, dtype=np.uint8)
     if u_info.ndim != 2 or u_info.shape[1] != code.K:
         raise ValueError(f"expected shape (B, {code.K}), got {u_info.shape}")
@@ -78,49 +47,23 @@ def _perm_array(p, N: int) -> np.ndarray:
     return arr
 
 
-def correlation_score(x_hat: np.ndarray, llrs: np.ndarray) -> float:
-    return float(((1.0 - 2.0 * x_hat.astype(np.float64)) * llrs).sum())
-
-
 def sc_decode_frames(llrs: np.ndarray, code: CodeSpec, *, minsum: bool = False):
-    """Successive cancellation over a batch of frames; returns (U, X)."""
+    """Successive cancellation over a batch of channel LLR rows (positive
+    favours bit 0; a single row may be given as a vector); returns the
+    (B, N) decisions (U, X).
+
+    Frozen positions are forced to zero, and an information decision at an
+    exact LLR tie resolves to zero.  ``minsum`` replaces the exact
+    check-node rule by min-sum."""
     llrs = _check_llrs(np.atleast_2d(llrs), code.N)
     return sc_decode_batch(llrs, code.frozen_mask(), minsum)
 
 
-def sc_decode(llr, code: CodeSpec, *, minsum: bool = False, trace=None) -> DecodeResult:
-    """Decode one frame of channel LLRs (positive favours bit 0).
-
-    Frozen positions are forced to zero; an information decision at an exact
-    LLR tie resolves to zero.  ``trace`` optionally names a CSV file that
-    receives, for debugging, the LLRs of every tree node the decoder visits
-    (columns ``level,position,llr``; pruned subtrees have no rows: those
-    below Rate-0 and Rep nodes, and under min-sum those below a Rate-1 node
-    with no zero LLR).
-    """
-    llr = _check_llrs(np.asarray(llr, dtype=np.float64), code.N)
-    if trace is None:
-        U, X = sc_decode_batch(llr[None, :], code.frozen_mask(), minsum)
-    else:
-        rows = []
-
-        def record(level, start, node_llrs):
-            rows.extend((level, start + pos, float(v)) for pos, v in enumerate(node_llrs[:, 0]))
-
-        U, X = sc_decode_batch(llr[None, :], code.frozen_mask(), minsum, trace=record)
-        with open(trace, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["level", "position", "llr"])
-            writer.writerows(rows)
-    return DecodeResult(U[0], X[0], correlation_score(X[0], llr))
-
-
-def ae_sc_decode_frames(
-    llrs: np.ndarray, code: CodeSpec, perms, *, minsum: bool = False
-):
+def ae_sc_decode_frames(llrs: np.ndarray, code: CodeSpec, perms):
     """Ensemble decoding over a batch: each permutation drives one SC branch
-    on the permuted LLRs, candidates are mapped back, and the best-correlating
-    codeword wins (ties go to the earliest branch).  Returns (U, X, winner).
+    (exact check-node rule) on the permuted LLRs, candidates are mapped back,
+    and the best-correlating codeword wins (ties go to the earliest branch).
+    Returns (U, X, winner).
 
     Branches are stacked as extra rows of shared kernel calls, as many per
     call as fit in ``_SC_CALL_LLRS`` LLRs (at least one)."""
@@ -141,19 +84,14 @@ def ae_sc_decode_frames(
     for first in range(0, M, group):
         branch_perms = perm_arrays[first : first + group]
         stacked = llrs.T[inverses[first : first + group].T]
-        _, X = sc_decode_batch(stacked.reshape(code.N, -1).T, frozen, minsum)
+        _, X = sc_decode_batch(stacked.reshape(code.N, -1).T, frozen)
         for j, p in enumerate(branch_perms):
             cand = X[j * B : (j + 1) * B][:, p]  # map the branch codeword back
             candidates[first + j] = cand
+            # correlation with the LLRs: maximising it minimises the
+            # Euclidean distance to the BPSK point
             scores[first + j] = _negate_where(llrs.copy(), cand).sum(axis=1)
     winner = scores.argmax(axis=0)
     x = candidates[winner, np.arange(B), :]
     u = polar_transform(x)
     return u, x, winner
-
-
-def ae_sc_decode(llr, code: CodeSpec, perms, *, minsum: bool = False) -> DecodeResult:
-    """Automorphism-ensemble SC decoding of a single frame."""
-    llr = _check_llrs(np.asarray(llr, dtype=np.float64), code.N)
-    U, X, _ = ae_sc_decode_frames(llr[None, :], code, perms, minsum=minsum)
-    return DecodeResult(U[0], X[0], correlation_score(X[0], llr))

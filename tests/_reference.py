@@ -6,12 +6,22 @@ generating steps), the pairwise closure and antichain of an index set, the
 pairwise dominance relation of the monomial poset, the pairwise consistency
 check of a reliability order, and the symmetry search that rescans the whole
 ideal for every candidate swap.  Results must be equal, not just close.
+
+Beside them are helpers that only the tests use: affine-map composition, the
+single-permutation absorption probe and the brute-force minimum-weight count.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from rmpsc.autgroup import (
+    PROBE_MINSUM,
+    AffineMap,
+    Permutation,
+    _branch_matches_sc,
+    _probe_batch,
+)
 from rmpsc.codes import (
     CodeSpec,
     ReliabilityOrder,
@@ -256,3 +266,38 @@ def _search_heuristic(n, k, poset: MonomialPoset, *, seed, restarts, rel=None):
             best_key, best_pos = key, positions
     code = CodeSpec.from_info_set(poset.info_indices(best_pos), n)
     return best_key[0], [code]
+
+
+def compose_affine(t1: AffineMap, t2: AffineMap) -> AffineMap:
+    """t1 after t2: z -> A1 (A2 z + b2) + b1."""
+    return AffineMap((t1.A @ t2.A) & 1, ((t1.A @ t2.b) + t1.b) & 1)
+
+
+def is_absorbed_empirical(
+    perm: Permutation,
+    code: CodeSpec,
+    trials: int = 500,
+    snr_db: float = 2.0,
+    seed: int = 0,
+    minsum: bool = PROBE_MINSUM,
+) -> bool:
+    """Probe whether the permuted-decode branch reproduces plain SC on every
+    trial.  One-sided: a non-absorbed map may pass with probability shrinking
+    in the trial count, an absorbed one never fails."""
+    llrs, sc_ref = _probe_batch(code, trials, snr_db, seed, minsum)
+    return _branch_matches_sc(llrs, sc_ref, perm, code, minsum)
+
+
+def count_min_weight_codewords(code: CodeSpec, k_limit: int = 24) -> int:
+    """Exact count of minimum-weight codewords by walking all 2^K codewords."""
+    if code.K > k_limit:
+        raise ValueError(f"dimension {code.K} exceeds the brute-force limit {k_limit}")
+    rows = code.generator_rows_packed()
+    d = code.min_distance
+    x = 0
+    count = 0
+    for g in range(1, 1 << code.K):
+        x ^= rows[(g & -g).bit_length() - 1]
+        if x.bit_count() == d:
+            count += 1
+    return count

@@ -38,7 +38,7 @@ from rmpsc.codes import (
     search_rm_psc,
 )
 from rmpsc.monomials import GeneratorSet, symmetry, upward_closure
-from rmpsc.scdec import ae_sc_decode_frames, encode_batch, sc_decode, sc_decode_frames
+from rmpsc.scdec import ae_sc_decode_frames, encode_batch, sc_decode_frames
 
 
 def report(criterion: str, ok: bool, detail: str):

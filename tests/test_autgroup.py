@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from _reference import compose_affine, is_absorbed_empirical
 from rmpsc import autgroup
 from rmpsc._gf2 import is_invertible
 from rmpsc.codes import CodeSpec, dim_rm, search_max_symmetry
@@ -15,10 +16,8 @@ from rmpsc.autgroup import (
     Permutation,
     absorption_structure_empirical,
     blta_size,
-    compose_affine,
     compute_blta_structure,
     equivalent_class_count,
-    is_absorbed_empirical,
     is_code_automorphism,
     load_permutations,
     permutation_from_affine,

@@ -17,7 +17,7 @@ from rmpsc.channel import (
     write_fer_csv,
 )
 from rmpsc.codes import CodeSpec
-from rmpsc.scdec import encode
+from rmpsc.scdec import encode_batch
 
 
 def q_func(x):
@@ -75,7 +75,7 @@ class TestNoisyFrames:
         w = [int(v) for v in gen.random_raw(4 * stride)]
         bits = np.array([(w[i // 64] >> (i % 64)) & 1 for i in range(code.K)], np.uint8)
         uniforms = np.array([((v >> 12) + 0.5) * 2.0**-52 for v in w[words : words + code.N]])
-        x = encode(bits, code)
+        (x,) = encode_batch(bits[None, :], code)
         sigma = noise_sigma(ebn0, code.rate)
         llr = 2.0 * ((1.0 - 2.0 * x) + sigma * ndtri(uniforms)) / (sigma * sigma)
         (x_got,), (llr_got,) = noisy_frames(code, ebn0, seed, stream, trial, 1)
@@ -300,16 +300,16 @@ class TestCsv:
     def test_header_and_rows(self):
         pts = [FerPoint.from_counts(1.0, 100, 10), FerPoint.from_counts(2.0, 200, 5)]
         buf = io.StringIO()
-        write_fer_csv(pts, buf)
+        write_fer_csv(pts, buf, tub=lambda e: 0.5)
         lines = buf.getvalue().splitlines()
-        assert lines[0] == "ebn0_db,trials,errors,fer,ci95"
+        assert lines[0] == "ebn0_db,trials,errors,fer,ci95,tub"
         assert lines[1].startswith("1,100,10,0.1,")
         assert len(lines) == 3
 
     def test_tub_column(self):
-        pts = [FerPoint.from_counts(1.0, 100, 10)]
+        pts = [FerPoint.from_counts(1.0, 100, 10), FerPoint.from_counts(2.0, 200, 5)]
         buf = io.StringIO()
-        write_fer_csv(pts, buf, tub=lambda e: 0.5)
+        write_fer_csv(pts, buf, tub=lambda e: 10.0 ** -e)
         lines = buf.getvalue().splitlines()
-        assert lines[0] == "ebn0_db,trials,errors,fer,ci95,tub"
-        assert lines[1].endswith(",0.5")
+        assert lines[1].endswith(",0.1")
+        assert lines[2].endswith(",0.01")

@@ -49,6 +49,27 @@ class TestAnalyze:
         code, out, _ = run_cli(["analyze", "--spec", str(path), "--json"], capsys)
         assert json.loads(out)["K"] == 37
 
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ('{"n": 6}', 'fields "n" and "i_min"'),
+            ('[6, 19]', 'fields "n" and "i_min"'),
+            ('{"n": 6, "i_min": 19}', '"i_min" must be a list of integers'),
+            ('{"n": 6, "i_min": [19.7]}', '"i_min" must be a list of integers'),
+            ('{"n": "6", "i_min": [19]}', '"n" must be an integer'),
+            ('{"n": -1, "i_min": [0]}', "n must be non-negative, got -1"),
+        ],
+        ids=["no_i_min", "array", "scalar_i_min", "float_i_min", "string_n", "negative_n"],
+    )
+    def test_malformed_spec_file(self, tmp_path, capsys, spec, message):
+        path = tmp_path / "code.json"
+        path.write_text(spec)
+        code, out, err = run_cli(["analyze", "--spec", str(path)], capsys)
+        assert code == 1
+        assert out == ""
+        last = err.splitlines()[-1]
+        assert last.startswith("error: ") and message in last
+
     def test_missing_code_args(self, capsys):
         code, _, err = run_cli(["analyze"], capsys)
         assert code == 1

@@ -8,12 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _reference as reference
-from _reference import _mask_leq
+from _reference import _mask_leq, count_min_weight_codewords
 from rmpsc.codes import (
     CodeSpec,
     ReliabilityOrder,
     beta_expansion_reliability,
-    count_min_weight_codewords,
     dim_rm,
     extend_code,
     load_reliability,
@@ -139,6 +138,14 @@ class TestReliability:
         n = 3
         rel = ReliabilityOrder(n, tuple(reversed(range(8))))
         assert not rel.upo_consistent
+
+    def test_verdict_not_injectable(self):
+        # the consistency verdict is computed from the order, never passed in
+        bad = tuple(reversed(range(64)))
+        with pytest.raises(TypeError):
+            ReliabilityOrder(6, bad, [True])
+        with pytest.raises(ValueError, match="violates the index partial order"):
+            rm_polar_construct(6, 22, ReliabilityOrder(6, bad))
 
     def test_file_round_trip(self, tmp_path):
         rel = beta_expansion_reliability(4)

@@ -13,14 +13,7 @@ import rmpsc._kernels
 from rmpsc._kernels import _boxplus_numpy, _negate_where, polar_transform, sc_decode_batch
 from rmpsc.autgroup import compute_blta_structure, permutation_from_affine, sample_blta
 from rmpsc.codes import CodeSpec
-from rmpsc.scdec import (
-    ae_sc_decode,
-    ae_sc_decode_frames,
-    encode,
-    encode_batch,
-    sc_decode,
-    sc_decode_frames,
-)
+from rmpsc.scdec import ae_sc_decode_frames, encode_batch, sc_decode_frames
 
 T2 = np.array([[1, 0], [1, 1]], dtype=np.uint8)
 GOLDEN = Path(__file__).parent / "data" / "sc_golden.npz"
@@ -32,30 +25,34 @@ def noiseless_llr(x, mag=20.0):
     return mag * (1.0 - 2.0 * x.astype(np.float64))
 
 
+def correlation(X, llrs):
+    """Per-row correlation of codewords with LLRs, as a product with +-1.0."""
+    return ((1.0 - 2.0 * X.astype(np.float64)) * llrs).sum(axis=1)
+
+
 class TestEncode:
     def test_all_zero(self):
         code = CodeSpec.from_i_min({3, 5, 6}, 3)
-        assert not encode(np.zeros(code.K, dtype=np.uint8), code).any()
+        assert not encode_batch(np.zeros((1, code.K), dtype=np.uint8), code).any()
 
     def test_rate_one_unit_vector(self):
         code = CodeSpec.from_i_min({0}, 3)
-        u = np.zeros(8, dtype=np.uint8)
-        u[0] = 1
-        x = encode(u, code)
-        expect = np.zeros(8, dtype=np.uint8)
-        expect[0] = 1   # row 0 of the transform
+        u = np.zeros((1, 8), dtype=np.uint8)
+        u[0, 0] = 1
+        x = encode_batch(u, code)
+        expect = np.zeros((1, 8), dtype=np.uint8)
+        expect[0, 0] = 1   # row 0 of the transform
         assert np.array_equal(x, expect)
 
     def test_single_bits_give_transform_rows(self):
         code = CodeSpec.from_i_min({3, 5, 6}, 3)
         t8 = reduce(np.kron, [T2] * 3)
         info = sorted(code.info_set)
+        # row k of the batch carries information bit k alone
+        X = encode_batch(np.eye(code.K, dtype=np.uint8), code)
         for k in range(code.K):
-            u = np.zeros(code.K, dtype=np.uint8)
-            u[k] = 1
-            x = encode(u, code)
-            assert np.array_equal(x, t8[info[k]])
-            assert int(x.sum()) >= 4
+            assert np.array_equal(X[k], t8[info[k]])
+            assert int(X[k].sum()) >= 4
 
     def test_transform_is_involution(self):
         rng = np.random.default_rng(0)
@@ -66,7 +63,9 @@ class TestEncode:
     def test_size_mismatch(self):
         code = CodeSpec.from_i_min({3, 5, 6}, 3)
         with pytest.raises(ValueError):
-            encode(np.zeros(5, dtype=np.uint8), code)
+            encode_batch(np.zeros((1, 5), dtype=np.uint8), code)
+        with pytest.raises(ValueError):
+            encode_batch(np.zeros(code.K, dtype=np.uint8), code)   # not a batch
 
     # n <= 2 runs the byte butterfly alone; from n = 3 on, the word path
     @pytest.mark.parametrize("n", range(11))
@@ -90,18 +89,18 @@ class TestScDecode:
         rng = np.random.default_rng(1)
         for i_min, n in (({3, 5, 6}, 3), ({19}, 6), ({27}, 7)):
             code = CodeSpec.from_i_min(i_min, n)
-            for _ in range(50):
-                u = rng.integers(0, 2, code.K).astype(np.uint8)
-                x = encode(u, code)
-                res = sc_decode(noiseless_llr(x), code)
-                assert np.array_equal(res.x_hat, x)
-                assert np.array_equal(res.u_hat[sorted(code.info_set)], u)
+            u = rng.integers(0, 2, (50, code.K)).astype(np.uint8)
+            x = encode_batch(u, code)
+            U, X = sc_decode_frames(noiseless_llr(x), code)
+            assert np.array_equal(X, x)
+            assert np.array_equal(U[:, sorted(code.info_set)], u)
 
     def test_all_positive_gives_zero(self):
         code = CodeSpec.from_i_min({19}, 6)
-        res = sc_decode(np.full(64, 3.0), code)
-        assert not res.x_hat.any()
-        assert not res.u_hat.any()
+        U, X = sc_decode_frames(np.full(64, 3.0), code)   # one frame as a vector
+        assert U.shape == X.shape == (1, 64)
+        assert not X.any()
+        assert not U.any()
 
     def test_rate_one_is_hard_decision(self):
         # channel-like LLRs keep every internal value away from the exact-zero
@@ -109,99 +108,87 @@ class TestScDecode:
         # sign of an underflowed product
         code = CodeSpec.from_i_min({0}, 5)
         rng = np.random.default_rng(2)
-        for _ in range(50):
-            signs = 1.0 - 2.0 * rng.integers(0, 2, 32)
-            llr = signs * rng.uniform(0.5, 6.0, 32)
-            res = sc_decode(llr, code)
-            assert np.array_equal(res.x_hat, (llr < 0).astype(np.uint8))
+        signs = 1.0 - 2.0 * rng.integers(0, 2, (50, 32))
+        llrs = signs * rng.uniform(0.5, 6.0, (50, 32))
+        _, X = sc_decode_frames(llrs, code)
+        assert np.array_equal(X, (llrs < 0).astype(np.uint8))
 
     def test_frozen_positions_zero(self):
         code = CodeSpec.from_i_min({11}, 5)
         rng = np.random.default_rng(3)
-        frozen = sorted(code.frozen_set)
-        for _ in range(50):
-            res = sc_decode(rng.normal(0, 2, 32), code)
-            assert not res.u_hat[frozen].any()
+        U, _ = sc_decode_frames(rng.normal(0, 2, (50, 32)), code)
+        assert not U[:, sorted(code.frozen_set)].any()
 
     def test_involution_on_noisy_decodes(self):
         code = CodeSpec.from_i_min({11}, 5)
         rng = np.random.default_rng(4)
-        for _ in range(100):
-            res = sc_decode(rng.normal(0.5, 2, 32), code)
-            assert np.array_equal(polar_transform(res.u_hat), res.x_hat)
+        U, X = sc_decode_frames(rng.normal(0.5, 2, (100, 32)), code)
+        assert np.array_equal(polar_transform(U), X)
 
     def test_sign_covariance(self):
         # flipping channel signs by a codeword shifts the output by it
         code = CodeSpec.from_i_min({11}, 5)
         rng = np.random.default_rng(5)
-        for _ in range(200):
-            llr = rng.normal(0.3, 2, 32)
-            c = encode(rng.integers(0, 2, code.K).astype(np.uint8), code)
-            a = sc_decode(llr, code).x_hat
-            b = sc_decode(llr * (1.0 - 2.0 * c), code).x_hat
-            assert np.array_equal(b, a ^ c)
+        llrs = rng.normal(0.3, 2, (200, 32))
+        c = encode_batch(rng.integers(0, 2, (200, code.K)).astype(np.uint8), code)
+        _, a = sc_decode_frames(llrs, code)
+        _, b = sc_decode_frames(llrs * (1.0 - 2.0 * c), code)
+        assert np.array_equal(b, a ^ c)
 
     def test_length_mismatch(self):
         code = CodeSpec.from_i_min({3, 5, 6}, 3)
         with pytest.raises(ValueError):
-            sc_decode(np.zeros(16), code)
+            sc_decode_frames(np.zeros((2, 16)), code)
 
     def test_non_finite_rejected(self):
         code = CodeSpec.from_i_min({3, 5, 6}, 3)
-        llr = np.zeros(8)
-        llr[3] = np.nan
+        llrs = np.zeros((2, 8))
+        llrs[1, 3] = np.nan
         with pytest.raises(ValueError):
-            sc_decode(llr, code)
-        llr[3] = np.inf
+            sc_decode_frames(llrs, code)
+        llrs[1, 3] = np.inf
         with pytest.raises(ValueError):
-            sc_decode(llr, code)
+            sc_decode_frames(llrs, code)
 
     def test_tie_decodes_to_zero(self):
         code = CodeSpec.from_i_min({0}, 2)   # rate 1
-        res = sc_decode(np.zeros(4), code)
-        assert not res.u_hat.any()
+        U, _ = sc_decode_frames(np.zeros((1, 4)), code)
+        assert not U.any()
 
     def test_minsum_close_to_exact_noiseless(self):
         code = CodeSpec.from_i_min({19}, 6)
         rng = np.random.default_rng(6)
-        u = rng.integers(0, 2, code.K).astype(np.uint8)
-        x = encode(u, code)
-        res = sc_decode(noiseless_llr(x), code, minsum=True)
-        assert np.array_equal(res.x_hat, x)
+        x = encode_batch(rng.integers(0, 2, (1, code.K)).astype(np.uint8), code)
+        _, X = sc_decode_frames(noiseless_llr(x), code, minsum=True)
+        assert np.array_equal(X, x)
 
-    def test_trace_file(self, tmp_path):
+    def test_trace_nodes(self):
         code = CodeSpec.from_i_min({3, 5, 6}, 3)
         rng = np.random.default_rng(7)
-        llr = rng.normal(0, 2, 8)
-        path = tmp_path / "trace.csv"
-        res = sc_decode(llr, code, trace=path)
-        plain = sc_decode(llr, code)
-        assert np.array_equal(res.x_hat, plain.x_hat)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "level,position,llr"
-        # only computed nodes: the root (8 rows), the Rep node u0-u3 (4), the
-        # node u4-u7 (4), the Rep node u4-u5 (2), the node u6-u7 (2) and its
-        # two leaves (1 + 1)
-        assert len(lines) == 1 + 22
-        root = [float(line.split(",")[2]) for line in lines[1:9]]
-        assert np.array_equal(root, llr)
-        # min-sum decides the Rate-1 node u6-u7 (no zero LLR) by hard
-        # decision and does not descend to its two leaves
-        ms_path = tmp_path / "trace_minsum.csv"
-        res = sc_decode(llr, code, minsum=True, trace=ms_path)
-        assert np.array_equal(res.x_hat, sc_decode(llr, code, minsum=True).x_hat)
-        lines = ms_path.read_text().splitlines()
-        assert lines[0] == "level,position,llr"
-        assert len(lines) == 1 + 20
-        root = [float(line.split(",")[2]) for line in lines[1:9]]
-        assert np.array_equal(root, llr)
+        llrs = rng.normal(0, 2, (1, 8))
+        frozen = code.frozen_mask()
+        for minsum, visited in ((False, 22), (True, 20)):
+            nodes = []
+
+            def record(level, start, v):
+                nodes.append((level, start, v.copy()))
+
+            _, X = sc_decode_batch(llrs, frozen, minsum, trace=record)
+            assert np.array_equal(X, sc_decode_batch(llrs, frozen, minsum)[1])
+            # only computed nodes: the root (8 LLRs), the Rep node u0-u3 (4),
+            # the node u4-u7 (4), the Rep node u4-u5 (2), the node u6-u7 (2)
+            # and its two leaves (1 + 1); min-sum decides the Rate-1 node u6-u7
+            # (no zero LLR) by hard decision and does not descend to its leaves
+            assert sum(len(v) for _, _, v in nodes) == visited
+            level, start, root = nodes[0]
+            assert (level, start) == (3, 0)
+            assert np.array_equal(root[:, 0], llrs[0])
 
 
 class TestBatchDecode:
     @pytest.mark.parametrize("minsum", [False, True])
     @pytest.mark.parametrize("name", ["rand16", "rand64", "rand256"])
     def test_traced_matches_untraced_golden_masks(self, name, minsum):
-        # untraced, f is skipped for Rate-0 left children; traced, it is not
         with np.load(GOLDEN) as g:
             frozen = g[f"frozen_{name}"]
             for kind in GOLDEN_KINDS:
@@ -211,13 +198,12 @@ class TestBatchDecode:
                 assert np.array_equal(U, U_t), kind
                 assert np.array_equal(X, X_t), kind
 
-    # f LLRs per frame, exact rule: the Rate-0 left children of (128,60) and
-    # (64,37) take 40 and 16 of them when traced; (1024,512) has none
+    # f LLRs per frame, exact rule, traced or not: skipping the Rate-0 left
+    # children saves (128,60) 40 and (64,37) 16 of them; (1024,512) has none
     @pytest.mark.parametrize(
-        "i_min, n, untraced, traced",
-        [({27}, 7, 306, 346), ({19}, 6, 131, 147), ({63, 121}, 10, 4013, 4013)],
+        "i_min, n, f_llrs", [({27}, 7, 306), ({19}, 6, 131), ({63, 121}, 10, 4013)]
     )
-    def test_rate0_left_child_skips_f(self, monkeypatch, i_min, n, untraced, traced):
+    def test_rate0_left_child_skips_f(self, monkeypatch, i_min, n, f_llrs):
         code = CodeSpec.from_i_min(i_min, n)
         B = 3
         llrs = np.random.default_rng(16).normal(0.5, 2, (B, code.N))
@@ -229,10 +215,10 @@ class TestBatchDecode:
 
         monkeypatch.setattr(rmpsc._kernels, "_boxplus_numpy", counting)
         U, X = sc_decode_batch(llrs, code.frozen_mask())
-        assert sum(sizes) == untraced * B
+        assert sum(sizes) == f_llrs * B
         sizes.clear()
         U_t, X_t = sc_decode_batch(llrs, code.frozen_mask(), trace=lambda *node: None)
-        assert sum(sizes) == traced * B
+        assert sum(sizes) == f_llrs * B
         assert np.array_equal(U, U_t)
         assert np.array_equal(X, X_t)
 
@@ -242,9 +228,9 @@ class TestBatchDecode:
         llrs = rng.normal(0.5, 2, (64, 32))
         U, X = sc_decode_frames(llrs, code)
         for i in range(64):
-            res = sc_decode(llrs[i], code)
-            assert np.array_equal(U[i], res.u_hat)
-            assert np.array_equal(X[i], res.x_hat)
+            Ui, Xi = sc_decode_frames(llrs[i], code)
+            assert np.array_equal(U[i], Ui[0])
+            assert np.array_equal(X[i], Xi[0])
 
 
 LLR_VALUES = st.one_of(
@@ -267,7 +253,7 @@ def code_inputs(draw):
     i_min = draw(st.sets(st.integers(0, (1 << n) - 1), min_size=1, max_size=3))
     code = CodeSpec.from_i_min(i_min, n)
     llrs = draw(hnp.arrays(np.float64, (draw(st.integers(1, 8)), code.N), elements=LLR_VALUES))
-    return code, llrs, draw(st.booleans())
+    return code, llrs
 
 
 NONZERO_LLR_VALUES = st.one_of(
@@ -289,7 +275,7 @@ def ae_inputs(draw, n, batch):
     llrs = draw(st.sampled_from([1.0, 1e-3])) * rng.normal(0.0, 3.0, (batch, code.N))
     special = rng.choice([0.0, -0.0, 40.0, -40.0], size=llrs.shape)
     llrs = np.where(rng.random(llrs.shape) < draw(st.sampled_from([0.0, 0.1, 0.5])), special, llrs)
-    return code, perms, llrs, draw(st.booleans())
+    return code, perms, llrs
 
 
 @st.composite
@@ -326,17 +312,17 @@ def boxplus_reference(a, b, minsum):
     return sign * np.maximum(mag, 0.0)
 
 
-def ae_reference(llrs, code, perms, minsum):
+def ae_reference(llrs, code, perms):
     """AE decoding with one kernel call per branch, as a plain loop."""
     llrs = np.clip(llrs, -40.0, 40.0)
     cands, scores = [], []
     for p in perms:
         branch_in = np.empty_like(llrs)
         branch_in[:, p.perm] = llrs
-        _, X = sc_decode_batch(branch_in, code.frozen_mask(), minsum)
+        _, X = sc_decode_batch(branch_in, code.frozen_mask())
         cand = X[:, p.perm]
         cands.append(cand)
-        scores.append(((1.0 - 2.0 * cand) * llrs).sum(axis=1))
+        scores.append(correlation(cand, llrs))
     winner = np.argmax(scores, axis=0)
     X = np.array(cands)[winner, np.arange(len(llrs))]
     return polar_transform(X), X, winner
@@ -350,7 +336,6 @@ class TestProperties:
         U, X = sc_decode_batch(llrs, frozen, minsum)
         assert np.array_equal(X, polar_transform(U))
         assert not U[:, frozen == 1].any()
-        # traced, f is also computed for Rate-0 left children
         U_t, X_t = sc_decode_batch(llrs, frozen, minsum, trace=lambda *node: None)
         assert np.array_equal(U_t, U)
         assert np.array_equal(X_t, X)
@@ -383,10 +368,10 @@ class TestProperties:
     def test_ae_identity_is_sc(self, case):
         from rmpsc.autgroup import Permutation
 
-        code, llrs, minsum = case
+        code, llrs = case
         identity = [Permutation.identity(code.N)]
-        U, X, winner = ae_sc_decode_frames(llrs, code, identity, minsum=minsum)
-        U_sc, X_sc = sc_decode_frames(llrs, code, minsum=minsum)
+        U, X, winner = ae_sc_decode_frames(llrs, code, identity)
+        U_sc, X_sc = sc_decode_frames(llrs, code)
         assert np.array_equal(X, X_sc)
         assert np.array_equal(U, U_sc)
         assert not winner.any()
@@ -400,9 +385,9 @@ class TestProperties:
     @settings(max_examples=50, deadline=None, derandomize=True)
     @given(data=st.data())
     def test_stacked_branches_match_branch_loop(self, n, batch, data):
-        code, perms, llrs, minsum = data.draw(ae_inputs(n, batch))
-        U, X, winner = ae_sc_decode_frames(llrs, code, perms, minsum=minsum)
-        U_ref, X_ref, winner_ref = ae_reference(llrs, code, perms, minsum)
+        code, perms, llrs = data.draw(ae_inputs(n, batch))
+        U, X, winner = ae_sc_decode_frames(llrs, code, perms)
+        U_ref, X_ref, winner_ref = ae_reference(llrs, code, perms)
         assert np.array_equal(U, U_ref)
         assert np.array_equal(X, X_ref)
         assert np.array_equal(winner, winner_ref)
@@ -463,22 +448,19 @@ class TestAeDecode:
 
         code = CodeSpec.from_i_min({11}, 5)
         rng = np.random.default_rng(10)
-        for _ in range(50):
-            llr = rng.normal(0.5, 2, 32)
-            a = ae_sc_decode(llr, code, [Permutation.identity(32)])
-            b = sc_decode(llr, code)
-            assert np.array_equal(a.x_hat, b.x_hat)
-            assert np.array_equal(a.u_hat, b.u_hat)
-            assert a.score == b.score
+        llrs = rng.normal(0.5, 2, (50, 32))
+        U, X, winner = ae_sc_decode_frames(llrs, code, [Permutation.identity(32)])
+        U_sc, X_sc = sc_decode_frames(llrs, code)
+        assert np.array_equal(X, X_sc)
+        assert np.array_equal(U, U_sc)
+        assert not winner.any()
 
     def test_noiseless_recovers(self):
         code, perms = self._code_and_perms()
         rng = np.random.default_rng(11)
-        for _ in range(20):
-            u = rng.integers(0, 2, code.K).astype(np.uint8)
-            x = encode(u, code)
-            res = ae_sc_decode(noiseless_llr(x), code, perms)
-            assert np.array_equal(res.x_hat, x)
+        x = encode_batch(rng.integers(0, 2, (20, code.K)).astype(np.uint8), code)
+        _, X, _ = ae_sc_decode_frames(noiseless_llr(x), code, perms)
+        assert np.array_equal(X, x)
 
     def test_branch_outputs_are_codewords(self):
         code, perms = self._code_and_perms()
@@ -499,11 +481,10 @@ class TestAeDecode:
         code, perms = self._code_and_perms()
         ensemble = [Permutation.identity(32)] + perms
         rng = np.random.default_rng(13)
-        for _ in range(100):
-            llr = rng.normal(0.5, 2, 32)
-            ae = ae_sc_decode(llr, code, ensemble)
-            sc = sc_decode(llr, code)
-            assert ae.score >= sc.score
+        llrs = rng.normal(0.5, 2, (100, 32))
+        _, X_ae, _ = ae_sc_decode_frames(llrs, code, ensemble)
+        _, X_sc = sc_decode_frames(llrs, code)
+        assert (correlation(X_ae, llrs) >= correlation(X_sc, llrs)).all()
 
     def test_involution_on_winners(self):
         code, perms = self._code_and_perms()
@@ -516,17 +497,17 @@ class TestAeDecode:
     def test_empty_perms_rejected(self):
         code = CodeSpec.from_i_min({11}, 5)
         with pytest.raises(ValueError):
-            ae_sc_decode(np.zeros(32), code, [])
+            ae_sc_decode_frames(np.zeros((1, 32)), code, [])
 
     def test_wrong_length_perm_rejected(self):
         code = CodeSpec.from_i_min({11}, 5)
         with pytest.raises(ValueError):
-            ae_sc_decode(np.zeros(32), code, [np.arange(16)])
+            ae_sc_decode_frames(np.zeros((1, 32)), code, [np.arange(16)])
 
     def test_repeated_index_rejected(self):
         code = CodeSpec.from_i_min({11}, 5)
         with pytest.raises(ValueError, match="not a permutation"):
-            ae_sc_decode(np.zeros(32), code, [np.zeros(32, int)])
+            ae_sc_decode_frames(np.zeros((1, 32)), code, [np.zeros(32, int)])
 
     @pytest.mark.parametrize("batch, calls", [(256, 4), (64, 1)])
     def test_branches_share_kernel_calls(self, monkeypatch, batch, calls):
