@@ -49,7 +49,7 @@ def polar_transform(u: np.ndarray) -> np.ndarray:
     return x
 
 
-# ------------------------------------------------------------------ boxplus
+# ------------------------------------------------------------------ f and g
 
 def _negate_where(x, bits):
     """Negate float64 ``x`` in place where the 0/1 ``bits`` are set, by XOR of
@@ -59,27 +59,96 @@ def _negate_where(x, bits):
     return x
 
 
-def _boxplus_numpy(a, b, minsum):
-    aa = np.abs(a)
-    ab = np.abs(b)
-    # strict < 0, not the sign bit: -0.0 counts as non-negative
-    flip = (a < 0) != (b < 0)
-    if minsum:
-        return _negate_where(np.minimum(aa, ab, out=aa), flip)
-    # overflow-safe magnitude of the exact check-node rule; clamping at zero
-    # keeps the output sign exactly multiplicative, as the tanh form would be.
-    # mag = min + log1p(exp(-(aa+ab))) - log1p(exp(-|aa-ab|)), in that order
-    mag = np.minimum(aa, ab)
-    t = np.add(aa, ab)
-    np.negative(t, out=t)
-    np.exp(t, out=t)
-    mag += np.log1p(t, out=t)
-    np.subtract(aa, ab, out=t)
-    np.abs(t, out=t)
-    np.negative(t, out=t)
-    np.exp(t, out=t)
-    mag -= np.log1p(t, out=t)
-    return _negate_where(np.maximum(mag, 0.0, out=mag), flip)
+# elements per numpy call of f and g on a large node: a tile's operands and
+# the scratch (about 0.5 MB) stay in cache, and no node allocates temporaries
+_TILE = 1 << 14
+_U63 = np.uint64(63)
+
+
+def _scratch(width: int):
+    """Scratch for f and g over tiles of up to ``width`` elements: |a| and |b|
+    (then the sign mask), the two correction terms of the exact rule, the
+    signs a < 0 and b < 0, and their XOR."""
+    width = max(1, width)
+    return (
+        np.empty((2, width)),
+        np.empty((2, width)),
+        np.empty((2, width), dtype=bool),
+        np.empty(width, dtype=bool),
+    )
+
+
+def _tiles(ab, out, scratch):
+    """The views that f and g of a (2, h, B) float64 array ``ab`` (a node's
+    halves a and b) into the contiguous (h, B) float64 ``out`` work on, cut
+    in tiles of as many whole rows as the ``scratch`` width holds (at least
+    one): ``(f_tiles, g_tiles)``, each tile beginning with its part of
+    ``out``.  Built once per call and level, so a node slices nothing."""
+    mags, corr, neg, flip = scratch
+    h, B = out.shape
+    step = max(1, flip.shape[0] // max(B, 1))
+    abf = ab.reshape(2, -1)
+    outf = out.reshape(-1)
+    f_tiles, g_tiles = [], []
+    for i in range(0, h, step):
+        i1 = min(i + step, h)
+        j, k = i * B, i1 * B
+        o = outf[j:k]
+        A = mags[:, : k - j]
+        mask = A[0].view(np.uint64)
+        S = neg[:, : k - j]
+        F = flip[: k - j]
+        c = corr[:, : k - j]
+        f_tiles.append(
+            (o, o.view(np.uint64), abf[:, j:k], A, *A, mask, S, *S, F, F.view(np.uint8), c, *c)
+        )
+        o = out[i:i1]
+        g_tiles.append(
+            (o, o.view(np.uint64), ab[0, i:i1].view(np.uint64), ab[1, i:i1],
+             mask.reshape(i1 - i, B), i, i1)
+        )
+    return f_tiles, g_tiles
+
+
+def _f(tiles, minsum):
+    """Check-node rule f(a, b) over ``_tiles(ab, out, scratch)[0]``.
+
+    The output's sign is flipped where exactly one input is < 0 (strictly:
+    -0.0 counts as non-negative).  Its magnitude is min(|a|, |b|) under
+    min-sum, and otherwise the overflow-safe magnitude of the exact rule,
+    min + log1p(exp(-(|a|+|b|))) - log1p(exp(-||a|-|b||)) in that order,
+    clamped at zero: the clamp keeps the sign exactly multiplicative, as the
+    tanh form would be.  The bits are those of the magnitude times the sign
+    as +-1.0.
+    """
+    for o, ov, v, A, aa, ab, mask, S, sa, sb, F, F8, c, c0, c1 in tiles:
+        np.abs(v, out=A)
+        np.less(v, 0.0, out=S)
+        np.not_equal(sa, sb, out=F)
+        np.minimum(aa, ab, out=o)
+        if not minsum:
+            # c = -(|a|+|b|), -||a|-|b||: one exp and one log1p for both
+            np.add(aa, ab, out=c0)
+            np.subtract(aa, ab, out=c1)
+            np.abs(c1, out=c1)
+            np.negative(c, out=c)
+            np.exp(c, out=c)
+            np.log1p(c, out=c)
+            o += c0
+            o -= c1
+            np.maximum(o, 0.0, out=o)
+        np.left_shift(F8, _U63, out=mask)
+        np.bitwise_xor(ov, mask, out=ov)
+
+
+def _g(tiles, bits):
+    """Bit-node rule g = (1.0 - 2.0*bits) * a + b over
+    ``_tiles(ab, out, scratch)[1]``, for the (h, B) 0/1 uint8 ``bits`` (the
+    left child's codeword): a sign-bit flip of a and one addition."""
+    for o, ov, au, b, mask, i, i1 in tiles:
+        np.left_shift(bits[i:i1], _U63, out=mask)
+        np.bitwise_xor(au, mask, out=ov)
+        o += b
 
 
 # ------------------------------------------------------------- SC decoding
@@ -102,8 +171,8 @@ def _boxplus_numpy(a, b, minsum):
 #
 # Below a node that recurses, a Rate-0 left child is not visited and f is not
 # computed for it: the child needs no LLR, and g is then a + b.  Signs are
-# applied by flipping the float64 sign bit (``_negate_where``), which gives the
-# same bits as the products with +-1.0 of the textbook f and g, +-0.0 included.
+# applied by flipping the float64 sign bit, which gives the same bits as the
+# products with +-1.0 of the textbook f and g, +-0.0 included.
 
 
 def sc_decode_batch(
@@ -118,13 +187,20 @@ def sc_decode_batch(
     minsum : replace the exact check-node rule by min-sum.
     trace : optional callable ``trace(level, start, node_llrs)``, called with
         the (2^level, B) LLR array of every node the recursion visits, in
-        decoding order.  Not visited, and not reported: the Rate-0 left
-        child of a node that recurses (f is not computed for it), and the
-        subtrees below a Rate-0 or Rep node and below a Rate-1 node under
-        min-sum with no zero LLR.  The trace does not change the recursion.
+        decoding order.  The array is a view into the call's workspace, valid
+        only during the callback (copy it to keep it).  Not visited, and not
+        reported: the Rate-0 left child of a node that recurses (f is not
+        computed for it), and the subtrees below a Rate-0 or Rep node and
+        below a Rate-1 node under min-sum with no zero LLR.  The trace does
+        not change the recursion.
 
-    f and g apply their signs by flipping the float64 sign bit, with the same
-    bits as multiplying by 1.0 - 2.0*bit.
+    The call allocates its LLR memory once (the per-layer arrays of Tal &
+    Vardy's SC decoder): a (2N, B) workspace whose rows [2^l, 2^(l+1)) hold
+    the node being decoded at level l (the root's rows hold the transposed
+    input), which f and g write in place, and a scratch of whole rows, at
+    most ``_TILE`` elements per operand (or one row), over which f and g run
+    tile by tile on larger nodes.  f and g apply their signs by flipping the
+    float64 sign bit, with the same bits as multiplying by 1.0 - 2.0*bit.
 
     Returns
     -------
@@ -138,45 +214,65 @@ def sc_decode_batch(
     info_before = [0]
     for f in is_frozen:
         info_before.append(info_before[-1] + (not f))
+    n = N.bit_length() - 1
     U = np.zeros((N, B), dtype=np.uint8)
+    L = np.empty((2 * N, B))
+    L[N:] = llrs.T
+    scratch = _scratch(max(1, min(N // 2, _TILE // max(B, 1))) * B)
+    # per level: the node rows, their halves a and b with the child level's
+    # rows, and the tiles of f and g over them
+    rows = [L[1 << lv : 2 << lv] for lv in range(n + 1)]
+    halves = [None]
+    tiles = [None]
+    for lv in range(1, n + 1):
+        ab = rows[lv].reshape(2, -1, B)
+        halves.append((ab[0], ab[1], rows[lv - 1]))
+        tiles.append(_tiles(ab, rows[lv - 1], scratch))
 
-    def node(v, level, start):
+    def node(level, start):
+        v = rows[level]
         if trace is not None:
             trace(level, start, v)
-        size = v.shape[0]
+        size = 1 << level
         end = start + size
         info = info_before[end] - info_before[start]
         if info == 0:
             return np.zeros((size, B), dtype=np.uint8)
         if info == 1 and not is_frozen[end - 1]:
-            while v.shape[0] > 1:
-                h = v.shape[0] // 2
-                v = v[:h] + v[h:]
-            bit = (v[0] < 0).view(np.uint8)
-            U[end - 1] = bit
-            return np.broadcast_to(bit, (size, B))
+            # fold the halves down to the leaf row and decide into U
+            for lv in range(level, 0, -1):
+                a, b, child = halves[lv]
+                np.add(a, b, out=child)
+            bit = U[end - 1 : end]
+            np.less(rows[0], 0.0, out=bit.view(bool))
+            return np.broadcast_to(bit, (size, B)) if level else bit
         if minsum and info == size and v.all():
             x = (v < 0).view(np.uint8)
             u = U[start:end]
             u[:] = x
             _butterfly(u, size, B)  # polar transform along the node axis
             return x
-        h = size // 2
-        a, b = v[:h], v[h:]
-        if info_before[start + h] == info_before[start]:
+        mid = start + size // 2
+        if info_before[mid] == info_before[start]:
             # Rate-0 left child: its decisions are 0, so f is not needed and
             # g is (1.0 - 2.0*0)*a + b = a + b
-            right = node(a + b, level - 1, start + h)
+            a, b, child = halves[level]
+            np.add(a, b, out=child)
+            right = node(level - 1, mid)
             return np.concatenate((right, right))
-        left = node(_boxplus_numpy(a, b, minsum), level - 1, start)
-        g = _negate_where(a.copy(), left)
-        g += b
-        right = node(g, level - 1, start + h)
+        f_tiles, g_tiles = tiles[level]
+        _f(f_tiles, minsum)
+        left = node(level - 1, start)
+        _g(g_tiles, left)
+        right = node(level - 1, mid)
         return np.concatenate((left ^ right, right))
 
-    # node arrays are (size, B); a (B, N) view of an (N, B) array is not copied
-    X = node(np.ascontiguousarray(llrs.T), N.bit_length() - 1, 0)
-    return np.ascontiguousarray(U.T), np.ascontiguousarray(X.T)
+    try:
+        X = node(n, 0)
+    finally:
+        del node  # the closure refers to itself: break the cycle now, not at gc
+    # X is a row of U when N = 1, so it is copied
+    return np.ascontiguousarray(U.T), np.array(X.T, order="C")
 
 
 # --------------------------------------------------- GF(2) weight spectrum

@@ -96,9 +96,21 @@ def noisy_frames(
         raw[:, :words].astype("<u8").view(np.uint8), axis=1, count=code.K, bitorder="little"
     )
     x = encode_batch(bits, code)
-    uniforms = ((raw[:, words : words + code.N] >> 12) + 0.5) * 2.0**-52
-    y = (1.0 - 2.0 * x) + sigma * ndtri(uniforms)
-    return x, 2.0 * y / (sigma * sigma)
+    # the LLRs 2.0 * ((1.0 - 2.0*x) + sigma*ndtri(u)) / (sigma*sigma), op by
+    # op in one buffer; the used noise words then hold the BPSK points
+    noise = raw[:, words : words + code.N]
+    noise >>= 12
+    llr = np.add(noise, 0.5, dtype=np.float64)
+    llr *= 2.0**-52
+    ndtri(llr, out=llr)
+    llr *= sigma
+    bpsk = noise.view(np.float64)
+    np.multiply(x, 2.0, out=bpsk)
+    np.subtract(1.0, bpsk, out=bpsk)
+    llr += bpsk
+    llr *= 2.0
+    llr /= sigma * sigma
+    return x, llr
 
 
 def tub_ml_bound(dmin: int, a_dmin: int, rate: float, ebn0_db: float) -> float:

@@ -1,4 +1,4 @@
-import itertools
+import gc
 from functools import reduce
 from pathlib import Path
 
@@ -10,7 +10,16 @@ from hypothesis.extra import numpy as hnp
 
 from rmpsc._gf2 import pack_row, rank
 import rmpsc._kernels
-from rmpsc._kernels import _boxplus_numpy, _negate_where, polar_transform, sc_decode_batch
+from rmpsc._kernels import (
+    _TILE,
+    _f,
+    _g,
+    _negate_where,
+    _scratch,
+    _tiles,
+    polar_transform,
+    sc_decode_batch,
+)
 from rmpsc.autgroup import compute_blta_structure, permutation_from_affine, sample_blta
 from rmpsc.codes import CodeSpec
 from rmpsc.scdec import ae_sc_decode_frames, encode_batch, sc_decode_frames
@@ -209,11 +218,11 @@ class TestBatchDecode:
         llrs = np.random.default_rng(16).normal(0.5, 2, (B, code.N))
         sizes = []
 
-        def counting(a, b, minsum):
-            sizes.append(a.size)
-            return _boxplus_numpy(a, b, minsum)
+        def counting(tiles, minsum):
+            sizes.extend(tile[0].size for tile in tiles)   # output elements
+            return _f(tiles, minsum)
 
-        monkeypatch.setattr(rmpsc._kernels, "_boxplus_numpy", counting)
+        monkeypatch.setattr(rmpsc._kernels, "_f", counting)
         U, X = sc_decode_batch(llrs, code.frozen_mask())
         assert sum(sizes) == f_llrs * B
         sizes.clear()
@@ -221,6 +230,35 @@ class TestBatchDecode:
         assert sum(sizes) == f_llrs * B
         assert np.array_equal(U, U_t)
         assert np.array_equal(X, X_t)
+
+    @pytest.mark.parametrize("rule", ["exact", "minsum"])
+    def test_tiled_nodes_match_golden(self, rule):
+        # eight copies of the 16 golden frames: f and g of the top levels then
+        # run in several tiles
+        reps = 8
+        with np.load(GOLDEN) as g:
+            frozen = g["frozen_1024_512"]
+            for kind in GOLDEN_KINDS:
+                llrs = np.tile(g[f"llrs_1024_512_{kind}"], (reps, 1))
+                assert 512 * len(llrs) > 2 * _TILE
+                U, X = sc_decode_batch(llrs, frozen, rule == "minsum")
+                key = f"1024_512_{kind}_{rule}"
+                assert np.array_equal(np.packbits(U, axis=1), np.tile(g[f"U_{key}"], (reps, 1)))
+                assert np.array_equal(np.packbits(X, axis=1), np.tile(g[f"X_{key}"], (reps, 1)))
+
+    @pytest.mark.parametrize("minsum", [False, True])
+    def test_call_leaves_no_cyclic_garbage(self, minsum):
+        # arrays held by a reference cycle would live until the cyclic GC runs
+        code = CodeSpec.from_i_min({27}, 7)
+        llrs = np.random.default_rng(19).normal(0.5, 2, (4, code.N))
+        frozen = code.frozen_mask()
+        gc.collect()
+        gc.disable()
+        try:
+            sc_decode_batch(llrs, frozen, minsum)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_batch_matches_single(self):
         code = CodeSpec.from_i_min({11}, 5)
@@ -297,6 +335,30 @@ def llr_pairs(draw):
     return a, b, rng.integers(0, 2, shape).astype(np.uint8)
 
 
+def kernel_tiles(a, b, tile_rows):
+    """An output array for node arrays a and b (rows of one column when
+    1-D), and the kernel's f and g tiles over them, ``tile_rows`` rows each
+    (all rows when None)."""
+    ab = np.stack((a, b)).reshape(2, len(a), -1)
+    out = np.empty(ab.shape[1:])
+    rows = len(a) if tile_rows is None else tile_rows
+    return out, *_tiles(ab, out, _scratch(rows * out.shape[1]))
+
+
+def boxplus_kernel(a, b, minsum, tile_rows=None):
+    """The kernel's f of node arrays a and b."""
+    out, f_tiles, _ = kernel_tiles(a, b, tile_rows)
+    _f(f_tiles, minsum)
+    return out.reshape(a.shape)
+
+
+def bitnode_kernel(a, b, bits, tile_rows=None):
+    """The kernel's g of (h, B) node arrays a and b under the 0/1 ``bits``."""
+    out, _, g_tiles = kernel_tiles(a, b, tile_rows)
+    _g(g_tiles, bits)
+    return out
+
+
 def boxplus_reference(a, b, minsum):
     """The check-node rule with its sign as a product with +-1.0."""
     aa = np.abs(a)
@@ -349,17 +411,18 @@ class TestProperties:
     def test_boxplus_bytes_match_sign_product(self, case):
         a, b, _ = case
         for minsum in (False, True):
-            got = _boxplus_numpy(a, b, minsum)
-            assert got.tobytes() == boxplus_reference(a, b, minsum).tobytes()
+            for tile_rows in (None, 1):   # one tile, or one per row
+                got = boxplus_kernel(a, b, minsum, tile_rows)
+                assert got.tobytes() == boxplus_reference(a, b, minsum).tobytes()
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(llr_pairs())
     def test_sign_flip_bytes_match_sign_product(self, case):
         a, b, u = case
-        for bits in (u, np.broadcast_to(u[0], u.shape)):  # Rep nodes return a broadcast row
-            g = _negate_where(a.copy(), bits)
-            g += b
-            assert g.tobytes() == ((1.0 - 2.0 * bits) * a + b).tobytes()
+        for bits in (u, np.broadcast_to(u[0], u.shape)):  # a Rep node repeats its row
+            for tile_rows in (None, 1):
+                g = bitnode_kernel(a, b, bits, tile_rows)
+                assert g.tobytes() == ((1.0 - 2.0 * bits) * a + b).tobytes()
             score = _negate_where(a.copy(), bits).sum(axis=1)
             assert score.tobytes() == ((1.0 - 2.0 * bits) * a).sum(axis=1).tobytes()
 
@@ -529,12 +592,10 @@ class TestAeDecode:
         assert sum(rows) == 8 * batch
 
 
-class TestKernelBackends:
+class TestBoxplus:
     def test_boxplus_matches_tanh_form(self):
-        from rmpsc._kernels import _boxplus_numpy
-
         rng = np.random.default_rng(18)
         a = rng.normal(0, 5, 500)
         b = rng.normal(0, 5, 500)
         exact = 2.0 * np.arctanh(np.tanh(a / 2) * np.tanh(b / 2))
-        assert np.allclose(_boxplus_numpy(a, b, False), exact, atol=1e-10)
+        assert np.allclose(boxplus_kernel(a, b, False), exact, atol=1e-10)
