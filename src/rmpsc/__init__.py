@@ -42,7 +42,7 @@ from .autgroup import (
     sample_blta,
     sample_distinct_class_automorphisms,
 )
-from .scdec import ae_sc_decode_frames, encode_batch, sc_decode_frames
+from .scdec import ae_sc_decode_frames, encode_batch, polar_transform, sc_decode_frames
 from .channel import FerPoint, SimConfig, noisy_frames, run_fer, tub_ml_bound
 
 __version__ = "0.1.0"

@@ -12,12 +12,12 @@ LLR_CLAMP = 40.0
 
 # ----------------------------------------------------------------- transform
 
-def _butterfly(x: np.ndarray, size: int, inner: int = 1) -> np.ndarray:
-    """Polar transform in place along an axis of ``size`` blocks of ``inner``
-    contiguous elements each (``x`` C-ordered): log2(size) XOR stages."""
+def _butterfly(x: np.ndarray, size: int) -> np.ndarray:
+    """Polar transform in place along the last axis, of length ``size``
+    (``x`` C-ordered): log2(size) XOR stages."""
     d = 1
     while d < size:
-        w = x.reshape(-1, 2, d * inner)
+        w = x.reshape(-1, 2, d)
         w[:, 0] ^= w[:, 1]
         d <<= 1
     return x
@@ -68,12 +68,13 @@ _U63 = np.uint64(63)
 def _scratch(width: int):
     """Scratch for f and g over tiles of up to ``width`` elements: |a| and |b|
     (then the sign mask), the two correction terms of the exact rule, the
-    signs a < 0 and b < 0, and their XOR."""
+    signs a < 0 and b < 0, and their XOR.  The pairs are flat, so that a
+    tile takes a contiguous (2, m) block of each."""
     width = max(1, width)
     return (
-        np.empty((2, width)),
-        np.empty((2, width)),
-        np.empty((2, width), dtype=bool),
+        np.empty(2 * width),
+        np.empty(2 * width),
+        np.empty(2 * width, dtype=bool),
         np.empty(width, dtype=bool),
     )
 
@@ -94,11 +95,13 @@ def _tiles(ab, out, scratch):
         i1 = min(i + step, h)
         j, k = i * B, i1 * B
         o = outf[j:k]
-        A = mags[:, : k - j]
+        # contiguous blocks: numpy 2.4's negative reads the second row of a
+        # (2, 1) view of wider rows from the wrong address
+        A = mags[: 2 * (k - j)].reshape(2, k - j)
         mask = A[0].view(np.uint64)
-        S = neg[:, : k - j]
+        S = neg[: 2 * (k - j)].reshape(2, k - j)
         F = flip[: k - j]
-        c = corr[:, : k - j]
+        c = corr[: 2 * (k - j)].reshape(2, k - j)
         f_tiles.append(
             (o, o.view(np.uint64), abf[:, j:k], A, *A, mask, S, *S, F, F.view(np.uint8), c, *c)
         )
@@ -155,19 +158,23 @@ def _g(tiles, bits):
 #
 # Recursive successive cancellation in natural bit order on (size, B) node
 # arrays: the node at tree level ``level`` starting at u-index ``start`` gets
-# the LLRs for u-indices [start, start + 2^level) of all B frames and returns
-# its sub-codeword.  Three subtree kinds are decoded without walking their
-# leaves, all with decisions identical to plain SC:
+# the LLRs for u-indices [start, start + 2^level) of all B frames and writes
+# its sub-codeword into the same rows of the call's zeroed (N, B) codeword
+# array X; a node that recurses then XORs its right half into its left.
+# Three subtree kinds are decoded without walking their leaves, all with
+# decisions identical to plain SC:
 #
-# - Rate-0 (no information bit): every decision is 0, no LLR is needed.
+# - Rate-0 (no information bit): every decision is 0, no LLR is needed, and
+#   the node's rows of X stay zero.
 # - Rep (one information bit, the last leaf): every left sibling on the path
 #   to that leaf is Rate-0, so each g step is (1.0 - 2.0*0)*a + b = a + b;
-#   folding the halves with + reproduces SC's additions exactly.
+#   folding the halves with + reproduces SC's additions exactly.  The leaf's
+#   decision is the whole sub-codeword.
 # - Rate-1 (no frozen bit) under min-sum, when no node LLR is +-0.0: min-sum's
 #   f is zero only if an input is, and g then adds two values of the same
-#   sign, so by induction SC's codeword is the hard decision x = (v < 0) and
-#   U is its polar transform.  A zero anywhere in the node, or the exact rule
-#   (whose f can round to 0 from nonzero inputs), keeps the recursion.
+#   sign, so by induction SC's codeword is the hard decision x = (v < 0).  A
+#   zero anywhere in the node, or the exact rule (whose f can round to 0 from
+#   nonzero inputs), keeps the recursion.
 #
 # Below a node that recurses, a Rate-0 left child is not visited and f is not
 # computed for it: the child needs no LLR, and g is then a + b.  Signs are
@@ -199,13 +206,14 @@ def sc_decode_batch(
     the node being decoded at level l (the root's rows hold the transposed
     input), which f and g write in place, and a scratch of whole rows, at
     most ``_TILE`` elements per operand (or one row), over which f and g run
-    tile by tile on larger nodes.  f and g apply their signs by flipping the
-    float64 sign bit, with the same bits as multiplying by 1.0 - 2.0*bit.
+    tile by tile on larger nodes.  Its decisions go into one (N, B) uint8
+    codeword array, written in place.  f and g apply their signs by flipping
+    the float64 sign bit, with the same bits as multiplying by 1.0 - 2.0*bit.
 
     Returns
     -------
-    (U, X) : (B, N) uint8 arrays of decided input bits and codeword bits,
-        with X the polar transform of U by construction.
+    X : (B, N) uint8 array of decided codeword bits; the decided input bits
+        are ``polar_transform(X)``, the transform being an involution.
     """
     llrs = np.asarray(llrs, dtype=np.float64)
     B, N = llrs.shape
@@ -215,7 +223,7 @@ def sc_decode_batch(
     for f in is_frozen:
         info_before.append(info_before[-1] + (not f))
     n = N.bit_length() - 1
-    U = np.zeros((N, B), dtype=np.uint8)
+    X = np.zeros((N, B), dtype=np.uint8)
     L = np.empty((2 * N, B))
     L[N:] = llrs.T
     scratch = _scratch(max(1, min(N // 2, _TILE // max(B, 1))) * B)
@@ -225,7 +233,7 @@ def sc_decode_batch(
     halves = [None]
     tiles = [None]
     for lv in range(1, n + 1):
-        ab = rows[lv].reshape(2, -1, B)
+        ab = rows[lv].reshape(2, 1 << (lv - 1), B)
         halves.append((ab[0], ab[1], rows[lv - 1]))
         tiles.append(_tiles(ab, rows[lv - 1], scratch))
 
@@ -237,42 +245,38 @@ def sc_decode_batch(
         end = start + size
         info = info_before[end] - info_before[start]
         if info == 0:
-            return np.zeros((size, B), dtype=np.uint8)
+            return
         if info == 1 and not is_frozen[end - 1]:
-            # fold the halves down to the leaf row and decide into U
+            # fold the halves down to the leaf row and repeat its decision
             for lv in range(level, 0, -1):
                 a, b, child = halves[lv]
                 np.add(a, b, out=child)
-            bit = U[end - 1 : end]
-            np.less(rows[0], 0.0, out=bit.view(bool))
-            return np.broadcast_to(bit, (size, B)) if level else bit
+            np.less(rows[0], 0.0, out=X[start:end].view(bool))
+            return
         if minsum and info == size and v.all():
-            x = (v < 0).view(np.uint8)
-            u = U[start:end]
-            u[:] = x
-            _butterfly(u, size, B)  # polar transform along the node axis
-            return x
+            np.less(v, 0.0, out=X[start:end].view(bool))
+            return
         mid = start + size // 2
         if info_before[mid] == info_before[start]:
             # Rate-0 left child: its decisions are 0, so f is not needed and
             # g is (1.0 - 2.0*0)*a + b = a + b
             a, b, child = halves[level]
             np.add(a, b, out=child)
-            right = node(level - 1, mid)
-            return np.concatenate((right, right))
+            node(level - 1, mid)
+            X[start:mid] = X[mid:end]
+            return
         f_tiles, g_tiles = tiles[level]
         _f(f_tiles, minsum)
-        left = node(level - 1, start)
-        _g(g_tiles, left)
-        right = node(level - 1, mid)
-        return np.concatenate((left ^ right, right))
+        node(level - 1, start)
+        _g(g_tiles, X[start:mid])
+        node(level - 1, mid)
+        X[start:mid] ^= X[mid:end]
 
     try:
-        X = node(n, 0)
+        node(n, 0)
     finally:
         del node  # the closure refers to itself: break the cycle now, not at gc
-    # X is a row of U when N = 1, so it is copied
-    return np.ascontiguousarray(U.T), np.array(X.T, order="C")
+    return np.ascontiguousarray(X.T)
 
 
 # --------------------------------------------------- GF(2) weight spectrum

@@ -155,9 +155,6 @@ class Permutation:
         """self after other: (self . other)(k) = self(other(k))."""
         return Permutation(self.perm[other.perm])
 
-    def is_identity(self) -> bool:
-        return bool((self.perm == np.arange(self.N)).all())
-
 
 def permutation_from_affine(t: AffineMap) -> Permutation:
     """Code-bit permutation induced by an affine map acting on the binary
@@ -290,7 +287,7 @@ PROBE_MINSUM = True
 def _probe_batch(code: CodeSpec, trials: int, snr_db: float, seed: int, minsum: bool):
     """Fixed batch of noisy-codeword LLRs plus the plain SC reference output."""
     _, llrs = noisy_frames(code, snr_db, seed, (0xAB5,), 0, trials)
-    _, sc_ref = sc_decode_frames(llrs, code, minsum=minsum)
+    sc_ref = sc_decode_frames(llrs, code, minsum=minsum)
     return llrs, sc_ref
 
 
@@ -302,7 +299,7 @@ def _branch_matches_sc(
         block = llrs[lo : lo + chunk]
         branch_in = np.empty_like(block)
         branch_in[:, p] = block
-        _, x_hat = sc_decode_frames(branch_in, code, minsum=minsum)
+        x_hat = sc_decode_frames(branch_in, code, minsum=minsum)
         if not np.array_equal(x_hat[:, p], sc_ref[lo : lo + chunk]):
             return False
     return True

@@ -132,9 +132,9 @@ def _simulate_range(cfg: SimConfig, grid_idx: int, start: int, count: int) -> np
     code = cfg.code
     x, llrs = noisy_frames(code, cfg.ebn0_grid_db[grid_idx], cfg.seed, (grid_idx,), start, count)
     if cfg.decoder == "sc":
-        _, x_hat = sc_decode_frames(llrs, code)
+        x_hat = sc_decode_frames(llrs, code)
     else:
-        _, x_hat, _ = ae_sc_decode_frames(llrs, code, cfg.perms)
+        x_hat, _ = ae_sc_decode_frames(llrs, code, cfg.perms)
     return (x_hat != x).any(axis=1).astype(np.uint8)
 
 

@@ -84,10 +84,6 @@ class CodeSpec:
     def rate(self) -> float:
         return self.K / self.N
 
-    @property
-    def frozen_set(self) -> frozenset[int]:
-        return frozenset(range(self.N)) - self.info_set
-
     def frozen_mask(self) -> np.ndarray:
         mask = np.ones(self.N, dtype=np.uint8)
         mask[sorted(self.info_set)] = 0

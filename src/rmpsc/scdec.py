@@ -13,7 +13,7 @@ from .codes import CodeSpec
 # cost peak memory
 _SC_CALL_LLRS = 1 << 16
 
-__all__ = ["encode_batch", "sc_decode_frames", "ae_sc_decode_frames"]
+__all__ = ["encode_batch", "polar_transform", "sc_decode_frames", "ae_sc_decode_frames"]
 
 
 def encode_batch(u_info: np.ndarray, code: CodeSpec) -> np.ndarray:
@@ -51,7 +51,7 @@ def _perm_array(p, N: int) -> np.ndarray:
 def sc_decode_frames(llrs: np.ndarray, code: CodeSpec, *, minsum: bool = False):
     """Successive cancellation over a batch of channel LLR rows (positive
     favours bit 0; a single row may be given as a vector); returns the
-    (B, N) decisions (U, X).
+    (B, N) decided codewords X, whose input bits are ``polar_transform(X)``.
 
     Frozen positions are forced to zero, and an information decision at an
     exact LLR tie resolves to zero.  ``minsum`` replaces the exact
@@ -64,7 +64,7 @@ def ae_sc_decode_frames(llrs: np.ndarray, code: CodeSpec, perms):
     """Ensemble decoding over a batch: each permutation drives one SC branch
     (exact check-node rule) on the permuted LLRs, candidates are mapped back,
     and the best-correlating codeword wins (ties go to the earliest branch).
-    Returns (U, X, winner).
+    Returns the (B, N) winning codewords X and the (B,) winning branches.
 
     Branches are stacked as extra rows of shared kernel calls, as many per
     call as fit in ``_SC_CALL_LLRS`` LLRs (at least one)."""
@@ -85,7 +85,7 @@ def ae_sc_decode_frames(llrs: np.ndarray, code: CodeSpec, perms):
     for first in range(0, M, group):
         branch_perms = perm_arrays[first : first + group]
         stacked = llrs.T[inverses[first : first + group].T]
-        _, X = sc_decode_batch(stacked.reshape(code.N, -1).T, frozen)
+        X = sc_decode_batch(stacked.reshape(code.N, len(branch_perms) * B).T, frozen)
         for j, p in enumerate(branch_perms):
             cand = X[j * B : (j + 1) * B][:, p]  # map the branch codeword back
             candidates[first + j] = cand
@@ -93,6 +93,4 @@ def ae_sc_decode_frames(llrs: np.ndarray, code: CodeSpec, perms):
             # Euclidean distance to the BPSK point
             scores[first + j] = _negate_where(llrs.copy(), cand).sum(axis=1)
     winner = scores.argmax(axis=0)
-    x = candidates[winner, np.arange(B), :]
-    u = polar_transform(x)
-    return u, x, winner
+    return candidates[winner, np.arange(B), :], winner

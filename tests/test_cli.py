@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from rmpsc.cli import main
@@ -178,7 +179,7 @@ class TestSimulate:
 
         perms = load_permutations(replay, 32)
         assert len(perms) == 2
-        assert perms[0].is_identity()
+        assert np.array_equal(perms[0].perm, np.arange(32))
 
     def test_m_exceeding_classes_fails(self, capsys):
         code, _, err = run_cli(

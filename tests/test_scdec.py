@@ -1,4 +1,5 @@
 import gc
+import hashlib
 from functools import reduce
 from pathlib import Path
 
@@ -100,13 +101,15 @@ class TestScDecode:
             code = CodeSpec.from_i_min(i_min, n)
             u = rng.integers(0, 2, (50, code.K)).astype(np.uint8)
             x = encode_batch(u, code)
-            U, X = sc_decode_frames(noiseless_llr(x), code)
+            X = sc_decode_frames(noiseless_llr(x), code)
+            U = polar_transform(X)
             assert np.array_equal(X, x)
             assert np.array_equal(U[:, sorted(code.info_set)], u)
 
     def test_all_positive_gives_zero(self):
         code = CodeSpec.from_i_min({19}, 6)
-        U, X = sc_decode_frames(np.full(64, 3.0), code)   # one frame as a vector
+        X = sc_decode_frames(np.full(64, 3.0), code)   # one frame as a vector
+        U = polar_transform(X)
         assert U.shape == X.shape == (1, 64)
         assert not X.any()
         assert not U.any()
@@ -119,19 +122,20 @@ class TestScDecode:
         rng = np.random.default_rng(2)
         signs = 1.0 - 2.0 * rng.integers(0, 2, (50, 32))
         llrs = signs * rng.uniform(0.5, 6.0, (50, 32))
-        _, X = sc_decode_frames(llrs, code)
+        X = sc_decode_frames(llrs, code)
         assert np.array_equal(X, (llrs < 0).astype(np.uint8))
 
     def test_frozen_positions_zero(self):
         code = CodeSpec.from_i_min({11}, 5)
         rng = np.random.default_rng(3)
-        U, _ = sc_decode_frames(rng.normal(0, 2, (50, 32)), code)
-        assert not U[:, sorted(code.frozen_set)].any()
+        U = polar_transform(sc_decode_frames(rng.normal(0, 2, (50, 32)), code))
+        assert not U[:, code.frozen_mask() == 1].any()
 
     def test_involution_on_noisy_decodes(self):
         code = CodeSpec.from_i_min({11}, 5)
         rng = np.random.default_rng(4)
-        U, X = sc_decode_frames(rng.normal(0.5, 2, (100, 32)), code)
+        X = sc_decode_frames(rng.normal(0.5, 2, (100, 32)), code)
+        U = polar_transform(X)
         assert np.array_equal(polar_transform(U), X)
 
     def test_sign_covariance(self):
@@ -140,8 +144,8 @@ class TestScDecode:
         rng = np.random.default_rng(5)
         llrs = rng.normal(0.3, 2, (200, 32))
         c = encode_batch(rng.integers(0, 2, (200, code.K)).astype(np.uint8), code)
-        _, a = sc_decode_frames(llrs, code)
-        _, b = sc_decode_frames(llrs * (1.0 - 2.0 * c), code)
+        a = sc_decode_frames(llrs, code)
+        b = sc_decode_frames(llrs * (1.0 - 2.0 * c), code)
         assert np.array_equal(b, a ^ c)
 
     def test_length_mismatch(self):
@@ -161,14 +165,20 @@ class TestScDecode:
 
     def test_tie_decodes_to_zero(self):
         code = CodeSpec.from_i_min({0}, 2)   # rate 1
-        U, _ = sc_decode_frames(np.zeros((1, 4)), code)
+        U = polar_transform(sc_decode_frames(np.zeros((1, 4)), code))
         assert not U.any()
+
+    @pytest.mark.parametrize("minsum", [False, True])
+    def test_empty_batch(self, minsum):
+        code = CodeSpec.from_i_min({19}, 6)
+        X = sc_decode_frames(np.zeros((0, 64)), code, minsum=minsum)
+        assert X.shape == (0, 64)
 
     def test_minsum_close_to_exact_noiseless(self):
         code = CodeSpec.from_i_min({19}, 6)
         rng = np.random.default_rng(6)
         x = encode_batch(rng.integers(0, 2, (1, code.K)).astype(np.uint8), code)
-        _, X = sc_decode_frames(noiseless_llr(x), code, minsum=True)
+        X = sc_decode_frames(noiseless_llr(x), code, minsum=True)
         assert np.array_equal(X, x)
 
     def test_trace_nodes(self):
@@ -182,8 +192,8 @@ class TestScDecode:
             def record(level, start, v):
                 nodes.append((level, start, v.copy()))
 
-            _, X = sc_decode_batch(llrs, frozen, minsum, trace=record)
-            assert np.array_equal(X, sc_decode_batch(llrs, frozen, minsum)[1])
+            X = sc_decode_batch(llrs, frozen, minsum, trace=record)
+            assert np.array_equal(X, sc_decode_batch(llrs, frozen, minsum))
             # only computed nodes: the root (8 LLRs), the Rep node u0-u3 (4),
             # the node u4-u7 (4), the Rep node u4-u5 (2), the node u6-u7 (2)
             # and its two leaves (1 + 1); min-sum decides the Rate-1 node u6-u7
@@ -202,8 +212,10 @@ class TestBatchDecode:
             frozen = g[f"frozen_{name}"]
             for kind in GOLDEN_KINDS:
                 llrs = g[f"llrs_{name}_{kind}"]
-                U, X = sc_decode_batch(llrs, frozen, minsum)
-                U_t, X_t = sc_decode_batch(llrs, frozen, minsum, trace=lambda *node: None)
+                X = sc_decode_batch(llrs, frozen, minsum)
+                U = polar_transform(X)
+                X_t = sc_decode_batch(llrs, frozen, minsum, trace=lambda *node: None)
+                U_t = polar_transform(X_t)
                 assert np.array_equal(U, U_t), kind
                 assert np.array_equal(X, X_t), kind
 
@@ -223,10 +235,12 @@ class TestBatchDecode:
             return _f(tiles, minsum)
 
         monkeypatch.setattr(rmpsc._kernels, "_f", counting)
-        U, X = sc_decode_batch(llrs, code.frozen_mask())
+        X = sc_decode_batch(llrs, code.frozen_mask())
+        U = polar_transform(X)
         assert sum(sizes) == f_llrs * B
         sizes.clear()
-        U_t, X_t = sc_decode_batch(llrs, code.frozen_mask(), trace=lambda *node: None)
+        X_t = sc_decode_batch(llrs, code.frozen_mask(), trace=lambda *node: None)
+        U_t = polar_transform(X_t)
         assert sum(sizes) == f_llrs * B
         assert np.array_equal(U, U_t)
         assert np.array_equal(X, X_t)
@@ -241,7 +255,8 @@ class TestBatchDecode:
             for kind in GOLDEN_KINDS:
                 llrs = np.tile(g[f"llrs_1024_512_{kind}"], (reps, 1))
                 assert 512 * len(llrs) > 2 * _TILE
-                U, X = sc_decode_batch(llrs, frozen, rule == "minsum")
+                X = sc_decode_batch(llrs, frozen, rule == "minsum")
+                U = polar_transform(X)
                 key = f"1024_512_{kind}_{rule}"
                 assert np.array_equal(np.packbits(U, axis=1), np.tile(g[f"U_{key}"], (reps, 1)))
                 assert np.array_equal(np.packbits(X, axis=1), np.tile(g[f"X_{key}"], (reps, 1)))
@@ -260,13 +275,25 @@ class TestBatchDecode:
         finally:
             gc.enable()
 
+    def test_single_frame_near_ties_match_batch(self):
+        # one frame: f of a level-1 node is a one-element tile of a scratch
+        # sized for wider ones; these LLRs make its magnitude decide the leaves
+        llrs = np.full((2, 16), -1e-3)
+        llrs[0, 0] = 1.0
+        info_only = np.zeros(16, dtype=np.uint8)
+        X = sc_decode_batch(llrs, info_only)
+        for i in range(2):
+            assert np.array_equal(sc_decode_batch(llrs[i : i + 1], info_only)[0], X[i])
+
     def test_batch_matches_single(self):
         code = CodeSpec.from_i_min({11}, 5)
         rng = np.random.default_rng(8)
         llrs = rng.normal(0.5, 2, (64, 32))
-        U, X = sc_decode_frames(llrs, code)
+        X = sc_decode_frames(llrs, code)
+        U = polar_transform(X)
         for i in range(64):
-            Ui, Xi = sc_decode_frames(llrs[i], code)
+            Xi = sc_decode_frames(llrs[i], code)
+            Ui = polar_transform(Xi)
             assert np.array_equal(U[i], Ui[0])
             assert np.array_equal(X[i], Xi[0])
 
@@ -381,7 +408,7 @@ def ae_reference(llrs, code, perms):
     for p in perms:
         branch_in = np.empty_like(llrs)
         branch_in[:, p.perm] = llrs
-        _, X = sc_decode_batch(branch_in, code.frozen_mask())
+        X = sc_decode_batch(branch_in, code.frozen_mask())
         cand = X[:, p.perm]
         cands.append(cand)
         scores.append(correlation(cand, llrs))
@@ -395,14 +422,17 @@ class TestProperties:
     @given(sc_inputs())
     def test_batch_rows_transform_frozen(self, case):
         llrs, frozen, minsum = case
-        U, X = sc_decode_batch(llrs, frozen, minsum)
+        X = sc_decode_batch(llrs, frozen, minsum)
+        U = polar_transform(X)
         assert np.array_equal(X, polar_transform(U))
         assert not U[:, frozen == 1].any()
-        U_t, X_t = sc_decode_batch(llrs, frozen, minsum, trace=lambda *node: None)
+        X_t = sc_decode_batch(llrs, frozen, minsum, trace=lambda *node: None)
+        U_t = polar_transform(X_t)
         assert np.array_equal(U_t, U)
         assert np.array_equal(X_t, X)
         for i in range(len(llrs)):
-            Ui, Xi = sc_decode_batch(llrs[i : i + 1], frozen, minsum)
+            Xi = sc_decode_batch(llrs[i : i + 1], frozen, minsum)
+            Ui = polar_transform(Xi)
             assert np.array_equal(Ui[0], U[i])
             assert np.array_equal(Xi[0], X[i])
 
@@ -433,8 +463,10 @@ class TestProperties:
 
         code, llrs = case
         identity = [Permutation.identity(code.N)]
-        U, X, winner = ae_sc_decode_frames(llrs, code, identity)
-        U_sc, X_sc = sc_decode_frames(llrs, code)
+        X, winner = ae_sc_decode_frames(llrs, code, identity)
+        U = polar_transform(X)
+        X_sc = sc_decode_frames(llrs, code)
+        U_sc = polar_transform(X_sc)
         assert np.array_equal(X, X_sc)
         assert np.array_equal(U, U_sc)
         assert not winner.any()
@@ -449,7 +481,8 @@ class TestProperties:
     @given(data=st.data())
     def test_stacked_branches_match_branch_loop(self, n, batch, data):
         code, perms, llrs = data.draw(ae_inputs(n, batch))
-        U, X, winner = ae_sc_decode_frames(llrs, code, perms)
+        X, winner = ae_sc_decode_frames(llrs, code, perms)
+        U = polar_transform(X)
         U_ref, X_ref, winner_ref = ae_reference(llrs, code, perms)
         assert np.array_equal(U, U_ref)
         assert np.array_equal(X, X_ref)
@@ -460,9 +493,9 @@ class TestProperties:
         # decision differs from the hard decision that min-sum gives
         llrs = np.array([[1e-9, 1e-9, 1e-9, -1e-9]])
         info_only = np.zeros(4, dtype=np.uint8)
-        _, X = sc_decode_batch(llrs, info_only, False)
+        X = sc_decode_batch(llrs, info_only, False)
         assert X.tolist() == [[0, 0, 0, 0]]
-        _, X = sc_decode_batch(llrs, info_only, True)
+        X = sc_decode_batch(llrs, info_only, True)
         assert X.tolist() == [[0, 0, 0, 1]]
 
     @settings(max_examples=200, deadline=None, derandomize=True)
@@ -473,7 +506,8 @@ class TestProperties:
         )
     ))
     def test_minsum_rate_one_is_hard_decision(self, llrs):
-        U, X = sc_decode_batch(llrs, np.zeros(llrs.shape[1], dtype=np.uint8), True)
+        X = sc_decode_batch(llrs, np.zeros(llrs.shape[1], dtype=np.uint8), True)
+        U = polar_transform(X)
         assert np.array_equal(X, (llrs < 0).astype(np.uint8))
         assert np.array_equal(U, polar_transform(X))
 
@@ -483,6 +517,10 @@ class TestGolden:
     (written by ``tests/data/make_sc_golden.py``).  The file is never
     regenerated to make a kernel pass."""
 
+    def test_file_is_pinned(self):
+        digest = hashlib.sha256(GOLDEN.read_bytes()).hexdigest()
+        assert digest == "55aad9441640bd5218e12644680edf27d7970092e96aa10ea607dba2d892fcb7"
+
     @pytest.mark.parametrize("rule", ["exact", "minsum"])
     @pytest.mark.parametrize("name", GOLDEN_CODES)
     def test_bit_exact(self, name, rule):
@@ -490,7 +528,8 @@ class TestGolden:
             frozen = g[f"frozen_{name}"]
             for kind in GOLDEN_KINDS:
                 llrs = g[f"llrs_{name}_{kind}"]
-                U, X = sc_decode_batch(llrs, frozen, rule == "minsum")
+                X = sc_decode_batch(llrs, frozen, rule == "minsum")
+                U = polar_transform(X)
                 key = f"{name}_{kind}_{rule}"
                 assert np.array_equal(np.packbits(U, axis=1), g[f"U_{key}"]), key
                 assert np.array_equal(np.packbits(X, axis=1), g[f"X_{key}"]), key
@@ -512,8 +551,10 @@ class TestAeDecode:
         code = CodeSpec.from_i_min({11}, 5)
         rng = np.random.default_rng(10)
         llrs = rng.normal(0.5, 2, (50, 32))
-        U, X, winner = ae_sc_decode_frames(llrs, code, [Permutation.identity(32)])
-        U_sc, X_sc = sc_decode_frames(llrs, code)
+        X, winner = ae_sc_decode_frames(llrs, code, [Permutation.identity(32)])
+        U = polar_transform(X)
+        X_sc = sc_decode_frames(llrs, code)
+        U_sc = polar_transform(X_sc)
         assert np.array_equal(X, X_sc)
         assert np.array_equal(U, U_sc)
         assert not winner.any()
@@ -522,7 +563,7 @@ class TestAeDecode:
         code, perms = self._code_and_perms()
         rng = np.random.default_rng(11)
         x = encode_batch(rng.integers(0, 2, (20, code.K)).astype(np.uint8), code)
-        _, X, _ = ae_sc_decode_frames(noiseless_llr(x), code, perms)
+        X, _ = ae_sc_decode_frames(noiseless_llr(x), code, perms)
         assert np.array_equal(X, x)
 
     def test_branch_outputs_are_codewords(self):
@@ -533,7 +574,7 @@ class TestAeDecode:
         for p in perms:
             branch_in = np.empty_like(llrs)
             branch_in[:, p.perm] = llrs
-            _, X = sc_decode_frames(branch_in, code)
+            X = sc_decode_frames(branch_in, code)
             cands = X[:, p.perm]
             for cand in cands:
                 assert rank(packed + [pack_row(cand)]) == code.K
@@ -545,17 +586,24 @@ class TestAeDecode:
         ensemble = [Permutation.identity(32)] + perms
         rng = np.random.default_rng(13)
         llrs = rng.normal(0.5, 2, (100, 32))
-        _, X_ae, _ = ae_sc_decode_frames(llrs, code, ensemble)
-        _, X_sc = sc_decode_frames(llrs, code)
+        X_ae, _ = ae_sc_decode_frames(llrs, code, ensemble)
+        X_sc = sc_decode_frames(llrs, code)
         assert (correlation(X_ae, llrs) >= correlation(X_sc, llrs)).all()
 
     def test_involution_on_winners(self):
         code, perms = self._code_and_perms()
         rng = np.random.default_rng(14)
         llrs = rng.normal(0.5, 2, (50, 32))
-        U, X, _ = ae_sc_decode_frames(llrs, code, perms)
+        X, _ = ae_sc_decode_frames(llrs, code, perms)
+        U = polar_transform(X)
         for u, x in zip(U, X):
             assert np.array_equal(polar_transform(u), x)
+
+    def test_empty_batch(self):
+        code, perms = self._code_and_perms()
+        X, winner = ae_sc_decode_frames(np.zeros((0, 32)), code, perms)
+        assert X.shape == (0, 32)
+        assert winner.shape == (0,)
 
     def test_empty_perms_rejected(self):
         code = CodeSpec.from_i_min({11}, 5)
@@ -593,6 +641,18 @@ class TestAeDecode:
 
 
 class TestBoxplus:
+    def test_one_element_tile_of_wider_scratch(self):
+        # f of one frame at a level-1 node: a one-element tile of a scratch
+        # sized for 8, whose other entries hold stale values
+        a, b = np.array([[3.0]]), np.array([[-1.0]])
+        out = np.empty((1, 1))
+        scratch = _scratch(8)
+        for part in scratch:
+            part[...] = 5
+        f_tiles, _ = _tiles(np.stack((a, b)), out, scratch)
+        _f(f_tiles, False)
+        assert out.tobytes() == boxplus_reference(a, b, False).tobytes()
+
     def test_boxplus_matches_tanh_form(self):
         rng = np.random.default_rng(18)
         a = rng.normal(0, 5, 500)
