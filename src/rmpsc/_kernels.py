@@ -63,6 +63,10 @@ def _negate_where(x, bits):
 # the scratch (about 0.5 MB) stay in cache, and no node allocates temporaries
 _TILE = 1 << 14
 _U63 = np.uint64(63)
+# a bound on what the exact rule's f can take off the smaller input
+# magnitude: its correction log1p(exp(-||a|-|b||)) is at most ln 2 up to
+# rounding, below 0.694 (the Rate-1 guard of sc_decode_batch rests on it)
+_F_LOSS = 0.7
 
 
 def _scratch(width: int):
@@ -170,11 +174,24 @@ def _g(tiles, bits):
 #   to that leaf is Rate-0, so each g step is (1.0 - 2.0*0)*a + b = a + b;
 #   folding the halves with + reproduces SC's additions exactly.  The leaf's
 #   decision is the whole sub-codeword.
-# - Rate-1 (no frozen bit) under min-sum, when no node LLR is +-0.0: min-sum's
-#   f is zero only if an input is, and g then adds two values of the same
-#   sign, so by induction SC's codeword is the hard decision x = (v < 0).  A
-#   zero anywhere in the node, or the exact rule (whose f can round to 0 from
-#   nonzero inputs), keeps the recursion.
+# - Rate-1 (no frozen bit) at tree level l, when every node LLR of every
+#   frame has magnitude above l * _F_LOSS under the exact rule, or above 0
+#   under min-sum: SC's codeword is then the hard decision x = (v < 0).
+#   Proof, for finite LLRs: take f of inputs of magnitude at least m.  Its
+#   sign is the product of the input signs (strict a < 0, b < 0).  Min-sum's
+#   magnitude is min(|a|, |b|) >= m.  The exact rule's is
+#   fl(fl(min + L0) - L1) >= fl(m - L1), with L0 >= 0 and
+#   L1 = log1p(exp(-||a|-|b||)) at most ln 2 up to rounding, below 0.694.
+#   An IEEE subtraction of distinct values is never 0, so for m > L1 the
+#   magnitude is positive, and above m - 0.694 up to an ulp of m: it drops
+#   by less than _F_LOSS.  The left child, one level down, thus meets the
+#   guard and (by induction) decides x_left = (a < 0) ^ (b < 0).  g then adds
+#   two values of b's sign, of magnitude at least |b|, so the right child
+#   decides (b < 0), and the node's codeword (x_left ^ x_right, x_right) is
+#   (a < 0, b < 0).  A leaf decides (v < 0).  The guard reads the whole
+#   batch, so a node with one weak frame recurses for every frame.  The
+#   rounding it guards against is real: the exact rule decides the
+#   all-information row (1e-9, 1e-9, 1e-9, -1e-9) as (0, 0, 0, 0).
 #
 # Below a node that recurses, a Rate-0 left child is not visited and f is not
 # computed for it: the child needs no LLR, and g is then a + b.  Signs are
@@ -189,7 +206,8 @@ def sc_decode_batch(
 
     Parameters
     ----------
-    llrs : (B, N) float array of channel LLRs (positive favours bit 0).
+    llrs : (B, N) float array of finite channel LLRs (positive favours
+        bit 0).
     frozen : (N,) uint8 mask, 1 on frozen u-positions.
     minsum : replace the exact check-node rule by min-sum.
     trace : optional callable ``trace(level, start, node_llrs)``, called with
@@ -197,9 +215,11 @@ def sc_decode_batch(
         decoding order.  The array is a view into the call's workspace, valid
         only during the callback (copy it to keep it).  Not visited, and not
         reported: the Rate-0 left child of a node that recurses (f is not
-        computed for it), and the subtrees below a Rate-0 or Rep node and
-        below a Rate-1 node under min-sum with no zero LLR.  The trace does
-        not change the recursion.
+        computed for it), and the subtrees below a Rate-0 node, a Rep node
+        and a Rate-1 node whose LLRs all clear the guard (above
+        ``level * _F_LOSS`` in magnitude under the exact rule, nonzero under
+        min-sum; see the comment above), which is decided by hard decision.
+        The trace does not change the recursion.
 
     The call allocates its LLR memory once (the per-layer arrays of Tal &
     Vardy's SC decoder): a (2N, B) workspace whose rows [2^l, 2^(l+1)) hold
@@ -253,7 +273,9 @@ def sc_decode_batch(
                 np.add(a, b, out=child)
             np.less(rows[0], 0.0, out=X[start:end].view(bool))
             return
-        if minsum and info == size and v.all():
+        if info == size and np.abs(v).min(initial=np.inf) > (
+            0.0 if minsum else level * _F_LOSS
+        ):
             np.less(v, 0.0, out=X[start:end].view(bool))
             return
         mid = start + size // 2

@@ -4,8 +4,10 @@ These are the plain forms of code that ``rmpsc`` runs in another shape: the
 index order as a pairwise prefix-count test (the library derives it from its
 generating steps), the pairwise closure and antichain of an index set, the
 pairwise dominance relation of the monomial poset, the pairwise consistency
-check of a reliability order, and the symmetry search that rescans the whole
-ideal for every candidate swap.  Results must be equal, not just close.
+check of a reliability order, the symmetry search that rescans the whole
+ideal for every candidate swap, and successive cancellation decoding that
+visits every leaf, with the textbook f and g.  Results must be equal, not
+just close.
 
 Beside them are helpers that only the tests use: affine-map composition, the
 single-permutation absorption probe and the brute-force minimum-weight count.
@@ -301,3 +303,36 @@ def count_min_weight_codewords(code: CodeSpec, k_limit: int = 24) -> int:
         if x.bit_count() == d:
             count += 1
     return count
+
+
+def boxplus_reference(a, b, minsum):
+    """The check-node rule with its sign as a product with +-1.0."""
+    aa = np.abs(a)
+    ab = np.abs(b)
+    sign = np.where((a < 0) != (b < 0), -1.0, 1.0)
+    if minsum:
+        return sign * np.minimum(aa, ab)
+    mag = (
+        np.minimum(aa, ab)
+        + np.log1p(np.exp(-(aa + ab)))
+        - np.log1p(np.exp(-np.abs(aa - ab)))
+    )
+    return sign * np.maximum(mag, 0.0)
+
+
+def sc_reference(llrs, frozen, minsum):
+    """Plain SC of (B, N) LLR rows in natural bit order: every node computes
+    f = ``boxplus_reference`` and g = (1 - 2u)*a + b, and every leaf decides
+    (v < 0), or 0 if frozen.  No node kind is decoded any other way.
+    Returns the (B, N) uint8 codewords."""
+
+    def decode(v, frozen):
+        if v.shape[1] == 1:
+            return ((v < 0) & (frozen[0] == 0)).astype(np.uint8)
+        h = v.shape[1] // 2
+        a, b = v[:, :h], v[:, h:]
+        left = decode(boxplus_reference(a, b, minsum), frozen[:h])
+        right = decode((1.0 - 2.0 * left) * a + b, frozen[h:])
+        return np.concatenate((left ^ right, right), axis=1)
+
+    return decode(np.asarray(llrs, dtype=np.float64), np.asarray(frozen, dtype=np.uint8))

@@ -5,13 +5,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from _reference import boxplus_reference, sc_reference
 from rmpsc._gf2 import pack_row, rank
 import rmpsc._kernels
 from rmpsc._kernels import (
+    _F_LOSS,
     _TILE,
     _f,
     _g,
@@ -131,12 +133,13 @@ class TestScDecode:
         U = polar_transform(sc_decode_frames(rng.normal(0, 2, (50, 32)), code))
         assert not U[:, code.frozen_mask() == 1].any()
 
-    def test_involution_on_noisy_decodes(self):
+    @pytest.mark.parametrize("minsum", [False, True])
+    def test_noisy_decodes_match_reference(self, minsum):
         code = CodeSpec.from_i_min({11}, 5)
         rng = np.random.default_rng(4)
-        X = sc_decode_frames(rng.normal(0.5, 2, (100, 32)), code)
-        U = polar_transform(X)
-        assert np.array_equal(polar_transform(U), X)
+        llrs = rng.normal(0.5, 2, (100, 32))
+        X = sc_decode_frames(llrs, code, minsum=minsum)
+        assert np.array_equal(X, sc_reference(llrs, code.frozen_mask(), minsum))
 
     def test_sign_covariance(self):
         # flipping channel signs by a codeword shifts the output by it
@@ -186,22 +189,25 @@ class TestScDecode:
         rng = np.random.default_rng(7)
         llrs = rng.normal(0, 2, (1, 8))
         frozen = code.frozen_mask()
-        for minsum, visited in ((False, 22), (True, 20)):
+        # only computed nodes: the root (8 LLRs), the Rep node u0-u3 (4), the
+        # node u4-u7 (4), the Rep node u4-u5 (2) and the Rate-1 node u6-u7 (2),
+        # which is decided by hard decision: its LLRs are nonzero and above
+        # 1 * _F_LOSS in magnitude.  Scaled by 1e-5 they are not, so the
+        # exact rule then also visits the node's two leaves (1 + 1)
+        for scale, minsum, visited in (
+            (1.0, False, 20), (1.0, True, 20), (1e-5, False, 22), (1e-5, True, 20)
+        ):
             nodes = []
 
             def record(level, start, v):
                 nodes.append((level, start, v.copy()))
 
-            X = sc_decode_batch(llrs, frozen, minsum, trace=record)
-            assert np.array_equal(X, sc_decode_batch(llrs, frozen, minsum))
-            # only computed nodes: the root (8 LLRs), the Rep node u0-u3 (4),
-            # the node u4-u7 (4), the Rep node u4-u5 (2), the node u6-u7 (2)
-            # and its two leaves (1 + 1); min-sum decides the Rate-1 node u6-u7
-            # (no zero LLR) by hard decision and does not descend to its leaves
+            X = sc_decode_batch(scale * llrs, frozen, minsum, trace=record)
+            assert np.array_equal(X, sc_decode_batch(scale * llrs, frozen, minsum))
             assert sum(len(v) for _, _, v in nodes) == visited
             level, start, root = nodes[0]
             assert (level, start) == (3, 0)
-            assert np.array_equal(root[:, 0], llrs[0])
+            assert np.array_equal(root[:, 0], scale * llrs[0])
 
 
 class TestBatchDecode:
@@ -220,14 +226,28 @@ class TestBatchDecode:
                 assert np.array_equal(X, X_t), kind
 
     # f LLRs per frame, exact rule, traced or not: skipping the Rate-0 left
-    # children saves (128,60) 40 and (64,37) 16 of them; (1024,512) has none
+    # children saves (128,60) 40 and (64,37) 16 of them; (1024,512) has none.
+    # At LLR scale 1e-5 no node LLR reaches _F_LOSS, so no Rate-1 node is
+    # decided by hard decision and the counts measure the Rate-0 skip alone
     @pytest.mark.parametrize(
         "i_min, n, f_llrs", [({27}, 7, 306), ({19}, 6, 131), ({63, 121}, 10, 4013)]
     )
     def test_rate0_left_child_skips_f(self, monkeypatch, i_min, n, f_llrs):
+        self._check_f_llrs(monkeypatch, i_min, n, 1e-5, f_llrs)
+
+    # the same frames at scale 1: the Rate-1 nodes whose LLRs clear the guard
+    # compute no f below them
+    @pytest.mark.parametrize(
+        "i_min, n, f_llrs", [({27}, 7, 273), ({19}, 6, 104), ({63, 121}, 10, 3489)]
+    )
+    def test_rate_one_guard_skips_f(self, monkeypatch, i_min, n, f_llrs):
+        self._check_f_llrs(monkeypatch, i_min, n, 1.0, f_llrs)
+
+    @staticmethod
+    def _check_f_llrs(monkeypatch, i_min, n, scale, f_llrs):
         code = CodeSpec.from_i_min(i_min, n)
         B = 3
-        llrs = np.random.default_rng(16).normal(0.5, 2, (B, code.N))
+        llrs = scale * np.random.default_rng(16).normal(0.5, 2, (B, code.N))
         sizes = []
 
         def counting(tiles, minsum):
@@ -386,21 +406,6 @@ def bitnode_kernel(a, b, bits, tile_rows=None):
     return out
 
 
-def boxplus_reference(a, b, minsum):
-    """The check-node rule with its sign as a product with +-1.0."""
-    aa = np.abs(a)
-    ab = np.abs(b)
-    sign = np.where((a < 0) != (b < 0), -1.0, 1.0)
-    if minsum:
-        return sign * np.minimum(aa, ab)
-    mag = (
-        np.minimum(aa, ab)
-        + np.log1p(np.exp(-(aa + ab)))
-        - np.log1p(np.exp(-np.abs(aa - ab)))
-    )
-    return sign * np.maximum(mag, 0.0)
-
-
 def ae_reference(llrs, code, perms):
     """AE decoding with one kernel call per branch, as a plain loop."""
     llrs = np.clip(llrs, -40.0, 40.0)
@@ -424,7 +429,7 @@ class TestProperties:
         llrs, frozen, minsum = case
         X = sc_decode_batch(llrs, frozen, minsum)
         U = polar_transform(X)
-        assert np.array_equal(X, polar_transform(U))
+        assert np.array_equal(X, sc_reference(llrs, frozen, minsum))
         assert not U[:, frozen == 1].any()
         X_t = sc_decode_batch(llrs, frozen, minsum, trace=lambda *node: None)
         U_t = polar_transform(X_t)
@@ -506,10 +511,10 @@ class TestProperties:
         )
     ))
     def test_minsum_rate_one_is_hard_decision(self, llrs):
-        X = sc_decode_batch(llrs, np.zeros(llrs.shape[1], dtype=np.uint8), True)
-        U = polar_transform(X)
+        info_only = np.zeros(llrs.shape[1], dtype=np.uint8)
+        X = sc_decode_batch(llrs, info_only, True)
         assert np.array_equal(X, (llrs < 0).astype(np.uint8))
-        assert np.array_equal(U, polar_transform(X))
+        assert np.array_equal(X, sc_reference(llrs, info_only, True))
 
 
 class TestGolden:
@@ -533,6 +538,133 @@ class TestGolden:
                 key = f"{name}_{kind}_{rule}"
                 assert np.array_equal(np.packbits(U, axis=1), g[f"U_{key}"]), key
                 assert np.array_equal(np.packbits(X, axis=1), g[f"X_{key}"]), key
+
+
+    @pytest.mark.parametrize("rule", ["exact", "minsum"])
+    @pytest.mark.parametrize("name", GOLDEN_CODES)
+    def test_reference_matches_golden(self, name, rule):
+        # the pinned decisions are plain SC's, leaf by leaf
+        with np.load(GOLDEN) as g:
+            frozen = g[f"frozen_{name}"]
+            for kind in GOLDEN_KINDS:
+                X = sc_reference(g[f"llrs_{name}_{kind}"], frozen, rule == "minsum")
+                key = f"{name}_{kind}_{rule}"
+                assert np.array_equal(np.packbits(X, axis=1), g[f"X_{key}"]), key
+
+
+class TestBatchIndependence:
+    """The Rate-1 guard reads all frames of a node, so whether a node is
+    decided by hard decision depends on which frames share the call; the
+    decisions must not."""
+
+    @pytest.mark.parametrize("rule", ["exact", "minsum"])
+    @pytest.mark.parametrize("name", GOLDEN_CODES)
+    def test_golden_frames_alone_match_batch(self, name, rule):
+        with np.load(GOLDEN) as g:
+            frozen = g[f"frozen_{name}"]
+            for kind in GOLDEN_KINDS:
+                llrs = g[f"llrs_{name}_{kind}"]
+                X = sc_decode_batch(llrs, frozen, rule == "minsum")
+                for i in range(len(llrs)):
+                    Xi = sc_decode_batch(llrs[i : i + 1], frozen, rule == "minsum")
+                    assert np.array_equal(Xi[0], X[i]), (kind, i)
+
+    # a weak frame fails the guard (the exact rule rounds its f to 0; min-sum
+    # sees a zero), the strong ones pass it at the root when decoded alone
+    @pytest.mark.parametrize(
+        "minsum, weak",
+        [(False, [1e-9, 1e-9, 1e-9, -1e-9]), (True, [0.0, -1e-9, 1e-9, -0.0])],
+    )
+    def test_mixed_batch_matches_frames_alone(self, minsum, weak):
+        rows = np.array([weak, [3.0, -2.5, 1.5, -4.0], [-2.0, 2.0, -2.0, 2.0],
+                         [40.0, 1.5, -1.5, -40.0]])
+        info_only = np.zeros(4, dtype=np.uint8)
+        alone = []
+        for i in range(len(rows)):
+            levels = []
+            X = sc_decode_batch(rows[i : i + 1], info_only, minsum,
+                                trace=lambda level, start, v: levels.append(level))
+            assert (levels == [2]) == (i > 0)   # the root alone: hard decision
+            alone.append(X[0])
+        assert np.array_equal(alone[0], sc_reference(rows[:1], info_only, minsum)[0])
+        for pos in range(len(rows)):
+            order = list(range(1, len(rows)))
+            order.insert(pos, 0)   # the weak frame at each position
+            llrs = rows[order]
+            levels = []
+            X = sc_decode_batch(llrs, info_only, minsum,
+                                trace=lambda level, start, v: levels.append(level))
+            assert len(levels) > 1
+            for row, i in zip(X, order):
+                assert np.array_equal(row, alone[i])
+
+
+def edge_rows(n, mag, batch=4):
+    """Rate-1 rows of 2^n LLRs, all of magnitude ``mag``, with fixed signs:
+    equal magnitudes make the exact rule's f lose the most."""
+    signs = 1.0 - 2.0 * np.random.default_rng(n).integers(0, 2, (batch, 1 << n))
+    return signs * mag
+
+
+def guard_edges(n):
+    """Magnitudes at, one ulp above and 1% above the exact rule's guard at
+    the root of a Rate-1 node of level n."""
+    at = n * _F_LOSS
+    return at, np.nextafter(at, np.inf), 1.01 * at
+
+
+@st.composite
+def rate_one_rows(draw):
+    """Rate-1 rows of 2^n LLRs, n = 1..6, around the guard of their level."""
+    n = draw(st.integers(1, 6))
+    at, above, far = guard_edges(n)
+    near = [at, above, far, np.nextafter(at, 0.0), 0.99 * at, 1e-8, 1e-4]
+    values = st.one_of(
+        st.sampled_from(near + [-m for m in near]),
+        st.floats(-2.0 * at, 2.0 * at, allow_nan=False),
+    )
+    return draw(hnp.arrays(np.float64, (draw(st.integers(1, 4)), 1 << n), elements=values))
+
+
+class TestRateOneGuard:
+    @pytest.mark.parametrize("minsum", [False, True])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_guard_edges_match_reference(self, n, minsum):
+        info_only = np.zeros(1 << n, dtype=np.uint8)
+        at, above, far = guard_edges(n)
+        # the exact rule's guard is strict: at the bound the node recurses
+        for mag, shortcut in ((at, minsum), (above, True), (far, True)):
+            llrs = edge_rows(n, mag, batch=64)
+            levels = []
+            X = sc_decode_batch(llrs, info_only, minsum,
+                                trace=lambda level, start, v: levels.append(level))
+            assert (levels == [n]) == shortcut
+            assert np.array_equal(X, sc_reference(llrs, info_only, minsum))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(rate_one_rows(), st.booleans())
+    @example(edge_rows(1, guard_edges(1)[0]), False)
+    @example(edge_rows(1, guard_edges(1)[1]), False)
+    @example(edge_rows(6, guard_edges(6)[0]), False)
+    @example(edge_rows(6, guard_edges(6)[1]), False)
+    @example(edge_rows(6, guard_edges(6)[2]), False)
+    @example(np.array([[1e-9, 1e-9, 1e-9, -1e-9]]), False)
+    def test_rate_one_matches_reference(self, llrs, minsum):
+        info_only = np.zeros(llrs.shape[1], dtype=np.uint8)
+        X = sc_decode_batch(llrs, info_only, minsum)
+        assert np.array_equal(X, sc_reference(llrs, info_only, minsum))
+
+    def test_rows_off_hard_decision_keep_sc_decisions(self):
+        # 86 of these all-information rows have an SC codeword other than
+        # their hard decision; alone or in the batch, each keeps SC's
+        llrs = np.random.default_rng(0).standard_normal((200_000, 16))
+        info_only = np.zeros(16, dtype=np.uint8)
+        ref = sc_reference(llrs, info_only, False)
+        assert np.array_equal(sc_decode_batch(llrs, info_only), ref)
+        differ = np.flatnonzero((ref != (llrs < 0)).any(axis=1))
+        assert len(differ) == 86
+        for i in differ:
+            assert np.array_equal(sc_decode_batch(llrs[i : i + 1], info_only)[0], ref[i])
 
 
 class TestAeDecode:
@@ -590,14 +722,19 @@ class TestAeDecode:
         X_sc = sc_decode_frames(llrs, code)
         assert (correlation(X_ae, llrs) >= correlation(X_sc, llrs)).all()
 
-    def test_involution_on_winners(self):
+    def test_winners_are_reference_branch_decisions(self):
+        # each frame's output is its winning branch's plain-SC codeword,
+        # mapped back to the channel order
         code, perms = self._code_and_perms()
         rng = np.random.default_rng(14)
         llrs = rng.normal(0.5, 2, (50, 32))
-        X, _ = ae_sc_decode_frames(llrs, code, perms)
-        U = polar_transform(X)
-        for u, x in zip(U, X):
-            assert np.array_equal(polar_transform(u), x)
+        X, winner = ae_sc_decode_frames(llrs, code, perms)
+        assert not polar_transform(X)[:, code.frozen_mask() == 1].any()
+        for i, w in enumerate(winner):
+            branch_in = np.empty(32)
+            branch_in[perms[w].perm] = llrs[i]
+            cand = sc_reference(branch_in[None], code.frozen_mask(), False)[0]
+            assert np.array_equal(X[i], cand[perms[w].perm])
 
     def test_empty_batch(self):
         code, perms = self._code_and_perms()
