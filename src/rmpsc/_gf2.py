@@ -11,36 +11,28 @@ def pack_row(bits: np.ndarray) -> int:
     return int.from_bytes(b.tobytes(), "little")
 
 
-def rank(rows) -> int:
-    """GF(2) rank by elimination on packed rows."""
+def _pivots(rows) -> dict[int, int]:
+    """Echelon form of the packed rows, keyed by leading bit."""
     pivots: dict[int, int] = {}
-    r = 0
     for row in rows:
         row = int(row)
         while row:
             msb = row.bit_length() - 1
-            if msb in pivots:
-                row ^= pivots[msb]
-            else:
+            if msb not in pivots:
                 pivots[msb] = row
-                r += 1
                 break
-    return r
+            row ^= pivots[msb]
+    return pivots
+
+
+def rank(rows) -> int:
+    """GF(2) rank by elimination on packed rows."""
+    return len(_pivots(rows))
 
 
 def nullspace(rows, ncols: int) -> list[int]:
     """Basis (packed ints) of {v : row . v = 0 for every row}."""
-    # echelon form keyed by leading bit
-    pivots: dict[int, int] = {}
-    for row in rows:
-        row = int(row)
-        while row:
-            msb = row.bit_length() - 1
-            if msb in pivots:
-                row ^= pivots[msb]
-            else:
-                pivots[msb] = row
-                break
+    pivots = _pivots(rows)
     # back-substitution, low pivots first, so each pivot row keeps exactly
     # one pivot column
     cols = sorted(pivots)

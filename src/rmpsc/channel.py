@@ -5,7 +5,9 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.special import ndtri
@@ -141,50 +143,35 @@ def _simulate_range(cfg: SimConfig, grid_idx: int, start: int, count: int) -> np
 def run_fer(cfg: SimConfig, *, workers: int = 1, batch_size: int = 256) -> list[FerPoint]:
     """Monte Carlo FER per grid point, stopping at target_errors or max_trials.
 
-    Error flags are consumed in trial order and the stop cut lands on the
-    exact trial that reaches the target, so the outcome does not depend on
-    ``batch_size`` or ``workers``.
+    A grid point runs in rounds.  A round decodes the next ``workers``
+    batches of ``batch_size`` consecutive trials (on a process pool when
+    ``workers`` > 1) and joins their error flags in trial order.  The
+    running error count over those flags finds the trial that reaches
+    target_errors, and the point stops exactly there, so the outcome does
+    not depend on ``batch_size`` or ``workers``.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be at least 1, got {batch_size}")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     points = []
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        for gi in range(len(cfg.ebn0_grid_db)):
-            trials = 0
-            errors = 0
-            next_start = 0
-            while next_start < cfg.max_trials and errors < cfg.target_errors:
-                starts = []
-                while len(starts) < workers and next_start < cfg.max_trials:
-                    n = min(batch_size, cfg.max_trials - next_start)
-                    starts.append((next_start, n))
-                    next_start += n
-                if pool is not None:
-                    flag_blocks = list(
-                        pool.map(_sim_star, [(cfg, gi, s, n) for s, n in starts])
-                    )
-                else:
-                    flag_blocks = [_simulate_range(cfg, gi, s, n) for s, n in starts]
-                for flags in flag_blocks:
-                    if errors >= cfg.target_errors:
-                        break
-                    for f in flags:
-                        trials += 1
-                        errors += int(f)
-                        if errors >= cfg.target_errors:
-                            break
-            points.append(FerPoint.from_counts(cfg.ebn0_grid_db[gi], trials, errors))
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        run = map if pool is None else pool.map
+        for gi, ebn0_db in enumerate(cfg.ebn0_grid_db):
+            simulate = partial(_simulate_range, cfg, gi)
+            trials = errors = 0
+            while trials < cfg.max_trials and errors < cfg.target_errors:
+                end = min(trials + workers * batch_size, cfg.max_trials)
+                starts = range(trials, end, batch_size)
+                counts = [min(batch_size, end - s) for s in starts]
+                flags = np.concatenate(list(run(simulate, starts, counts)))
+                hits = np.cumsum(flags)
+                # the trial whose error reaches the target, else the round's last
+                cut = min(int(np.searchsorted(hits, cfg.target_errors - errors)) + 1, len(flags))
+                trials += cut
+                errors += int(hits[cut - 1])
+            points.append(FerPoint.from_counts(ebn0_db, trials, errors))
     return points
-
-
-def _sim_star(args):
-    return _simulate_range(*args)
 
 
 def write_fer_csv(points, fh, tub) -> None:

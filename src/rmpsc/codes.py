@@ -76,7 +76,11 @@ class CodeSpec:
 
     @classmethod
     def from_info_set(cls, info_set, n: int) -> "CodeSpec":
-        return cls(minimal_generators(info_set, n), n)  # raises if not closed
+        info = frozenset(int(i) for i in info_set)
+        code = cls(info, n)
+        if code.info_set != info:
+            raise ValueError("info_set is not closed under the index partial order")
+        return code
 
     # -- derived quantities ------------------------------------------------
 
@@ -283,6 +287,10 @@ class _MonomialPoset:
 
     Elements are index masks; a dimension-K decreasing code of maximal
     minimum distance is exactly a K-element downward-closed subset here.
+    ``above[p]`` and ``below[p]`` hold only the covers of p (one step of
+    the index order); their transitive closure is the order.  Every user
+    tests them against a downward-closed set, where covers give the same
+    answers as the full relation.
     """
 
     def __init__(self, n: int, r: int):
@@ -295,21 +303,18 @@ class _MonomialPoset:
         self.size = len(masks)
         self.pos = {m: i for i, m in enumerate(masks)}
         self.full = full
-        # a step below an index is a step above its monomial, and it lands
-        # later in the linear extension, so one reverse sweep gathers every
-        # monomial above; ``below`` is the transpose
-        above: list = [None] * self.size
+        # a step below an index is a step above its monomial; ``below`` is
+        # the transpose
+        above: list = []
         below: list = [set() for _ in masks]
-        for p in range(self.size - 1, -1, -1):
+        for p, m in enumerate(masks):
             up = set()
-            for i in _steps_below(~masks[p] & full):
+            for i in _steps_below(~m & full):
                 q = self.pos.get(~i & full)
                 if q is not None:
                     up.add(q)
-                    up |= above[q]
-            above[p] = frozenset(up)
-            for q in up:
-                below[q].add(p)
+                    below[q].add(p)
+            above.append(frozenset(up))
         self.above = above
         self.below = [frozenset(b) for b in below]
 

@@ -17,7 +17,7 @@ from rmpsc.channel import (
     write_fer_csv,
 )
 from rmpsc.codes import CodeSpec
-from rmpsc.scdec import encode_batch
+from rmpsc.scdec import encode_batch, sc_decode_frames
 
 
 def q_func(x):
@@ -214,13 +214,19 @@ class TestRunFer:
         assert run_fer(cfg, workers=workers, batch_size=batch_size) == expect
 
     def test_early_stop_exact_cut(self):
+        # the point stops on the trial that makes the 10th error, whatever
+        # the batch size and worker count
         code = CodeSpec.from_i_min({11}, 5)
         cfg = SimConfig(
             code=code, ebn0_grid_db=(0.0,), max_trials=5000, target_errors=10, seed=5
         )
-        (point,) = run_fer(cfg)
-        assert point.frame_errors == 10
-        assert point.trials < 5000
+        x, llr = noisy_frames(code, 0.0, cfg.seed, (0,), 0, cfg.max_trials)
+        wrong = np.flatnonzero((sc_decode_frames(llr, code) != x).any(axis=1))
+        stop = int(wrong[9]) + 1
+        for batch_size in (1, 7, 256):
+            for workers in (1, 2):
+                (point,) = run_fer(cfg, workers=workers, batch_size=batch_size)
+                assert (point.trials, point.frame_errors) == (stop, 10), (batch_size, workers)
 
     def test_fer_monotone_in_snr(self):
         code = CodeSpec.from_i_min({11}, 5)
