@@ -13,7 +13,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .codes import CodeSpec
-from .scdec import ae_sc_decode_frames, encode_batch, sc_decode_frames
+from .scdec import _SC_CALL_LLRS, ae_sc_decode_frames, encode_batch, sc_decode_frames
 
 __all__ = [
     "SimConfig",
@@ -47,6 +47,8 @@ class SimConfig:
             raise ValueError("AE decoding needs at least one permutation")
         if not self.ebn0_grid_db:
             raise ValueError("empty Eb/N0 grid")
+        if not all(math.isfinite(v) for v in self.ebn0_grid_db):
+            raise ValueError("Eb/N0 values must be finite")
         if any(b >= a for a, b in zip(self.ebn0_grid_db[1:], self.ebn0_grid_db)):
             raise ValueError("Eb/N0 grid must be strictly increasing")
         if not 1 <= self.target_errors <= self.max_trials:
@@ -140,7 +142,9 @@ def _simulate_range(cfg: SimConfig, grid_idx: int, start: int, count: int) -> np
     return (x_hat != x).any(axis=1).astype(np.uint8)
 
 
-def run_fer(cfg: SimConfig, *, workers: int = 1, batch_size: int = 256) -> list[FerPoint]:
+def run_fer(
+    cfg: SimConfig, *, workers: int = 1, batch_size: int | None = None
+) -> list[FerPoint]:
     """Monte Carlo FER per grid point, stopping at target_errors or max_trials.
 
     A grid point runs in rounds.  A round decodes the next ``workers``
@@ -149,7 +153,15 @@ def run_fer(cfg: SimConfig, *, workers: int = 1, batch_size: int = 256) -> list[
     running error count over those flags finds the trial that reaches
     target_errors, and the point stops exactly there, so the outcome does
     not depend on ``batch_size`` or ``workers``.
+
+    By default a batch fills one SC kernel call of ``_SC_CALL_LLRS`` LLRs,
+    but holds at least 256 frames: max(256, 2^16 // N), so 1024 frames at
+    N = 64 and 256 for N >= 256.  A stopped point may have decoded up to
+    ``workers * batch_size - 1`` trials past its stop trial; those are
+    discarded.
     """
+    if batch_size is None:
+        batch_size = max(256, _SC_CALL_LLRS // cfg.code.N)
     if batch_size < 1:
         raise ValueError(f"batch_size must be at least 1, got {batch_size}")
     if workers < 1:

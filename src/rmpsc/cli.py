@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from contextlib import nullcontext
 from pathlib import Path
@@ -54,17 +55,20 @@ def _parse_imin(text: str) -> tuple[int, ...]:
 
 
 def _parse_grid(text: str) -> tuple[float, ...]:
-    if ":" in text:
-        a, b, step = (float(v) for v in text.split(":"))
-        if step <= 0:
-            raise ValueError("grid step must be positive")
-        out = []
-        v = a
-        while v <= b + 1e-9:
-            out.append(round(v, 10))
-            v += step
-        return tuple(out)
-    return tuple(float(v) for v in text.split(","))
+    values = [float(v) for v in text.split(":" if ":" in text else ",")]
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError("Eb/N0 values must be finite")
+    if ":" not in text:
+        return tuple(values)
+    a, b, step = values
+    if step <= 0:
+        raise ValueError("grid step must be positive")
+    out = []
+    v = a
+    while v <= b + 1e-9:
+        out.append(round(v, 10))
+        v += step
+    return tuple(out)
 
 
 # ------------------------------------------------------------------ analyze

@@ -8,9 +8,10 @@ import numpy as np
 from ._kernels import LLR_CLAMP, _negate_where, polar_transform, sc_decode_batch
 from .codes import CodeSpec
 
-# LLRs (N times rows) per stacked AE kernel call: the kernel's working set is
-# twice that many LLRs plus one tile of scratch, so more branches per call
-# cost peak memory
+# LLRs (N times rows) per SC kernel call: it groups AE branches into stacked
+# calls here and sizes channel.run_fer's default FER batch.  The kernel's
+# working set is twice that many LLRs plus one tile of scratch, so more rows
+# per call cost peak memory
 _SC_CALL_LLRS = 1 << 16
 
 __all__ = ["encode_batch", "polar_transform", "sc_decode_frames", "ae_sc_decode_frames"]

@@ -3,10 +3,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri
 
+from rmpsc import channel
 from rmpsc.channel import (
     FerPoint,
     SimConfig,
@@ -115,6 +116,13 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(code=code, ebn0_grid_db=(2.0, 1.0))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_grid_must_be_finite(self, bad):
+        code = CodeSpec.from_i_min({1}, 1)
+        for grid in ((bad,), (1.0, bad), (bad, 1.0)):
+            with pytest.raises(ValueError, match="finite"):
+                SimConfig(code=code, ebn0_grid_db=grid)
+
     def test_targets_validated(self):
         code = CodeSpec.from_i_min({1}, 1)
         with pytest.raises(ValueError):
@@ -195,9 +203,12 @@ class TestRunFer:
     # each example starts a process pool, so the example count stays small
     @settings(max_examples=8, deadline=None, derandomize=True)
     @given(st.integers(1, 700), st.sampled_from([1, 2, 3]))
+    @example(None, 1)
+    @example(None, 2)
     def test_ae_worker_and_batch_invariant(self, batch_size, workers):
         # AE stacks branches into kernel calls by batch size, so batch sizes
-        # also change how the branches are grouped
+        # also change how the branches are grouped; None is run_fer's default
+        # batch, one kernel call of all four branches at these 500 trials
         from rmpsc.autgroup import sample_distinct_class_automorphisms
 
         code = CodeSpec.from_i_min({12}, 5)   # (32,16)
@@ -211,7 +222,8 @@ class TestRunFer:
             seed=5,
         )
         expect = run_fer(cfg, workers=1, batch_size=600)
-        assert run_fer(cfg, workers=workers, batch_size=batch_size) == expect
+        sized = {} if batch_size is None else {"batch_size": batch_size}
+        assert run_fer(cfg, workers=workers, **sized) == expect
 
     def test_early_stop_exact_cut(self):
         # the point stops on the trial that makes the 10th error, whatever
@@ -223,10 +235,37 @@ class TestRunFer:
         x, llr = noisy_frames(code, 0.0, cfg.seed, (0,), 0, cfg.max_trials)
         wrong = np.flatnonzero((sc_decode_frames(llr, code) != x).any(axis=1))
         stop = int(wrong[9]) + 1
-        for batch_size in (1, 7, 256):
+        # {} is the default batch, 2048 frames at N = 32
+        for sized in ({"batch_size": 1}, {"batch_size": 7}, {"batch_size": 256}, {}):
             for workers in (1, 2):
-                (point,) = run_fer(cfg, workers=workers, batch_size=batch_size)
-                assert (point.trials, point.frame_errors) == (stop, 10), (batch_size, workers)
+                (point,) = run_fer(cfg, workers=workers, **sized)
+                assert (point.trials, point.frame_errors) == (stop, 10), (sized, workers)
+
+    @pytest.mark.parametrize(
+        "i_min, n, max_trials, counts",
+        [
+            ({19}, 6, 2500, [1024, 1024, 452]),   # (64,37): 2^16 // 64 frames
+            ({30}, 8, 600, [256, 256, 88]),       # (256,128): the 256 floor
+        ],
+    )
+    def test_default_batch_fills_one_kernel_call(self, monkeypatch, i_min, n, max_trials, counts):
+        seen = []
+        simulate = channel._simulate_range
+
+        def record(cfg, grid_idx, start, count):
+            seen.append(count)
+            return simulate(cfg, grid_idx, start, count)
+
+        monkeypatch.setattr(channel, "_simulate_range", record)
+        cfg = SimConfig(
+            code=CodeSpec.from_i_min(i_min, n),
+            ebn0_grid_db=(2.0,),
+            max_trials=max_trials,
+            target_errors=max_trials,
+        )
+        (point,) = run_fer(cfg, workers=1)
+        assert seen == counts
+        assert point.trials == max_trials
 
     def test_fer_monotone_in_snr(self):
         code = CodeSpec.from_i_min({11}, 5)

@@ -216,6 +216,22 @@ class TestSimulate:
         assert "error:" in err
         assert not out.with_suffix(".perms.txt").exists()
 
+    @pytest.mark.parametrize("grid", ["nan", "inf", "-inf", "1,inf", "0:inf:1", "nan:3:1"])
+    def test_nonfinite_ebn0_exits_2(self, tmp_path, capsys, grid):
+        # a usage error, raised before the AE permutations are sampled
+        out = tmp_path / "ae.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(
+                [
+                    "simulate", "--imin", "19", "--n", "6", "--dec", "ae", "--m", "4",
+                    f"--ebn0={grid}", "--max-trials", "100", "--target-errors", "10",
+                    "--out", str(out),
+                ]
+            )
+        assert exc.value.code == 2
+        assert "--ebn0" in capsys.readouterr().err
+        assert not out.with_suffix(".perms.txt").exists()
+
     def test_zero_m_fails(self, tmp_path, capsys):
         out = tmp_path / "ae.csv"
         code, _, err = run_cli(
