@@ -5,11 +5,13 @@ conversion, empirical absorption groups, and equivalence-class counting."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations, groupby
 
 import numpy as np
 
 from . import _gf2
 from .codes import CodeSpec, dim_rm
+from .monomials import derivative_dimensions
 # encode_batch is unused here but kept importable: perfbench/spans.py wraps it by name
 from .scdec import sc_decode_frames, encode_batch
 from .channel import noisy_frames
@@ -185,23 +187,6 @@ def is_code_automorphism(p: Permutation, code: CodeSpec) -> bool:
     return _gf2.rank(packed + permuted) == code.K
 
 
-def _swap_bits(x: int, a: int, b: int) -> int:
-    bit_a = (x >> a) & 1
-    bit_b = (x >> b) & 1
-    if bit_a != bit_b:
-        x ^= (1 << a) | (1 << b)
-    return x
-
-
-def _admissible_swaps(code: CodeSpec) -> dict[tuple[int, int], bool]:
-    masks = set(code.gen_set.masks)
-    out = {}
-    for a in range(code.n):
-        for b in range(a + 1, code.n):
-            out[(a, b)] = all(_swap_bits(m, a, b) in masks for m in masks)
-    return out
-
-
 def _blocks_from_pairs(n: int, pair_ok) -> tuple[int, ...]:
     """Maximal consecutive runs in which every pair is admissible; raises
     when the pair relation is not exactly a union of such blocks."""
@@ -226,13 +211,21 @@ def _blocks_from_pairs(n: int, pair_ok) -> tuple[int, ...]:
 
 def compute_blta_structure(code: CodeSpec) -> BlockStructure:
     """Diagonal block sizes of the affine automorphism group of a decreasing
-    code, from invariance of the generator monomials under coordinate swaps."""
-    adm = _admissible_swaps(code)
-    try:
-        blocks = _blocks_from_pairs(code.n, lambda a, b: adm[(a, b)])
-    except AbsorptionProbeError as exc:
-        raise ValueError(f"swap admissibility is not block shaped: {exc}") from exc
-    return BlockStructure(blocks)
+    code: the runs of equal derivative dimensions.
+
+    Let d_v count the generator monomials that contain variable v (the
+    dimension of the derivative along v).  For a < b, replacing x_b by x_a
+    maps the monomials that contain b but not a one-to-one into those that
+    contain a but not b: each image lies below its source, and a decreasing
+    set holds it.  So d_a >= d_b, and the dimensions are nonincreasing.
+    When d_a = d_b that map is a bijection, so the swap (a b) maps the set
+    onto itself.  When d_a > d_b the swap sends some member with a but not
+    b outside the set, so it changes the code.  The admissible swaps are
+    therefore exactly the pairs inside one run (Bardet, Dragoi, Otmani &
+    Tillich, ISIT 2016).
+    """
+    dims = derivative_dimensions(code.gen_set)
+    return BlockStructure(tuple(len(list(run)) for _, run in groupby(dims)))
 
 
 def _gl_order(s: int) -> int:
@@ -314,26 +307,22 @@ def absorption_structure_empirical(
 ) -> BlockStructure:
     """Empirical block structure of the SC absorption group.
 
-    Every coordinate swap admissible for the full automorphism group is
-    probed on a shared batch of noisy codewords; absorbed swaps must tile
-    into consecutive blocks.  For a partially symmetric code of best
-    distance whose dimension is not extreme, the last block is known to be
-    one, and a probe result contradicting that raises.
+    Every coordinate swap admissible for the full automorphism group (a
+    pair of equal derivative dimensions) is probed on a shared batch of
+    noisy codewords; absorbed swaps must tile into consecutive blocks.  For
+    a partially symmetric code of best distance whose dimension is not
+    extreme, the last block is known to be one, and a probe result
+    contradicting that raises.
     """
     if trials < 100:
         raise ValueError("need at least 100 probe trials")
-    full = compute_blta_structure(code)
-    bounds = np.cumsum(full.blocks)
-    block_of = np.searchsorted(bounds, np.arange(code.n), side="right")
+    dims = derivative_dimensions(code.gen_set)
     llrs, sc_ref = _probe_batch(code, trials, snr_db, seed, minsum)
     absorbed = {}
-    for a in range(code.n):
-        for b in range(a + 1, code.n):
-            if block_of[a] != block_of[b]:
-                absorbed[(a, b)] = False
-                continue
-            perm = permutation_from_affine(variable_swap(code.n, a, b))
-            absorbed[(a, b)] = _branch_matches_sc(llrs, sc_ref, perm, code, minsum)
+    for a, b in combinations(range(code.n), 2):
+        absorbed[(a, b)] = dims[a] == dims[b] and _branch_matches_sc(
+            llrs, sc_ref, permutation_from_affine(variable_swap(code.n, a, b)), code, minsum
+        )
     blocks = _blocks_from_pairs(code.n, lambda a, b: absorbed[(a, b)])
     result = BlockStructure(blocks)
     # structural guarantee: a partially/fully symmetric best-distance code of

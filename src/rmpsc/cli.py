@@ -8,6 +8,7 @@ import json
 import math
 import sys
 from contextlib import nullcontext
+from dataclasses import replace
 from pathlib import Path
 
 from .autgroup import (
@@ -151,7 +152,14 @@ def cmd_simulate(ns) -> int:
     if ns.workers < 1:
         raise ValueError(f"workers must be at least 1, got {ns.workers}")
     code = _build_code(ns)
-    perms = ()
+    # validated as an SC campaign before the AE permutations are sampled
+    cfg = SimConfig(
+        code=code,
+        ebn0_grid_db=ns.ebn0,
+        max_trials=ns.max_trials,
+        target_errors=ns.target_errors,
+        seed=ns.seed,
+    )
     if ns.dec == "ae":
         perms = tuple(
             sample_distinct_class_automorphisms(
@@ -164,15 +172,7 @@ def cmd_simulate(ns) -> int:
             print(f"# ae permutations logged to {replay}", file=sys.stderr)
         else:
             print("# no --out given; ae permutations not logged", file=sys.stderr)
-    cfg = SimConfig(
-        code=code,
-        decoder=ns.dec,
-        perms=perms,
-        ebn0_grid_db=ns.ebn0,
-        max_trials=ns.max_trials,
-        target_errors=ns.target_errors,
-        seed=ns.seed,
-    )
+        cfg = replace(cfg, decoder="ae", perms=perms)
     points = run_fer(cfg, workers=ns.workers)
     d, a_dmin, rate = code.min_distance, _auto_a_dmin(code), code.rate
     with _output(ns.out) as out:

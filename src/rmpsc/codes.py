@@ -16,6 +16,7 @@ from .monomials import (
     GeneratorSet,
     _steps_below,
     evaluate_monomial,
+    min_distance,
     minimal_generators,
     monomial_from_index,
     upward_closure,
@@ -95,8 +96,7 @@ class CodeSpec:
 
     @property
     def min_distance(self) -> int:
-        max_deg = max(monomial_from_index(i, self.n).degree for i in self.i_min)
-        return 1 << (self.n - max_deg)
+        return min_distance(self.gen_set, check=False)
 
     @property
     def symmetry(self) -> int:

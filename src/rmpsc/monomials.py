@@ -22,7 +22,6 @@ __all__ = [
     "index_leq",
     "upward_closure",
     "minimal_generators",
-    "reduce_to_antichain",
     "is_decreasing",
     "partial_derivative",
     "derivative_dimensions",
@@ -183,11 +182,6 @@ def index_leq(j: int, i: int, n: int) -> bool:
 def upward_closure(i_min, n: int) -> frozenset[int]:
     """All indices above some element of ``i_min`` in the index order."""
     return _closure_pass(i_min, n)[0]
-
-
-def reduce_to_antichain(indices, n: int) -> frozenset[int]:
-    """Drop every index dominated by another member (in the index order)."""
-    return _closure_pass(indices, n)[1]
 
 
 def minimal_generators(info_set, n: int) -> frozenset[int]:

@@ -5,9 +5,11 @@ index order as a pairwise prefix-count test (the library derives it from its
 generating steps), the pairwise closure and antichain of an index set, the
 pairwise dominance relation of the monomial poset, the pairwise consistency
 check of a reliability order, the symmetry search that rescans the whole
-ideal for every candidate swap, and successive cancellation decoding that
-visits every leaf, with the textbook f and g.  Results must be equal, not
-just close.
+ideal for every candidate swap, the BLTA block structure as the runs of
+coordinate swaps that map the generator monomials onto themselves (the
+library reads it off the derivative dimensions), and successive
+cancellation decoding that visits every leaf, with the textbook f and g.
+Results must be equal, not just close.
 
 Beside them are helpers that only the tests use: affine-map composition, the
 single-permutation absorption probe and the brute-force minimum-weight count.
@@ -19,8 +21,11 @@ import numpy as np
 
 from rmpsc.autgroup import (
     PROBE_MINSUM,
+    AbsorptionProbeError,
     AffineMap,
+    BlockStructure,
     Permutation,
+    _blocks_from_pairs,
     _branch_matches_sc,
     _probe_batch,
 )
@@ -268,6 +273,34 @@ def _search_heuristic(n, k, poset: MonomialPoset, *, seed, restarts, rel=None):
             best_key, best_pos = key, positions
     code = CodeSpec.from_info_set(poset.info_indices(best_pos), n)
     return best_key[0], [code]
+
+
+def _swap_bits(x: int, a: int, b: int) -> int:
+    bit_a = (x >> a) & 1
+    bit_b = (x >> b) & 1
+    if bit_a != bit_b:
+        x ^= (1 << a) | (1 << b)
+    return x
+
+
+def _admissible_swaps(code: CodeSpec) -> dict[tuple[int, int], bool]:
+    masks = set(code.gen_set.masks)
+    out = {}
+    for a in range(code.n):
+        for b in range(a + 1, code.n):
+            out[(a, b)] = all(_swap_bits(m, a, b) in masks for m in masks)
+    return out
+
+
+def compute_blta_structure(code: CodeSpec) -> BlockStructure:
+    """Diagonal block sizes of the affine automorphism group of a decreasing
+    code, from invariance of the generator monomials under coordinate swaps."""
+    adm = _admissible_swaps(code)
+    try:
+        blocks = _blocks_from_pairs(code.n, lambda a, b: adm[(a, b)])
+    except AbsorptionProbeError as exc:
+        raise ValueError(f"swap admissibility is not block shaped: {exc}") from exc
+    return BlockStructure(blocks)
 
 
 def compose_affine(t1: AffineMap, t2: AffineMap) -> AffineMap:

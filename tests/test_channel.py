@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri
 
@@ -179,7 +179,8 @@ class TestRunFer:
         b = run_fer(cfg, batch_size=257)
         assert a == b
 
-    @settings(max_examples=25, deadline=None, derandomize=True)
+    @seed(10)
+    @settings(max_examples=25, deadline=None, derandomize=False, database=None)
     @given(st.integers(1, 700))
     def test_batch_size_invariant(self, batch_size):
         cfg = SimConfig(
@@ -201,7 +202,8 @@ class TestRunFer:
         assert a == b
 
     # each example starts a process pool, so the example count stays small
-    @settings(max_examples=8, deadline=None, derandomize=True)
+    @seed(11)
+    @settings(max_examples=8, deadline=None, derandomize=False, database=None)
     @given(st.integers(1, 700), st.sampled_from([1, 2, 3]))
     @example(None, 1)
     @example(None, 2)

@@ -232,6 +232,27 @@ class TestSimulate:
         assert "--ebn0" in capsys.readouterr().err
         assert not out.with_suffix(".perms.txt").exists()
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--ebn0", "5:1:1", "--max-trials", "100", "--target-errors", "10"],
+            ["--ebn0", "3,2", "--max-trials", "100", "--target-errors", "10"],
+            ["--ebn0", "2", "--max-trials", "10", "--target-errors", "100"],
+        ],
+        ids=["empty-grid", "decreasing-grid", "target-above-max"],
+    )
+    def test_bad_campaign_fails_before_sampling(self, tmp_path, capsys, args):
+        out = tmp_path / "bad.csv"
+        code, _, err = run_cli(
+            ["simulate", "--imin", "27", "--n", "7", "--dec", "ae", "--m", "8"]
+            + args
+            + ["--out", str(out)],
+            capsys,
+        )
+        assert code == 1
+        assert "error:" in err
+        assert not out.with_suffix(".perms.txt").exists()
+
     def test_zero_m_fails(self, tmp_path, capsys):
         out = tmp_path / "ae.csv"
         code, _, err = run_cli(

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -423,7 +423,8 @@ def ae_reference(llrs, code, perms):
 
 
 class TestProperties:
-    @settings(max_examples=300, deadline=None, derandomize=True)
+    @seed(1)
+    @settings(max_examples=300, deadline=None, derandomize=False, database=None)
     @given(sc_inputs())
     def test_batch_rows_transform_frozen(self, case):
         llrs, frozen, minsum = case
@@ -441,7 +442,8 @@ class TestProperties:
             assert np.array_equal(Ui[0], U[i])
             assert np.array_equal(Xi[0], X[i])
 
-    @settings(max_examples=200, deadline=None, derandomize=True)
+    @seed(2)
+    @settings(max_examples=200, deadline=None, derandomize=False, database=None)
     @given(llr_pairs())
     def test_boxplus_bytes_match_sign_product(self, case):
         a, b, _ = case
@@ -450,7 +452,8 @@ class TestProperties:
                 got = boxplus_kernel(a, b, minsum, tile_rows)
                 assert got.tobytes() == boxplus_reference(a, b, minsum).tobytes()
 
-    @settings(max_examples=200, deadline=None, derandomize=True)
+    @seed(3)
+    @settings(max_examples=200, deadline=None, derandomize=False, database=None)
     @given(llr_pairs())
     def test_sign_flip_bytes_match_sign_product(self, case):
         a, b, u = case
@@ -461,7 +464,8 @@ class TestProperties:
             score = _negate_where(a.copy(), bits).sum(axis=1)
             assert score.tobytes() == ((1.0 - 2.0 * bits) * a).sum(axis=1).tobytes()
 
-    @settings(max_examples=200, deadline=None, derandomize=True)
+    @seed(4)
+    @settings(max_examples=200, deadline=None, derandomize=False, database=None)
     @given(code_inputs())
     def test_ae_identity_is_sc(self, case):
         from rmpsc.autgroup import Permutation
@@ -482,7 +486,8 @@ class TestProperties:
     @pytest.mark.parametrize(
         "n, batch", [(6, 1), (6, 3), (6, 64), (6, 300), (5, 300), (4, 64), (2, 3)]
     )
-    @settings(max_examples=50, deadline=None, derandomize=True)
+    @seed(5)
+    @settings(max_examples=50, deadline=None, derandomize=False, database=None)
     @given(data=st.data())
     def test_stacked_branches_match_branch_loop(self, n, batch, data):
         code, perms, llrs = data.draw(ae_inputs(n, batch))
@@ -503,7 +508,8 @@ class TestProperties:
         X = sc_decode_batch(llrs, info_only, True)
         assert X.tolist() == [[0, 0, 0, 1]]
 
-    @settings(max_examples=200, deadline=None, derandomize=True)
+    @seed(6)
+    @settings(max_examples=200, deadline=None, derandomize=False, database=None)
     @given(st.integers(0, 6).flatmap(
         lambda n: hnp.arrays(
             np.float64, st.tuples(st.integers(1, 8), st.just(1 << n)),
@@ -641,7 +647,8 @@ class TestRateOneGuard:
             assert (levels == [n]) == shortcut
             assert np.array_equal(X, sc_reference(llrs, info_only, minsum))
 
-    @settings(max_examples=300, deadline=None, derandomize=True)
+    @seed(7)
+    @settings(max_examples=300, deadline=None, derandomize=False, database=None)
     @given(rate_one_rows(), st.booleans())
     @example(edge_rows(1, guard_edges(1)[0]), False)
     @example(edge_rows(1, guard_edges(1)[1]), False)
