@@ -51,14 +51,6 @@ def polar_transform(u: np.ndarray) -> np.ndarray:
 
 # ------------------------------------------------------------------ f and g
 
-def _negate_where(x, bits):
-    """Negate float64 ``x`` in place where the 0/1 ``bits`` are set, by XOR of
-    its sign bit; exactly ``(1.0 - 2.0*bits) * x``, for +-0.0 too."""
-    xv = x.view(np.uint64)
-    np.bitwise_xor(xv, np.left_shift(bits, 63, dtype=np.uint64), out=xv)
-    return x
-
-
 # elements per numpy call of f and g on a large node: a tile's operands and
 # the scratch (about 0.5 MB) stay in cache, and no node allocates temporaries
 _TILE = 1 << 14
@@ -212,8 +204,9 @@ def sc_decode_batch(
     minsum : replace the exact check-node rule by min-sum.
     trace : optional callable ``trace(level, start, node_llrs)``, called with
         the (2^level, B) LLR array of every node the recursion visits, in
-        decoding order.  The array is a view into the call's workspace, valid
-        only during the callback (copy it to keep it).  Not visited, and not
+        decoding order.  The array is a view into the call's workspace (the
+        root's, into its node-major input), valid only during the callback
+        (copy it to keep it, and do not write it).  Not visited, and not
         reported: the Rate-0 left child of a node that recurses (f is not
         computed for it), and the subtrees below a Rate-0 node, a Rep node
         and a Rate-1 node whose LLRs all clear the guard (above
@@ -221,19 +214,23 @@ def sc_decode_batch(
         min-sum; see the comment above), which is decided by hard decision.
         The trace does not change the recursion.
 
-    The call allocates its LLR memory once (the per-layer arrays of Tal &
-    Vardy's SC decoder): a (2N, B) workspace whose rows [2^l, 2^(l+1)) hold
-    the node being decoded at level l (the root's rows hold the transposed
-    input), which f and g write in place, and a scratch of whole rows, at
-    most ``_TILE`` elements per operand (or one row), over which f and g run
-    tile by tile on larger nodes.  Its decisions go into one (N, B) uint8
-    codeword array, written in place.  f and g apply their signs by flipping
-    the float64 sign bit, with the same bits as multiplying by 1.0 - 2.0*bit.
+    The root's rows are the (N, B) node-major input ``llrs.T``, which the
+    call only reads: a node-major batch (a (B, N) view whose transpose is
+    C-contiguous) is read in place, any other is copied.  Below the root the
+    call allocates its LLR memory once (the per-layer arrays of Tal &
+    Vardy's SC decoder): an (N, B) workspace whose rows [2^l, 2^(l+1)) hold
+    the node being decoded at level l < n, which f and g write in place, and
+    a scratch of whole rows, at most ``_TILE`` elements per operand (or one
+    row), over which f and g run tile by tile on larger nodes.  Its
+    decisions go into one (N, B) uint8 codeword array, written in place.  f
+    and g apply their signs by flipping the float64 sign bit, with the same
+    bits as multiplying by 1.0 - 2.0*bit.
 
     Returns
     -------
-    X : (B, N) uint8 array of decided codeword bits; the decided input bits
-        are ``polar_transform(X)``, the transform being an involution.
+    X : (B, N) uint8 array of decided codeword bits, a view of the node-major
+        codeword array (not C-contiguous); the decided input bits are
+        ``polar_transform(X)``, the transform being an involution.
     """
     llrs = np.asarray(llrs, dtype=np.float64)
     B, N = llrs.shape
@@ -244,12 +241,11 @@ def sc_decode_batch(
         info_before.append(info_before[-1] + (not f))
     n = N.bit_length() - 1
     X = np.zeros((N, B), dtype=np.uint8)
-    L = np.empty((2 * N, B))
-    L[N:] = llrs.T
+    L = np.empty((N, B))
     scratch = _scratch(max(1, min(N // 2, _TILE // max(B, 1))) * B)
     # per level: the node rows, their halves a and b with the child level's
     # rows, and the tiles of f and g over them
-    rows = [L[1 << lv : 2 << lv] for lv in range(n + 1)]
+    rows = [L[1 << lv : 2 << lv] for lv in range(n)] + [np.ascontiguousarray(llrs.T)]
     halves = [None]
     tiles = [None]
     for lv in range(1, n + 1):
@@ -298,7 +294,7 @@ def sc_decode_batch(
         node(n, 0)
     finally:
         del node  # the closure refers to itself: break the cycle now, not at gc
-    return np.ascontiguousarray(X.T)
+    return X.T
 
 
 # --------------------------------------------------- GF(2) weight spectrum

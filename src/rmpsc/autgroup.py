@@ -41,13 +41,14 @@ class AbsorptionProbeError(RuntimeError):
 
 @dataclass(frozen=True)
 class BlockStructure:
-    """Ordered diagonal block sizes of a block-lower-triangular group."""
+    """Ordered diagonal block sizes of a block-lower-triangular group; no
+    blocks for n = 0, whose group is the identity alone."""
 
     blocks: tuple[int, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "blocks", tuple(int(b) for b in self.blocks))
-        if not self.blocks or any(b < 1 for b in self.blocks):
+        if any(b < 1 for b in self.blocks):
             raise ValueError(f"block sizes must be positive, got {self.blocks}")
 
     @property

@@ -187,7 +187,7 @@ def cmd_extend(ns) -> int:
     base = CodeSpec.from_i_min(ns.imin, ns.n)
     base_structure = compute_blta_structure(base)
     extended = extend_code(ns.imin, ns.n)
-    predicted = base_structure.blocks[:-1] + (base_structure.blocks[-1] + 1,)
+    predicted = (*base_structure.blocks[:-1], sum(base_structure.blocks[-1:]) + 1)
     computed = compute_blta_structure(extended).blocks
     print(f"base: N={base.N} K={base.K} blta={';'.join(map(str, base_structure.blocks))}")
     print(f"extended: N={extended.N} K={extended.K}")

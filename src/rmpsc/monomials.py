@@ -223,14 +223,15 @@ def symmetry(g: GeneratorSet, *, check: bool = True) -> int:
     """Number of partial derivatives of minimal dimension.
 
     For a decreasing set the derivative dimensions are nonincreasing, so this
-    counts the trailing variables whose derivatives all reach the minimum.
+    counts the trailing variables whose derivatives all reach the minimum
+    (none for n = 0).
     """
     if not g.masks:
         raise ValueError("empty generator set has no symmetry")
     if check and not is_decreasing(g):
         raise ValueError("symmetry is only defined for decreasing sets")
     dims = derivative_dimensions(g)
-    lo = min(dims)
+    lo = min(dims, default=0)
     return sum(1 for d in dims if d == lo)
 
 

@@ -5,13 +5,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._kernels import LLR_CLAMP, _negate_where, polar_transform, sc_decode_batch
+from ._kernels import _U63, LLR_CLAMP, polar_transform, sc_decode_batch
 from .codes import CodeSpec
 
-# LLRs (N times rows) per SC kernel call: it groups AE branches into stacked
-# calls here and sizes channel.run_fer's default FER batch.  The kernel's
-# working set is twice that many LLRs plus one tile of scratch, so more rows
-# per call cost peak memory
+# LLRs (N times rows) per SC kernel call: it sizes channel.run_fer's default
+# FER batch, and an AE call gets 3 * _SC_CALL_LLRS LLRs for its gathered
+# branches and the kernel's workspace.  The kernel reads node-major input in
+# place and allocates N level rows below the root plus one tile of scratch,
+# so a call holds 2 * N * rows LLRs, and more rows per call cost peak memory
 _SC_CALL_LLRS = 1 << 16
 
 __all__ = ["encode_batch", "polar_transform", "sc_decode_frames", "ae_sc_decode_frames"]
@@ -30,14 +31,12 @@ def encode_batch(u_info: np.ndarray, code: CodeSpec) -> np.ndarray:
 
 
 def _check_llrs(llrs: np.ndarray, N: int) -> np.ndarray:
-    llrs = np.asarray(llrs, dtype=np.float64)
+    llrs = np.atleast_2d(np.asarray(llrs, dtype=np.float64))
     if llrs.shape[-1] != N:
         raise ValueError(f"LLR length {llrs.shape[-1]} does not match N={N}")
     if not np.isfinite(llrs).all():
         raise ValueError("LLRs must be finite")
-    # clamp keeps the exact check-node rule numerically stable and makes
-    # absorption probes deterministic
-    return np.clip(llrs, -LLR_CLAMP, LLR_CLAMP)
+    return llrs
 
 
 def _perm_array(p, N: int) -> np.ndarray:
@@ -57,8 +56,13 @@ def sc_decode_frames(llrs: np.ndarray, code: CodeSpec, *, minsum: bool = False):
     Frozen positions are forced to zero, and an information decision at an
     exact LLR tie resolves to zero.  ``minsum`` replaces the exact
     check-node rule by min-sum."""
-    llrs = _check_llrs(np.atleast_2d(llrs), code.N)
-    return sc_decode_batch(llrs, code.frozen_mask(), minsum)
+    llrs = _check_llrs(llrs, code.N)
+    # clamp (it keeps the exact check-node rule numerically stable and makes
+    # absorption probes deterministic) into a node-major buffer, which the
+    # kernel reads in place
+    node_major = np.empty((code.N, len(llrs))).T
+    np.clip(llrs, -LLR_CLAMP, LLR_CLAMP, out=node_major)
+    return sc_decode_batch(node_major, code.frozen_mask(), minsum)
 
 
 def ae_sc_decode_frames(llrs: np.ndarray, code: CodeSpec, perms):
@@ -68,10 +72,11 @@ def ae_sc_decode_frames(llrs: np.ndarray, code: CodeSpec, perms):
     Returns the (B, N) winning codewords X and the (B,) winning branches.
 
     Branches are stacked as extra rows of shared kernel calls, as many per
-    call as fit in ``_SC_CALL_LLRS`` LLRs (at least one)."""
+    call as fit in ``3 * _SC_CALL_LLRS`` LLRs at 2 * N per row (at least
+    one): the gathered branches and the kernel's workspace below them."""
     if not perms:
         raise ValueError("at least one permutation is required")
-    llrs = _check_llrs(np.atleast_2d(llrs), code.N)
+    llrs = np.clip(_check_llrs(llrs, code.N), -LLR_CLAMP, LLR_CLAMP)
     B = llrs.shape[0]
     frozen = code.frozen_mask()
     perm_arrays = [_perm_array(p, code.N) for p in perms]
@@ -79,19 +84,30 @@ def ae_sc_decode_frames(llrs: np.ndarray, code: CodeSpec, perms):
     candidates = np.empty((M, B, code.N), dtype=np.uint8)
     scores = np.empty((M, B), dtype=np.float64)
     # branch j decodes llrs[:, inverse_j] (branch_in[:, p] = llrs); a group's
-    # branches are stacked in the kernel's (N, rows) layout, frame b of
-    # branch j on row j*B + b
+    # branches are gathered node-major, the (N, rows) layout the kernel reads
+    # in place, frame b of branch j on row j*B + b
     inverses = np.argsort(perm_arrays, axis=1)
-    group = max(1, _SC_CALL_LLRS // (code.N * max(B, 1)))
+    node_major = np.ascontiguousarray(llrs.T)
+    group = max(1, 3 * _SC_CALL_LLRS // (2 * code.N * max(B, 1)))
+    # one buffer for every group's gather, reused for its scores once the
+    # kernel has returned, so that neither allocates per group
+    work = np.empty(min(group, M) * B * code.N)
     for first in range(0, M, group):
-        branch_perms = perm_arrays[first : first + group]
-        stacked = llrs.T[inverses[first : first + group].T]
-        X = sc_decode_batch(stacked.reshape(code.N, len(branch_perms) * B).T, frozen)
-        for j, p in enumerate(branch_perms):
-            cand = X[j * B : (j + 1) * B][:, p]  # map the branch codeword back
-            candidates[first + j] = cand
-            # correlation with the LLRs: maximising it minimises the
-            # Euclidean distance to the BPSK point
-            scores[first + j] = _negate_where(llrs.copy(), cand).sum(axis=1)
+        last = min(first + group, M)
+        size = (last - first) * B * code.N
+        stacked = work[:size].reshape(code.N, last - first, B)
+        # the indices are valid; take would buffer its output under "raise"
+        np.take(node_major, inverses[first:last].T, axis=0, out=stacked, mode="clip")
+        X = sc_decode_batch(stacked.reshape(code.N, -1).T, frozen)
+        for j in range(first, last):
+            # map the branch codeword back
+            candidates[j] = X[(j - first) * B : (j - first + 1) * B][:, perm_arrays[j]]
+        # correlation with the LLRs: maximising it minimises the Euclidean
+        # distance to the BPSK point.  The LLRs' sign bits are flipped where
+        # a candidate has a 1, exactly (1.0 - 2.0*cand) * llrs, +-0.0 too
+        signs = work[:size].view(np.uint64).reshape(last - first, B, code.N)
+        np.left_shift(candidates[first:last], _U63, out=signs)
+        signs ^= llrs.view(np.uint64)
+        scores[first:last] = signs.view(np.float64).sum(axis=2)
     winner = scores.argmax(axis=0)
     return candidates[winner, np.arange(B), :], winner

@@ -237,10 +237,14 @@ class TestBltaSize:
             assert hits == blta_size(s), (info, s)
 
     def test_block_structure_validation(self):
-        with pytest.raises(ValueError):
-            BlockStructure(())
+        # n = 0 has no blocks: the identity alone, one class
+        empty = BlockStructure(())
+        assert empty.n == 0 and blta_size(empty) == 1
+        assert equivalent_class_count(empty, empty) == 1
         with pytest.raises(ValueError):
             BlockStructure((2, 0))
+        with pytest.raises(ValueError):
+            BlockStructure((-1,))
 
 
 class TestBlockMembership:

@@ -269,6 +269,47 @@ class TestRunFer:
         assert seen == counts
         assert point.trials == max_trials
 
+    def test_kernel_calls_fit_the_call_budget(self, monkeypatch):
+        # SC: the kernel sees the default FER batches above, N * rows within
+        # one budget past the 256-frame floor; AE: a call of stacked
+        # branches holds 2 * N * rows LLRs within three budgets
+        import rmpsc.scdec as scdec
+        from rmpsc.autgroup import Permutation
+
+        calls = []
+        decode = scdec.sc_decode_batch
+
+        def record(llrs, frozen, minsum=False, trace=None):
+            calls.append(llrs.shape)
+            return decode(llrs, frozen, minsum, trace)
+
+        monkeypatch.setattr(scdec, "sc_decode_batch", record)
+        for i_min, n, max_trials, rows in (
+            ({19}, 6, 2500, [1024, 1024, 452]),
+            ({30}, 8, 600, [256, 256, 88]),
+        ):
+            calls.clear()
+            cfg = SimConfig(
+                code=CodeSpec.from_i_min(i_min, n), ebn0_grid_db=(2.0,),
+                max_trials=max_trials, target_errors=max_trials,
+            )
+            run_fer(cfg, workers=1)
+            assert [r for r, _ in calls] == rows
+        rng = np.random.default_rng(17)
+        for i_min, n, batch in (({11}, 5, 1000), ({19}, 6, 300), ({27}, 7, 256), ({27}, 7, 97)):
+            N = 1 << n
+            perms = tuple(Permutation(rng.permutation(N)) for _ in range(8))
+            calls.clear()
+            cfg = SimConfig(
+                code=CodeSpec.from_i_min(i_min, n), decoder="ae", perms=perms,
+                ebn0_grid_db=(2.0,), max_trials=2 * batch, target_errors=2 * batch,
+            )
+            run_fer(cfg, workers=1, batch_size=batch)
+            assert sum(r for r, _ in calls) == 2 * 8 * batch
+            stacked = [r for r, _ in calls if r > batch]
+            assert stacked
+            assert all(2 * N * r <= 3 * scdec._SC_CALL_LLRS for r in stacked)
+
     def test_fer_monotone_in_snr(self):
         code = CodeSpec.from_i_min({11}, 5)
         cfg = SimConfig(

@@ -42,6 +42,17 @@ class TestAnalyze:
         assert payload["rate_one"] is True
         assert payload["extreme_dimension"] is True
 
+    def test_length_one_code(self, capsys):
+        # n = 0: no variables, so no blocks, a group of order 1 and one class
+        code, out, _ = run_cli(
+            ["analyze", "--imin", "0", "--n", "0", "--absorption", "--json"], capsys
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["N"], payload["K"], payload["symmetry"]) == (1, 1, 0)
+        assert payload["blta_structure"] == payload["absorption_structure"] == []
+        assert payload["blta_size"] == payload["equivalent_classes"] == 1
+
     def test_spec_file_input(self, tmp_path, capsys):
         from rmpsc.codes import CodeSpec
 
@@ -192,6 +203,21 @@ class TestSimulate:
         assert code == 1
         assert "error:" in err
 
+    def test_ae_length_one_code(self, tmp_path, capsys):
+        sc, ae = tmp_path / "sc.csv", tmp_path / "ae.csv"
+        base = [
+            "simulate", "--imin", "0", "--n", "0", "--ebn0", "0:2:1",
+            "--max-trials", "300", "--target-errors", "300", "--seed", "2",
+        ]
+        assert main(base + ["--dec", "sc", "--out", str(sc)]) == 0
+        assert main(base + ["--dec", "ae", "--m", "1", "--out", str(ae)]) == 0
+        capsys.readouterr()
+        assert sc.read_bytes() == ae.read_bytes()
+        assert (tmp_path / "ae.perms.txt").read_text() == "0\n"
+        code, _, err = run_cli(base + ["--dec", "ae", "--m", "2"], capsys)
+        assert code == 1
+        assert "only 1" in err
+
     def test_zero_workers_fails(self, tmp_path, capsys):
         code, _, err = run_cli(
             [
@@ -293,6 +319,14 @@ class TestExtend:
         ext = CodeSpec.load(out)
         assert ext.N == 128 and ext.i_min == (19,)
 
+    def test_length_one_code(self, capsys):
+        code, stdout, _ = run_cli(["extend", "--imin", "0", "--n", "0"], capsys)
+        assert code == 0
+        assert "base: N=1 K=1 blta=\n" in stdout
+        assert "predicted_blta: 1\n" in stdout
+        assert "computed_blta: 1\n" in stdout
+        assert "match: True" in stdout
+
     def test_non_rm_polar_rejected(self, capsys):
         code, _, err = run_cli(["extend", "--imin", "24", "--n", "5"], capsys)
         assert code == 1
@@ -320,6 +354,11 @@ class TestSamplePerms:
         assert main(args + ["--out", str(b)]) == 0
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
+
+    def test_length_one_code(self, capsys):
+        code, stdout, _ = run_cli(["sample-perms", "--imin", "0", "--n", "0", "--m", "1"], capsys)
+        assert code == 0
+        assert stdout == "0\n"
 
     def test_zero_m_fails(self, tmp_path, capsys):
         out = tmp_path / "perms.txt"

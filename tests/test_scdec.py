@@ -17,7 +17,6 @@ from rmpsc._kernels import (
     _TILE,
     _f,
     _g,
-    _negate_where,
     _scratch,
     _tiles,
     polar_transform,
@@ -38,8 +37,9 @@ def noiseless_llr(x, mag=20.0):
 
 
 def correlation(X, llrs):
-    """Per-row correlation of codewords with LLRs, as a product with +-1.0."""
-    return ((1.0 - 2.0 * X.astype(np.float64)) * llrs).sum(axis=1)
+    """Per-row correlation of codewords with LLRs, as a product with +-1.0,
+    summed in C order whatever the layout of X."""
+    return ((1.0 - 2.0 * np.ascontiguousarray(X, dtype=np.float64)) * llrs).sum(axis=1)
 
 
 class TestEncode:
@@ -305,6 +305,34 @@ class TestBatchDecode:
         for i in range(2):
             assert np.array_equal(sc_decode_batch(llrs[i : i + 1], info_only)[0], X[i])
 
+    @pytest.mark.parametrize("minsum", [False, True])
+    def test_node_major_input_is_read_in_place(self, minsum):
+        code = CodeSpec.from_i_min({27}, 7)
+        rng = np.random.default_rng(19)
+        llrs = rng.normal(0.5, 2, (96, 128))
+        node_major = np.ascontiguousarray(llrs.T).T
+        node_major.flags.writeable = False
+        roots = []
+
+        def trace(level, start, v):
+            if level == 7:
+                roots.append(np.shares_memory(v, node_major))
+
+        X = sc_decode_batch(node_major, code.frozen_mask(), minsum, trace)
+        assert roots == [True]
+        assert np.array_equal(X, sc_decode_batch(llrs, code.frozen_mask(), minsum))
+        assert np.array_equal(node_major, llrs)
+
+    def test_frames_clamp_without_touching_input(self):
+        code = CodeSpec.from_i_min({19}, 6)
+        rng = np.random.default_rng(20)
+        llrs = rng.normal(0, 60, (50, 64))
+        assert (np.abs(llrs) > 40).any()
+        kept = llrs.copy()
+        X = sc_decode_frames(llrs, code)
+        assert np.array_equal(X, sc_decode_batch(np.clip(llrs, -40, 40), code.frozen_mask()))
+        assert llrs.tobytes() == kept.tobytes()
+
     def test_batch_matches_single(self):
         code = CodeSpec.from_i_min({11}, 5)
         rng = np.random.default_rng(8)
@@ -461,8 +489,6 @@ class TestProperties:
             for tile_rows in (None, 1):
                 g = bitnode_kernel(a, b, bits, tile_rows)
                 assert g.tobytes() == ((1.0 - 2.0 * bits) * a + b).tobytes()
-            score = _negate_where(a.copy(), bits).sum(axis=1)
-            assert score.tobytes() == ((1.0 - 2.0 * bits) * a).sum(axis=1).tobytes()
 
     @seed(4)
     @settings(max_examples=200, deadline=None, derandomize=False, database=None)
@@ -764,7 +790,10 @@ class TestAeDecode:
         with pytest.raises(ValueError, match="not a permutation"):
             ae_sc_decode_frames(np.zeros((1, 32)), code, [np.zeros(32, int)])
 
-    @pytest.mark.parametrize("batch, calls", [(256, 4), (64, 1)])
+    # an AE call holds 2 * N * rows LLRs (the gathered branches and the
+    # kernel's workspace below them) within 3 * _SC_CALL_LLRS: 3 branches
+    # of 256 frames at N = 128, all 8 of 64 frames
+    @pytest.mark.parametrize("batch, calls", [(256, 3), (64, 1)])
     def test_branches_share_kernel_calls(self, monkeypatch, batch, calls):
         import rmpsc.scdec
 
@@ -781,7 +810,22 @@ class TestAeDecode:
         monkeypatch.setattr(rmpsc.scdec, "sc_decode_batch", counting)
         ae_sc_decode_frames(rng.normal(0.5, 2, (batch, 128)), code, perms)
         assert len(rows) == calls
-        assert sum(rows) == 8 * batch
+        assert rows == {256: [768, 768, 512], 64: [512]}[batch]
+
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 7, 8])
+    def test_ragged_groups_match_branch_loop(self, m):
+        # (128,60) at 256 frames stacks 3 branches per call, so the last
+        # group is full, short or alone
+        code = CodeSpec.from_i_min({27}, 7)
+        rng = np.random.default_rng(18)
+        full = compute_blta_structure(code)
+        perms = [permutation_from_affine(sample_blta(full, rng)) for _ in range(m)]
+        llrs = rng.normal(0.5, 2, (256, 128))
+        X, winner = ae_sc_decode_frames(llrs, code, perms)
+        _, X_ref, winner_ref = ae_reference(llrs, code, perms)
+        assert np.array_equal(X, X_ref)
+        assert np.array_equal(winner, winner_ref)
 
 
 class TestBoxplus:
