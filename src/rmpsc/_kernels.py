@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 # the only kernel implementation; recorded with benchmark results
@@ -152,13 +154,13 @@ def _g(tiles, bits):
 
 # ------------------------------------------------------------- SC decoding
 #
-# Recursive successive cancellation in natural bit order on (size, B) node
-# arrays: the node at tree level ``level`` starting at u-index ``start`` gets
-# the LLRs for u-indices [start, start + 2^level) of all B frames and writes
-# its sub-codeword into the same rows of the call's zeroed (N, B) codeword
-# array X; a node that recurses then XORs its right half into its left.
-# Three subtree kinds are decoded without walking their leaves, all with
-# decisions identical to plain SC:
+# Successive cancellation in natural bit order on (size, B) node arrays: the
+# node at tree level ``level`` starting at u-index ``start`` gets the LLRs for
+# u-indices [start, start + 2^level) of all B frames and writes its
+# sub-codeword into the same rows of the call's zeroed (N, B) codeword array
+# X; a node that splits XORs its right half into its left.  Three subtree
+# kinds are decoded without walking their leaves, all with decisions
+# identical to plain SC:
 #
 # - Rate-0 (no information bit): every decision is 0, no LLR is needed, and
 #   the node's rows of X stay zero.
@@ -181,14 +183,138 @@ def _g(tiles, bits):
 #   two values of b's sign, of magnitude at least |b|, so the right child
 #   decides (b < 0), and the node's codeword (x_left ^ x_right, x_right) is
 #   (a < 0, b < 0).  A leaf decides (v < 0).  The guard reads the whole
-#   batch, so a node with one weak frame recurses for every frame.  The
+#   batch, so a node with one weak frame is split for every frame.  The
 #   rounding it guards against is real: the exact rule decides the
 #   all-information row (1e-9, 1e-9, 1e-9, -1e-9) as (0, 0, 0, 0).
 #
-# Below a node that recurses, a Rate-0 left child is not visited and f is not
+# Below a node that splits, a Rate-0 left child is not visited and f is not
 # computed for it: the child needs no LLR, and g is then a + b.  Signs are
 # applied by flipping the float64 sign bit, which gives the same bits as the
 # products with +-1.0 of the textbook f and g, +-0.0 included.
+#
+# The walk depends on the frozen mask alone, so it is compiled once per mask
+# into a flat plan of steps ``(kind, level, start, mid, end, visit, after)``,
+# in decoding order.  The kinds:
+#
+# - "skip": a Rate-0 node;
+# - "rep": a Rep node, folded down to its leaf;
+# - "rate1": a Rate-1 candidate, whose guard is read at run time: when it
+#   holds, the node is decided by hard decision and the run goes on at step
+#   ``after``, past the node's subtree; otherwise it goes on into the
+#   subtree, the node's f first;
+# - "f" into the left child's rows, "add" (a + b into the right child's rows
+#   under a Rate-0 left child), "g" into the right child's rows once the
+#   left child is decided, and "xor", the combine after the right child.
+#
+# ``visit`` marks the step at which the trace sees the node: every node's
+# first step, which for a split Rate-1 candidate is the candidate, not its f.
+
+
+@functools.lru_cache
+def _plan(frozen: bytes) -> tuple:
+    """The flat step list of the pruned SC tree of a frozen mask, given as
+    the bytes of a bool array (see the comment above)."""
+    # info_before[i]: number of information bits among u-indices [0, i)
+    info_before = [0]
+    for f in frozen:
+        info_before.append(info_before[-1] + (not f))
+    steps = []
+    _compile(len(frozen).bit_length() - 1, 0, frozen, info_before, steps)
+    return tuple(steps)
+
+
+def _compile(level, start, frozen, info_before, steps):
+    """Append the steps of the node (level, start) to ``steps``: a plain
+    function, so that compiling leaves no reference cycle."""
+    size = 1 << level
+    end = start + size
+    mid = start + size // 2
+    info = info_before[end] - info_before[start]
+    if info == 0:
+        steps.append(("skip", level, start, mid, end, True, 0))
+        return
+    if info == 1 and not frozen[end - 1]:
+        steps.append(("rep", level, start, mid, end, True, 0))
+        return
+    rate1 = info == size
+    if rate1:
+        at = len(steps)
+        steps.append(None)
+    if info_before[mid] == info_before[start]:
+        steps.append(("add", level, start, mid, end, True, 0))
+    else:
+        steps.append(("f", level, start, mid, end, not rate1, 0))
+        _compile(level - 1, start, frozen, info_before, steps)
+        steps.append(("g", level, start, mid, end, False, 0))
+    _compile(level - 1, mid, frozen, info_before, steps)
+    steps.append(("xor", level, start, mid, end, False, 0))
+    if rate1:
+        steps[at] = ("rate1", level, start, mid, end, True, len(steps))
+
+
+# LLRs (N times rows) per SC kernel call: it sizes channel.run_fer's default
+# FER batch, and an AE call (scdec) gets 3 * _SC_CALL_LLRS LLRs for its
+# gathered branches and the kernel's workspace.  The kernel reads node-major
+# input in place and works in N level rows below the root plus one tile of
+# scratch, so a call holds 2 * N * rows LLRs, and more rows per call cost
+# peak memory.  The same 3 * _SC_CALL_LLRS bounds the workspace that
+# sc_decode_batch keeps from one call to the next
+_SC_CALL_LLRS = 1 << 16
+
+# The workspace a finished call keeps for the next one, under the key None.
+# A call pops it, so that a reentrant or concurrent call allocates its own,
+# and puts it back when it returns, if the call fits the AE call budget.
+_RETAINED = {}
+
+
+class _Workspace:
+    """LLR memory for calls below the root: ``llrs``, a flat buffer that
+    holds an (N, B) call's level rows in its first N * B entries, and
+    ``scratch``, the f/g scratch (see ``_scratch``); each grows when a call
+    needs more.  ``views`` maps a call shape (N, B) to the per-level views
+    over both, for the shape of the last call (``shape``) and the one
+    before it, so that calls of two alternating shapes rebuild none."""
+
+    __slots__ = ("llrs", "scratch", "shape", "views")
+
+    def __init__(self):
+        self.llrs = np.empty(0)
+        self.scratch = _scratch(0)
+        self.shape = None
+        self.views = {}
+
+    def level_views(self, N: int, B: int, width: int):
+        """``(rows, halves, tiles, scratch)`` of an (N, B) call whose f/g
+        scratch is ``width`` wide: per tree level l < n, its node rows, and
+        for 0 < l < n the halves a and b with the child level's rows, and
+        the tiles of f and g over them.  Entry n (the root's) is left for
+        the call to fill and clear."""
+        views = self.views.get((N, B))
+        if views is None:
+            if self.llrs.size < N * B or self.scratch[3].size < width:
+                # old views and buffers are released before larger ones are made
+                self.views = {}
+                if self.llrs.size < N * B:
+                    self.llrs = None
+                    self.llrs = np.empty(N * B)
+                if self.scratch[3].size < width:
+                    self.scratch = None
+                    self.scratch = _scratch(width)
+            n = N.bit_length() - 1
+            L = self.llrs[: N * B].reshape(N, B)
+            mags, corr, neg, flip = self.scratch
+            scratch = (mags[: 2 * width], corr[: 2 * width], neg[: 2 * width], flip[:width])
+            rows = [L[1 << lv : 2 << lv] for lv in range(n)] + [None]
+            halves, tiles = [None] * (n + 1), [None] * (n + 1)
+            for lv in range(1, n):
+                ab = rows[lv].reshape(2, 1 << (lv - 1), B)
+                halves[lv] = (ab[0], ab[1], rows[lv - 1])
+                tiles[lv] = _tiles(ab, rows[lv - 1], scratch)
+            views = (rows, halves, tiles, scratch)
+            self.views = {k: v for k, v in self.views.items() if k == self.shape}
+            self.views[N, B] = views
+        self.shape = (N, B)
+        return views
 
 
 def sc_decode_batch(
@@ -203,28 +329,37 @@ def sc_decode_batch(
     frozen : (N,) uint8 mask, 1 on frozen u-positions.
     minsum : replace the exact check-node rule by min-sum.
     trace : optional callable ``trace(level, start, node_llrs)``, called with
-        the (2^level, B) LLR array of every node the recursion visits, in
+        the (2^level, B) LLR array of every node the decoder visits, in
         decoding order.  The array is a view into the call's workspace (the
         root's, into its node-major input), valid only during the callback
         (copy it to keep it, and do not write it).  Not visited, and not
-        reported: the Rate-0 left child of a node that recurses (f is not
+        reported: the Rate-0 left child of a node that splits (f is not
         computed for it), and the subtrees below a Rate-0 node, a Rep node
         and a Rate-1 node whose LLRs all clear the guard (above
         ``level * _F_LOSS`` in magnitude under the exact rule, nonzero under
         min-sum; see the comment above), which is decided by hard decision.
-        The trace does not change the recursion.
+        The trace does not change the decoding; it may itself decode.
 
-    The root's rows are the (N, B) node-major input ``llrs.T``, which the
-    call only reads: a node-major batch (a (B, N) view whose transpose is
-    C-contiguous) is read in place, any other is copied.  Below the root the
-    call allocates its LLR memory once (the per-layer arrays of Tal &
-    Vardy's SC decoder): an (N, B) workspace whose rows [2^l, 2^(l+1)) hold
-    the node being decoded at level l < n, which f and g write in place, and
-    a scratch of whole rows, at most ``_TILE`` elements per operand (or one
+    The call runs the cached plan of ``frozen`` (see the comment above) in
+    one loop.  The root's rows are the (N, B) node-major input ``llrs.T``,
+    which the call only reads: a node-major batch (a (B, N) view whose
+    transpose is C-contiguous) is read in place, any other is copied.  Below
+    the root the call works in one workspace (the per-layer arrays of Tal &
+    Vardy's SC decoder): (N, B) level rows whose rows [2^l, 2^(l+1)) hold the
+    node being decoded at level l < n, which f and g write in place, and a
+    scratch of whole rows, at most ``_TILE`` elements per operand (or one
     row), over which f and g run tile by tile on larger nodes.  Its
-    decisions go into one (N, B) uint8 codeword array, written in place.  f
-    and g apply their signs by flipping the float64 sign bit, with the same
+    decisions go into a fresh (N, B) uint8 codeword array, written in place.
+    f and g apply their signs by flipping the float64 sign bit, with the same
     bits as multiplying by 1.0 - 2.0*bit.
+
+    Module state: the plan cache (``functools.lru_cache``, the default 128
+    masks) and at most one workspace, kept between calls.  A call checks
+    the kept workspace out and uses its memory when it is large enough.  On
+    return it keeps its workspace (with the views over it for its (N, B)
+    and the previous call's) if 2 * N * B <= 3 * ``_SC_CALL_LLRS``, the AE call budget, and drops it
+    otherwise, so the kept memory is at most 3 * ``_SC_CALL_LLRS`` / 2 LLRs
+    of level rows plus one scratch.
 
     Returns
     -------
@@ -234,66 +369,47 @@ def sc_decode_batch(
     """
     llrs = np.asarray(llrs, dtype=np.float64)
     B, N = llrs.shape
-    is_frozen = np.asarray(frozen, dtype=bool).tolist()
-    # info_before[i]: number of information bits among u-indices [0, i)
-    info_before = [0]
-    for f in is_frozen:
-        info_before.append(info_before[-1] + (not f))
+    plan = _plan(np.asarray(frozen, dtype=bool).tobytes())
     n = N.bit_length() - 1
     X = np.zeros((N, B), dtype=np.uint8)
-    L = np.empty((N, B))
-    scratch = _scratch(max(1, min(N // 2, _TILE // max(B, 1))) * B)
-    # per level: the node rows, their halves a and b with the child level's
-    # rows, and the tiles of f and g over them
-    rows = [L[1 << lv : 2 << lv] for lv in range(n)] + [np.ascontiguousarray(llrs.T)]
-    halves = [None]
-    tiles = [None]
-    for lv in range(1, n + 1):
-        ab = rows[lv].reshape(2, 1 << (lv - 1), B)
-        halves.append((ab[0], ab[1], rows[lv - 1]))
-        tiles.append(_tiles(ab, rows[lv - 1], scratch))
-
-    def node(level, start):
-        v = rows[level]
-        if trace is not None:
-            trace(level, start, v)
-        size = 1 << level
-        end = start + size
-        info = info_before[end] - info_before[start]
-        if info == 0:
-            return
-        if info == 1 and not is_frozen[end - 1]:
+    width = max(1, min(N // 2, _TILE // max(B, 1))) * B
+    ws = _RETAINED.pop(None, None) or _Workspace()
+    rows, halves, tiles, scratch = ws.level_views(N, B, width)
+    # the root's entries, cleared before the workspace is kept
+    rows[n] = np.ascontiguousarray(llrs.T)
+    if n:
+        ab = rows[n].reshape(2, N // 2, B)
+        halves[n] = (ab[0], ab[1], rows[n - 1])
+        tiles[n] = _tiles(ab, rows[n - 1], scratch)
+    i = 0
+    while i < len(plan):
+        kind, level, start, mid, end, visit, after = plan[i]
+        i += 1
+        if visit and trace is not None:
+            trace(level, start, rows[level])
+        if kind == "f":
+            _f(tiles[level][0], minsum)
+        elif kind == "g":
+            _g(tiles[level][1], X[start:mid])
+        elif kind == "xor":
+            X[start:mid] ^= X[mid:end]
+        elif kind == "add":
+            a, b, child = halves[level]
+            np.add(a, b, out=child)
+        elif kind == "rep":
             # fold the halves down to the leaf row and repeat its decision
             for lv in range(level, 0, -1):
                 a, b, child = halves[lv]
                 np.add(a, b, out=child)
             np.less(rows[0], 0.0, out=X[start:end].view(bool))
-            return
-        if info == size and np.abs(v).min(initial=np.inf) > (
-            0.0 if minsum else level * _F_LOSS
-        ):
-            np.less(v, 0.0, out=X[start:end].view(bool))
-            return
-        mid = start + size // 2
-        if info_before[mid] == info_before[start]:
-            # Rate-0 left child: its decisions are 0, so f is not needed and
-            # g is (1.0 - 2.0*0)*a + b = a + b
-            a, b, child = halves[level]
-            np.add(a, b, out=child)
-            node(level - 1, mid)
-            X[start:mid] = X[mid:end]
-            return
-        f_tiles, g_tiles = tiles[level]
-        _f(f_tiles, minsum)
-        node(level - 1, start)
-        _g(g_tiles, X[start:mid])
-        node(level - 1, mid)
-        X[start:mid] ^= X[mid:end]
-
-    try:
-        node(n, 0)
-    finally:
-        del node  # the closure refers to itself: break the cycle now, not at gc
+        elif kind == "rate1":
+            v = rows[level]
+            if np.abs(v).min(initial=np.inf) > (0.0 if minsum else level * _F_LOSS):
+                np.less(v, 0.0, out=X[start:end].view(bool))
+                i = after
+    rows[n] = halves[n] = tiles[n] = None
+    if 2 * N * B <= 3 * _SC_CALL_LLRS:
+        _RETAINED[None] = ws
     return X.T
 
 

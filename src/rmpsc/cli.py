@@ -16,6 +16,8 @@ from .autgroup import (
     blta_size,
     compute_blta_structure,
     equivalent_class_count,
+    is_code_automorphism,
+    load_permutations,
     sample_distinct_class_automorphisms,
     save_permutations,
 )
@@ -148,6 +150,21 @@ def _auto_a_dmin(code: CodeSpec) -> int:
     return min_weight_count(code)
 
 
+def _replayed_perms(path, code: CodeSpec, m):
+    """The AE permutations of a replay file (``sample-perms --out`` or the
+    ``.perms.txt`` log of ``simulate``), each checked to be an automorphism
+    of the code; ``m``, when given, must be their number."""
+    perms = load_permutations(path, code.N)
+    if not perms:
+        raise ValueError(f"{path} holds no permutation")
+    if m is not None and m != len(perms):
+        raise ValueError(f"--m {m} disagrees with the {len(perms)} permutations in {path}")
+    for i, p in enumerate(perms):
+        if not is_code_automorphism(p, code):
+            raise ValueError(f"permutation {i} in {path} is not an automorphism of the code")
+    return perms
+
+
 def cmd_simulate(ns) -> int:
     if ns.workers < 1:
         raise ValueError(f"workers must be at least 1, got {ns.workers}")
@@ -160,12 +177,17 @@ def cmd_simulate(ns) -> int:
         target_errors=ns.target_errors,
         seed=ns.seed,
     )
+    if ns.perms is not None and ns.dec != "ae":
+        raise ValueError("--perms replays AE permutations; give --dec ae")
     if ns.dec == "ae":
-        perms = tuple(
-            sample_distinct_class_automorphisms(
-                code, ns.m, seed=ns.seed, trials=PROBE_TRIALS, snr_db=PROBE_SNR_DB
+        if ns.perms is not None:
+            perms = tuple(_replayed_perms(ns.perms, code, ns.m))
+        else:
+            perms = tuple(
+                sample_distinct_class_automorphisms(
+                    code, ns.m, seed=ns.seed, trials=PROBE_TRIALS, snr_db=PROBE_SNR_DB
+                )
             )
-        )
         if ns.out:
             replay = Path(ns.out).with_suffix(".perms.txt")
             save_permutations(perms, replay)
@@ -251,7 +273,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="Monte Carlo FER curve as CSV")
     add_code_args(p)
     p.add_argument("--dec", choices=("sc", "ae"), default="sc")
-    p.add_argument("--m", type=int, default=4, help="AE ensemble size (distinct classes)")
+    p.add_argument(
+        "--m", type=int, help="AE ensemble size (distinct classes; default 4, or the --perms count)",
+    )
+    p.add_argument("--perms", help="replay the AE permutations of this file instead of sampling")
     p.add_argument("--ebn0", type=_parse_grid, default=(1.0, 2.0, 3.0), help="a:b:step in dB")
     p.add_argument("--max-trials", type=int, default=100_000)
     p.add_argument("--target-errors", type=int, default=100)
@@ -279,6 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
+    if ns.command == "simulate" and ns.m is None and ns.perms is None:
+        ns.m = 4  # the default AE ensemble size, echoed below
     _echo_config(ns)
     try:
         return ns.func(ns)

@@ -5,15 +5,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._kernels import _U63, LLR_CLAMP, polar_transform, sc_decode_batch
+from ._kernels import _SC_CALL_LLRS, _U63, LLR_CLAMP, polar_transform, sc_decode_batch
 from .codes import CodeSpec
-
-# LLRs (N times rows) per SC kernel call: it sizes channel.run_fer's default
-# FER batch, and an AE call gets 3 * _SC_CALL_LLRS LLRs for its gathered
-# branches and the kernel's workspace.  The kernel reads node-major input in
-# place and allocates N level rows below the root plus one tile of scratch,
-# so a call holds 2 * N * rows LLRs, and more rows per call cost peak memory
-_SC_CALL_LLRS = 1 << 16
 
 __all__ = ["encode_batch", "polar_transform", "sc_decode_frames", "ae_sc_decode_frames"]
 
@@ -39,13 +32,16 @@ def _check_llrs(llrs: np.ndarray, N: int) -> np.ndarray:
     return llrs
 
 
-def _perm_array(p, N: int) -> np.ndarray:
-    arr = np.asarray(getattr(p, "perm", p), dtype=np.intp)
-    if arr.shape != (N,):
-        raise ValueError(f"permutation length {arr.shape} does not match N={N}")
-    if not np.array_equal(np.sort(arr), np.arange(N)):
+def _perm_arrays(perms, N: int) -> np.ndarray:
+    """The (M, N) stack of the permutations, validated in one pass."""
+    rows = [np.asarray(getattr(p, "perm", p), dtype=np.intp) for p in perms]
+    for arr in rows:
+        if arr.shape != (N,):
+            raise ValueError(f"permutation length {arr.shape} does not match N={N}")
+    stacked = np.stack(rows)
+    if not (np.sort(stacked, axis=1) == np.arange(N)).all():
         raise ValueError(f"not a permutation of range({N})")
-    return arr
+    return stacked
 
 
 def sc_decode_frames(llrs: np.ndarray, code: CodeSpec, *, minsum: bool = False):
@@ -58,11 +54,11 @@ def sc_decode_frames(llrs: np.ndarray, code: CodeSpec, *, minsum: bool = False):
     check-node rule by min-sum."""
     llrs = _check_llrs(llrs, code.N)
     # clamp (it keeps the exact check-node rule numerically stable and makes
-    # absorption probes deterministic) into a node-major buffer, which the
+    # absorption probes deterministic) a node-major copy in place, which the
     # kernel reads in place
-    node_major = np.empty((code.N, len(llrs))).T
-    np.clip(llrs, -LLR_CLAMP, LLR_CLAMP, out=node_major)
-    return sc_decode_batch(node_major, code.frozen_mask(), minsum)
+    node_major = np.array(llrs.T, order="C")
+    np.clip(node_major, -LLR_CLAMP, LLR_CLAMP, out=node_major)
+    return sc_decode_batch(node_major.T, code.frozen_mask(), minsum)
 
 
 def ae_sc_decode_frames(llrs: np.ndarray, code: CodeSpec, perms):
@@ -79,14 +75,15 @@ def ae_sc_decode_frames(llrs: np.ndarray, code: CodeSpec, perms):
     llrs = np.clip(_check_llrs(llrs, code.N), -LLR_CLAMP, LLR_CLAMP)
     B = llrs.shape[0]
     frozen = code.frozen_mask()
-    perm_arrays = [_perm_array(p, code.N) for p in perms]
+    perm_arrays = _perm_arrays(perms, code.N)
     M = len(perm_arrays)
     candidates = np.empty((M, B, code.N), dtype=np.uint8)
     scores = np.empty((M, B), dtype=np.float64)
     # branch j decodes llrs[:, inverse_j] (branch_in[:, p] = llrs); a group's
     # branches are gathered node-major, the (N, rows) layout the kernel reads
     # in place, frame b of branch j on row j*B + b
-    inverses = np.argsort(perm_arrays, axis=1)
+    inverses = np.empty_like(perm_arrays)
+    inverses[np.arange(M)[:, None], perm_arrays] = np.arange(code.N)
     node_major = np.ascontiguousarray(llrs.T)
     group = max(1, 3 * _SC_CALL_LLRS // (2 * code.N * max(B, 1)))
     # one buffer for every group's gather, reused for its scores once the

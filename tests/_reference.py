@@ -8,8 +8,9 @@ check of a reliability order, the symmetry search that rescans the whole
 ideal for every candidate swap, the BLTA block structure as the runs of
 coordinate swaps that map the generator monomials onto themselves (the
 library reads it off the derivative dimensions), and successive
-cancellation decoding that visits every leaf, with the textbook f and g.
-Results must be equal, not just close.
+cancellation decoding that visits every leaf, with the textbook f and g,
+and the SC kernel's pruned walk as a recursion (the library runs it as a
+flat plan).  Results must be equal, not just close.
 
 Beside them are helpers that only the tests use: affine-map composition, the
 single-permutation absorption probe and the brute-force minimum-weight count.
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from rmpsc._kernels import _F_LOSS, _TILE, _f, _g, _scratch, _tiles
 from rmpsc.autgroup import (
     PROBE_MINSUM,
     AbsorptionProbeError,
@@ -369,3 +371,111 @@ def sc_reference(llrs, frozen, minsum):
         return np.concatenate((left ^ right, right), axis=1)
 
     return decode(np.asarray(llrs, dtype=np.float64), np.asarray(frozen, dtype=np.uint8))
+
+
+def sc_decode_recursive(
+    llrs: np.ndarray, frozen: np.ndarray, minsum: bool = False, trace=None
+):
+    """Decode a batch of LLR rows by recursion over the pruned tree: the walk
+    that ``rmpsc._kernels.sc_decode_batch`` compiles into a flat plan, kept
+    as it was (the comment it refers to is the kernel's).
+
+    Parameters
+    ----------
+    llrs : (B, N) float array of finite channel LLRs (positive favours
+        bit 0).
+    frozen : (N,) uint8 mask, 1 on frozen u-positions.
+    minsum : replace the exact check-node rule by min-sum.
+    trace : optional callable ``trace(level, start, node_llrs)``, called with
+        the (2^level, B) LLR array of every node the recursion visits, in
+        decoding order.  The array is a view into the call's workspace (the
+        root's, into its node-major input), valid only during the callback
+        (copy it to keep it, and do not write it).  Not visited, and not
+        reported: the Rate-0 left child of a node that recurses (f is not
+        computed for it), and the subtrees below a Rate-0 node, a Rep node
+        and a Rate-1 node whose LLRs all clear the guard (above
+        ``level * _F_LOSS`` in magnitude under the exact rule, nonzero under
+        min-sum; see the comment above), which is decided by hard decision.
+        The trace does not change the recursion.
+
+    The root's rows are the (N, B) node-major input ``llrs.T``, which the
+    call only reads: a node-major batch (a (B, N) view whose transpose is
+    C-contiguous) is read in place, any other is copied.  Below the root the
+    call allocates its LLR memory once (the per-layer arrays of Tal &
+    Vardy's SC decoder): an (N, B) workspace whose rows [2^l, 2^(l+1)) hold
+    the node being decoded at level l < n, which f and g write in place, and
+    a scratch of whole rows, at most ``_TILE`` elements per operand (or one
+    row), over which f and g run tile by tile on larger nodes.  Its
+    decisions go into one (N, B) uint8 codeword array, written in place.  f
+    and g apply their signs by flipping the float64 sign bit, with the same
+    bits as multiplying by 1.0 - 2.0*bit.
+
+    Returns
+    -------
+    X : (B, N) uint8 array of decided codeword bits, a view of the node-major
+        codeword array (not C-contiguous); the decided input bits are
+        ``polar_transform(X)``, the transform being an involution.
+    """
+    llrs = np.asarray(llrs, dtype=np.float64)
+    B, N = llrs.shape
+    is_frozen = np.asarray(frozen, dtype=bool).tolist()
+    # info_before[i]: number of information bits among u-indices [0, i)
+    info_before = [0]
+    for f in is_frozen:
+        info_before.append(info_before[-1] + (not f))
+    n = N.bit_length() - 1
+    X = np.zeros((N, B), dtype=np.uint8)
+    L = np.empty((N, B))
+    scratch = _scratch(max(1, min(N // 2, _TILE // max(B, 1))) * B)
+    # per level: the node rows, their halves a and b with the child level's
+    # rows, and the tiles of f and g over them
+    rows = [L[1 << lv : 2 << lv] for lv in range(n)] + [np.ascontiguousarray(llrs.T)]
+    halves = [None]
+    tiles = [None]
+    for lv in range(1, n + 1):
+        ab = rows[lv].reshape(2, 1 << (lv - 1), B)
+        halves.append((ab[0], ab[1], rows[lv - 1]))
+        tiles.append(_tiles(ab, rows[lv - 1], scratch))
+
+    def node(level, start):
+        v = rows[level]
+        if trace is not None:
+            trace(level, start, v)
+        size = 1 << level
+        end = start + size
+        info = info_before[end] - info_before[start]
+        if info == 0:
+            return
+        if info == 1 and not is_frozen[end - 1]:
+            # fold the halves down to the leaf row and repeat its decision
+            for lv in range(level, 0, -1):
+                a, b, child = halves[lv]
+                np.add(a, b, out=child)
+            np.less(rows[0], 0.0, out=X[start:end].view(bool))
+            return
+        if info == size and np.abs(v).min(initial=np.inf) > (
+            0.0 if minsum else level * _F_LOSS
+        ):
+            np.less(v, 0.0, out=X[start:end].view(bool))
+            return
+        mid = start + size // 2
+        if info_before[mid] == info_before[start]:
+            # Rate-0 left child: its decisions are 0, so f is not needed and
+            # g is (1.0 - 2.0*0)*a + b = a + b
+            a, b, child = halves[level]
+            np.add(a, b, out=child)
+            node(level - 1, mid)
+            X[start:mid] = X[mid:end]
+            return
+        f_tiles, g_tiles = tiles[level]
+        _f(f_tiles, minsum)
+        node(level - 1, start)
+        _g(g_tiles, X[start:mid])
+        node(level - 1, mid)
+        X[start:mid] ^= X[mid:end]
+
+    try:
+        node(n, 0)
+    finally:
+        del node  # the closure refers to itself: break the cycle now, not at gc
+    return X.T

@@ -192,6 +192,61 @@ class TestSimulate:
         assert len(perms) == 2
         assert np.array_equal(perms[0].perm, np.arange(32))
 
+    def test_perms_replay_is_byte_identical(self, tmp_path, capsys):
+        base = ["simulate", "--n", "6", "--imin", "19", "--dec", "ae", "--seed", "1"]
+        logged, replayed = tmp_path / "logged.csv", tmp_path / "replayed.csv"
+        assert main(base + ["--m", "4", "--out", str(logged)]) == 0
+        perms = logged.with_suffix(".perms.txt")
+        assert main(base + ["--perms", str(perms), "--out", str(replayed)]) == 0
+        # an explicit --m that agrees with the file is accepted
+        again = tmp_path / "again.csv"
+        assert main(base + ["--m", "4", "--perms", str(perms), "--out", str(again)]) == 0
+        capsys.readouterr()
+        assert replayed.read_bytes() == logged.read_bytes() == again.read_bytes()
+        assert replayed.with_suffix(".perms.txt").read_bytes() == perms.read_bytes()
+
+    def test_perms_replay_rejects_bad_files(self, tmp_path, capsys):
+        from rmpsc.autgroup import Permutation, is_code_automorphism, save_permutations
+        from rmpsc.codes import CodeSpec
+
+        code = CodeSpec.from_i_min((19,), 6)
+        swap = np.arange(64)
+        swap[[0, 1]] = [1, 0]
+        assert not is_code_automorphism(Permutation(swap), code)
+        files = {}
+        for name, perms in (
+            ("not-automorphism", [np.arange(64), swap]),
+            ("two", [np.arange(64), np.arange(64)]),
+        ):
+            files[name] = tmp_path / f"{name}.txt"
+            save_permutations(perms, files[name])
+        files["short"] = tmp_path / "short.txt"
+        files["short"].write_text("".join(f"{v}\n" for v in range(63)))
+        files["repeated"] = tmp_path / "repeated.txt"
+        files["repeated"].write_text("0\n" * 64)
+        files["empty"] = tmp_path / "empty.txt"
+        files["empty"].write_text("")
+        base = [
+            "simulate", "--n", "6", "--imin", "19", "--ebn0", "2",
+            "--max-trials", "100", "--target-errors", "10",
+        ]
+        for name, extra, message in (
+            ("not-automorphism", [], "not an automorphism"),
+            ("short", [], "not a multiple"),
+            ("repeated", [], "not a permutation"),
+            ("empty", [], "no permutation"),
+            ("two", ["--m", "3"], "disagrees"),
+            ("two", ["--dec", "sc"], "--dec ae"),
+        ):
+            out = tmp_path / f"{name}.csv"
+            dec = [] if "--dec" in extra else ["--dec", "ae"]
+            code, stdout, err = run_cli(
+                base + dec + extra + ["--perms", str(files[name]), "--out", str(out)], capsys
+            )
+            assert code == 1, name
+            assert err.splitlines()[-1].startswith("error:") and message in err, name
+            assert not out.exists() and not out.with_suffix(".perms.txt").exists(), name
+
     def test_m_exceeding_classes_fails(self, capsys):
         code, _, err = run_cli(
             [

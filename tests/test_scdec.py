@@ -1,5 +1,7 @@
 import gc
 import hashlib
+import sys
+import threading
 from functools import reduce
 from pathlib import Path
 
@@ -9,7 +11,7 @@ from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from _reference import boxplus_reference, sc_reference
+from _reference import boxplus_reference, sc_decode_recursive, sc_reference
 from rmpsc._gf2 import pack_row, rank
 import rmpsc._kernels
 from rmpsc._kernels import (
@@ -584,6 +586,147 @@ class TestGolden:
                 assert np.array_equal(np.packbits(X, axis=1), g[f"X_{key}"]), key
 
 
+class TestFlatPlan:
+    """The kernel runs a cached flat plan of the pruned tree in a workspace it
+    keeps between calls; it must walk the tree of the recursion it replaced
+    (``_reference.sc_decode_recursive``), node for node."""
+
+    @staticmethod
+    def _traced(decode, llrs, frozen, minsum):
+        nodes = []
+        X = decode(llrs, frozen, minsum, lambda level, start, v: nodes.append((level, start, v.copy())))
+        return X, nodes
+
+    @pytest.mark.parametrize("rule", ["exact", "minsum"])
+    @pytest.mark.parametrize("name", GOLDEN_CODES)
+    def test_trace_matches_recursion(self, name, rule):
+        minsum = rule == "minsum"
+        rate_one = split = 0
+        with np.load(GOLDEN) as g:
+            frozen = g[f"frozen_{name}"]
+            for kind in GOLDEN_KINDS:
+                # scaled by 1e-5 no node LLR clears the exact rule's guard
+                for scale in (1.0, 1e-5):
+                    llrs = scale * g[f"llrs_{name}_{kind}"]
+                    X, nodes = self._traced(sc_decode_batch, llrs, frozen, minsum)
+                    X_ref, ref = self._traced(sc_decode_recursive, llrs, frozen, minsum)
+                    assert np.array_equal(X, X_ref), (kind, scale)
+                    assert [nd[:2] for nd in nodes] == [nd[:2] for nd in ref], (kind, scale)
+                    for (_, _, v), (_, _, v_ref) in zip(nodes, ref):
+                        assert v.tobytes() == v_ref.tobytes(), (kind, scale)
+                    # Rate-1 nodes above the leaves, and those whose guard
+                    # failed: the next node visited is their left child
+                    for (level, start, _), nxt in zip(nodes, nodes[1:] + [None]):
+                        if level and not frozen[start : start + (1 << level)].any():
+                            rate_one += 1
+                            split += nxt is not None and nxt[:2] == (level - 1, start)
+        assert 0 < split < rate_one
+
+    def test_results_do_not_alias(self):
+        code = CodeSpec.from_i_min({27}, 7)
+        rng = np.random.default_rng(21)
+        first, second = rng.normal(0.5, 2, (2, 64, 128))
+        X1 = sc_decode_batch(first, code.frozen_mask())
+        kept = X1.copy()
+        X2 = sc_decode_batch(second, code.frozen_mask())
+        assert not np.shares_memory(X1, X2)
+        assert np.array_equal(X1, kept)
+        assert np.array_equal(X1, sc_reference(first, code.frozen_mask(), False))
+        assert np.array_equal(X2, sc_reference(second, code.frozen_mask(), False))
+
+    @pytest.mark.parametrize("minsum", [False, True])
+    def test_trace_may_decode(self, minsum):
+        # a decode inside the trace gets its own workspace: neither call's
+        # level rows are overwritten by the other's
+        outer = CodeSpec.from_i_min({27}, 7)
+        inner = CodeSpec.from_i_min({19}, 6)
+        rng = np.random.default_rng(22)
+        llrs = rng.normal(0.5, 2, (48, 128))
+        inner_llrs = rng.normal(0.5, 2, (20, 64))
+        expected = sc_decode_batch(inner_llrs, inner.frozen_mask(), minsum)
+        inner_X = []
+
+        def trace(level, start, v):
+            inner_X.append(sc_decode_batch(inner_llrs, inner.frozen_mask(), minsum))
+
+        X = sc_decode_batch(llrs, outer.frozen_mask(), minsum, trace)
+        assert np.array_equal(X, sc_decode_batch(llrs, outer.frozen_mask(), minsum))
+        assert np.array_equal(X, sc_reference(llrs, outer.frozen_mask(), minsum))
+        assert len(inner_X) > 1
+        for X_in in inner_X:
+            assert np.array_equal(X_in, expected)
+
+    def test_threads_get_their_own_workspace(self):
+        # more threads than cores, switching often: a workspace shared by two
+        # running calls would mix their level rows
+        cases = [
+            (CodeSpec.from_i_min(i_min, n), B, seed)
+            for seed, (i_min, n, B) in enumerate(
+                [({27}, 7, 96), ({19}, 6, 160), ({27}, 7, 40), ({11}, 5, 200)]
+            )
+        ]
+        inputs = []
+        for code, B, seed in cases:
+            llrs = np.random.default_rng(30 + seed).normal(0.5, 2, (B, code.N))
+            inputs.append((llrs, code.frozen_mask(), sc_reference(llrs, code.frozen_mask(), False)))
+        wrong = []
+
+        def work(llrs, frozen, expected):
+            for _ in range(25):
+                if not np.array_equal(sc_decode_batch(llrs, frozen), expected):
+                    wrong.append(len(llrs))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=args) for args in inputs]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+        assert len(rmpsc._kernels._RETAINED) <= 1
+
+    def test_kept_workspace_is_bounded(self):
+        budget = 3 * rmpsc._kernels._SC_CALL_LLRS
+        rng = np.random.default_rng(23)
+        small = CodeSpec.from_i_min({27}, 7)
+        sc_decode_batch(rng.normal(0.5, 2, (8, 128)), small.frozen_mask())
+        assert len(rmpsc._kernels._RETAINED) == 1
+        # 2 * 1024 * 128 LLRs exceed the budget: the call keeps nothing
+        large = CodeSpec.from_i_min({63, 121}, 10)
+        llrs = rng.normal(0.5, 2, (128, 1024))
+        assert 2 * llrs.size > budget
+        X = sc_decode_batch(llrs, large.frozen_mask())
+        assert not rmpsc._kernels._RETAINED
+        assert np.array_equal(X, sc_decode_recursive(llrs, large.frozen_mask()))
+
+    def test_alternating_row_counts_share_one_workspace(self):
+        # fer-ae-128's calls: 768 and 512 rows at N = 128, the largest of
+        # which fills the budget
+        code = CodeSpec.from_i_min({27}, 7)
+        frozen = code.frozen_mask()
+        rng = np.random.default_rng(24)
+        big = rng.normal(0.5, 2, (768, 128))
+        assert 2 * big.size == 3 * rmpsc._kernels._SC_CALL_LLRS
+        small = big[:512] + 0.25
+        sc_decode_batch(big, frozen)
+        (ws,) = rmpsc._kernels._RETAINED.values()
+        buffer = ws.llrs
+        views = {}
+        for llrs in (small, big, small, big):
+            X = sc_decode_batch(llrs, frozen)
+            assert np.array_equal(X, sc_decode_recursive(llrs, frozen))
+            (kept,) = rmpsc._kernels._RETAINED.values()
+            assert kept is ws and ws.llrs is buffer
+            # the level views of both shapes are kept, not rebuilt
+            assert views.setdefault(len(llrs), ws.views[128, len(llrs)]) is ws.views[128, len(llrs)]
+        assert set(ws.views) == {(128, 512), (128, 768)}
+
+
 class TestBatchIndependence:
     """The Rate-1 guard reads all frames of a node, so whether a node is
     decided by hard decision depends on which frames share the call; the
@@ -789,6 +932,19 @@ class TestAeDecode:
         code = CodeSpec.from_i_min({11}, 5)
         with pytest.raises(ValueError, match="not a permutation"):
             ae_sc_decode_frames(np.zeros((1, 32)), code, [np.zeros(32, int)])
+
+    def test_stacked_validation_names_the_fault(self):
+        # validated as one (M, N) stack, with the messages of one-by-one checks
+        code = CodeSpec.from_i_min({11}, 5)
+        llrs = np.zeros((2, 32))
+        with pytest.raises(ValueError, match=r"permutation length \(16,\) does not match N=32"):
+            ae_sc_decode_frames(llrs, code, [np.arange(32), np.arange(16)])
+        repeated = np.arange(32)
+        repeated[5] = 4
+        with pytest.raises(ValueError, match=r"not a permutation of range\(32\)"):
+            ae_sc_decode_frames(llrs, code, [np.arange(32), repeated])
+        with pytest.raises(ValueError, match=r"not a permutation of range\(32\)"):
+            ae_sc_decode_frames(llrs, code, [np.arange(32) - 1])
 
     # an AE call holds 2 * N * rows LLRs (the gathered branches and the
     # kernel's workspace below them) within 3 * _SC_CALL_LLRS: 3 branches
