@@ -193,10 +193,9 @@ def _g(tiles, bits):
 # products with +-1.0 of the textbook f and g, +-0.0 included.
 #
 # The walk depends on the frozen mask alone, so it is compiled once per mask
-# into a flat plan of steps ``(kind, level, start, mid, end, visit, after)``,
-# in decoding order.  The kinds:
+# into a flat plan of steps ``(kind, level, start, mid, end, after)``, in
+# decoding order.  A Rate-0 node compiles to no step.  The kinds:
 #
-# - "skip": a Rate-0 node;
 # - "rep": a Rep node, folded down to its leaf;
 # - "rate1": a Rate-1 candidate, whose guard is read at run time: when it
 #   holds, the node is decided by hard decision and the run goes on at step
@@ -205,9 +204,6 @@ def _g(tiles, bits):
 # - "f" into the left child's rows, "add" (a + b into the right child's rows
 #   under a Rate-0 left child), "g" into the right child's rows once the
 #   left child is decided, and "xor", the combine after the right child.
-#
-# ``visit`` marks the step at which the trace sees the node: every node's
-# first step, which for a split Rate-1 candidate is the candidate, not its f.
 
 
 @functools.lru_cache
@@ -231,25 +227,24 @@ def _compile(level, start, frozen, info_before, steps):
     mid = start + size // 2
     info = info_before[end] - info_before[start]
     if info == 0:
-        steps.append(("skip", level, start, mid, end, True, 0))
         return
     if info == 1 and not frozen[end - 1]:
-        steps.append(("rep", level, start, mid, end, True, 0))
+        steps.append(("rep", level, start, mid, end, 0))
         return
     rate1 = info == size
     if rate1:
         at = len(steps)
         steps.append(None)
     if info_before[mid] == info_before[start]:
-        steps.append(("add", level, start, mid, end, True, 0))
+        steps.append(("add", level, start, mid, end, 0))
     else:
-        steps.append(("f", level, start, mid, end, not rate1, 0))
+        steps.append(("f", level, start, mid, end, 0))
         _compile(level - 1, start, frozen, info_before, steps)
-        steps.append(("g", level, start, mid, end, False, 0))
+        steps.append(("g", level, start, mid, end, 0))
     _compile(level - 1, mid, frozen, info_before, steps)
-    steps.append(("xor", level, start, mid, end, False, 0))
+    steps.append(("xor", level, start, mid, end, 0))
     if rate1:
-        steps[at] = ("rate1", level, start, mid, end, True, len(steps))
+        steps[at] = ("rate1", level, start, mid, end, len(steps))
 
 
 # LLRs (N times rows) per SC kernel call: it sizes channel.run_fer's default
@@ -262,8 +257,9 @@ def _compile(level, start, frozen, info_before, steps):
 _SC_CALL_LLRS = 1 << 16
 
 # The workspace a finished call keeps for the next one, under the key None.
-# A call pops it, so that a reentrant or concurrent call allocates its own,
-# and puts it back when it returns, if the call fits the AE call budget.
+# A call pops it, so that a call made meanwhile, from another thread,
+# allocates its own, and puts it back when it returns, if the call fits the
+# AE call budget.
 _RETAINED = {}
 
 
@@ -317,28 +313,16 @@ class _Workspace:
         return views
 
 
-def sc_decode_batch(
-    llrs: np.ndarray, frozen: np.ndarray, minsum: bool = False, trace=None
-):
+def sc_decode_batch(llrs: np.ndarray, frozen: np.ndarray, minsum: bool = False):
     """Decode a batch of LLR rows.
 
     Parameters
     ----------
     llrs : (B, N) float array of finite channel LLRs (positive favours
         bit 0).
-    frozen : (N,) uint8 mask, 1 on frozen u-positions.
+    frozen : (N,) uint8 mask, 1 on frozen u-positions; N must be a power
+        of two, or the call raises ValueError.
     minsum : replace the exact check-node rule by min-sum.
-    trace : optional callable ``trace(level, start, node_llrs)``, called with
-        the (2^level, B) LLR array of every node the decoder visits, in
-        decoding order.  The array is a view into the call's workspace (the
-        root's, into its node-major input), valid only during the callback
-        (copy it to keep it, and do not write it).  Not visited, and not
-        reported: the Rate-0 left child of a node that splits (f is not
-        computed for it), and the subtrees below a Rate-0 node, a Rep node
-        and a Rate-1 node whose LLRs all clear the guard (above
-        ``level * _F_LOSS`` in magnitude under the exact rule, nonzero under
-        min-sum; see the comment above), which is decided by hard decision.
-        The trace does not change the decoding; it may itself decode.
 
     The call runs the cached plan of ``frozen`` (see the comment above) in
     one loop.  The root's rows are the (N, B) node-major input ``llrs.T``,
@@ -369,7 +353,11 @@ def sc_decode_batch(
     """
     llrs = np.asarray(llrs, dtype=np.float64)
     B, N = llrs.shape
-    plan = _plan(np.asarray(frozen, dtype=bool).tobytes())
+    frozen = np.asarray(frozen, dtype=bool)
+    if frozen.shape != (N,) or N < 1 or N & (N - 1):
+        raise ValueError(f"frozen mask of shape {frozen.shape} for {N} LLRs per row; "
+                         "it needs shape (N,) with N a power of two")
+    plan = _plan(frozen.tobytes())
     n = N.bit_length() - 1
     X = np.zeros((N, B), dtype=np.uint8)
     width = max(1, min(N // 2, _TILE // max(B, 1))) * B
@@ -383,10 +371,8 @@ def sc_decode_batch(
         tiles[n] = _tiles(ab, rows[n - 1], scratch)
     i = 0
     while i < len(plan):
-        kind, level, start, mid, end, visit, after = plan[i]
+        kind, level, start, mid, end, after = plan[i]
         i += 1
-        if visit and trace is not None:
-            trace(level, start, rows[level])
         if kind == "f":
             _f(tiles[level][0], minsum)
         elif kind == "g":

@@ -304,7 +304,6 @@ def absorption_structure_empirical(
     trials: int = 500,
     snr_db: float = 2.0,
     seed: int = 0,
-    minsum: bool = PROBE_MINSUM,
 ) -> BlockStructure:
     """Empirical block structure of the SC absorption group.
 
@@ -318,11 +317,12 @@ def absorption_structure_empirical(
     if trials < 100:
         raise ValueError("need at least 100 probe trials")
     dims = derivative_dimensions(code.gen_set)
-    llrs, sc_ref = _probe_batch(code, trials, snr_db, seed, minsum)
+    llrs, sc_ref = _probe_batch(code, trials, snr_db, seed, PROBE_MINSUM)
     absorbed = {}
     for a, b in combinations(range(code.n), 2):
         absorbed[(a, b)] = dims[a] == dims[b] and _branch_matches_sc(
-            llrs, sc_ref, permutation_from_affine(variable_swap(code.n, a, b)), code, minsum
+            llrs, sc_ref, permutation_from_affine(variable_swap(code.n, a, b)), code,
+            PROBE_MINSUM,
         )
     blocks = _blocks_from_pairs(code.n, lambda a, b: absorbed[(a, b)])
     result = BlockStructure(blocks)

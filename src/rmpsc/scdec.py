@@ -34,11 +34,15 @@ def _check_llrs(llrs: np.ndarray, N: int) -> np.ndarray:
 
 def _perm_arrays(perms, N: int) -> np.ndarray:
     """The (M, N) stack of the permutations, validated in one pass."""
-    rows = [np.asarray(getattr(p, "perm", p), dtype=np.intp) for p in perms]
+    rows = [np.asarray(getattr(p, "perm", p)) for p in perms]
     for arr in rows:
         if arr.shape != (N,):
             raise ValueError(f"permutation length {arr.shape} does not match N={N}")
-    stacked = np.stack(rows)
+    given = np.stack(rows)
+    with np.errstate(invalid="ignore"):
+        stacked = given.astype(np.intp)
+    if not np.array_equal(stacked, given):
+        raise ValueError("permutation entries are not integers")
     if not (np.sort(stacked, axis=1) == np.arange(N)).all():
         raise ValueError(f"not a permutation of range({N})")
     return stacked

@@ -373,9 +373,7 @@ def sc_reference(llrs, frozen, minsum):
     return decode(np.asarray(llrs, dtype=np.float64), np.asarray(frozen, dtype=np.uint8))
 
 
-def sc_decode_recursive(
-    llrs: np.ndarray, frozen: np.ndarray, minsum: bool = False, trace=None
-):
+def sc_decode_recursive(llrs: np.ndarray, frozen: np.ndarray, minsum: bool = False):
     """Decode a batch of LLR rows by recursion over the pruned tree: the walk
     that ``rmpsc._kernels.sc_decode_batch`` compiles into a flat plan, kept
     as it was (the comment it refers to is the kernel's).
@@ -386,17 +384,6 @@ def sc_decode_recursive(
         bit 0).
     frozen : (N,) uint8 mask, 1 on frozen u-positions.
     minsum : replace the exact check-node rule by min-sum.
-    trace : optional callable ``trace(level, start, node_llrs)``, called with
-        the (2^level, B) LLR array of every node the recursion visits, in
-        decoding order.  The array is a view into the call's workspace (the
-        root's, into its node-major input), valid only during the callback
-        (copy it to keep it, and do not write it).  Not visited, and not
-        reported: the Rate-0 left child of a node that recurses (f is not
-        computed for it), and the subtrees below a Rate-0 node, a Rep node
-        and a Rate-1 node whose LLRs all clear the guard (above
-        ``level * _F_LOSS`` in magnitude under the exact rule, nonzero under
-        min-sum; see the comment above), which is decided by hard decision.
-        The trace does not change the recursion.
 
     The root's rows are the (N, B) node-major input ``llrs.T``, which the
     call only reads: a node-major batch (a (B, N) view whose transpose is
@@ -439,8 +426,6 @@ def sc_decode_recursive(
 
     def node(level, start):
         v = rows[level]
-        if trace is not None:
-            trace(level, start, v)
         size = 1 << level
         end = start + size
         info = info_before[end] - info_before[start]

@@ -139,7 +139,7 @@ class TestCriterion3Classes:
         # absorbed structure (2,1,1,1,1) under the min-sum probe, with the
         # one-sided probe's margin counted frame by frame on its own batches
         absorbed = [
-            absorption_structure_empirical(code, trials=500, snr_db=2.0, seed=s, minsum=True)
+            absorption_structure_empirical(code, trials=500, snr_db=2.0, seed=s)
             for s in range(3)
         ]
         margins = {}

@@ -279,9 +279,9 @@ class TestRunFer:
         calls = []
         decode = scdec.sc_decode_batch
 
-        def record(llrs, frozen, minsum=False, trace=None):
+        def record(llrs, frozen, minsum=False):
             calls.append(llrs.shape)
-            return decode(llrs, frozen, minsum, trace)
+            return decode(llrs, frozen, minsum)
 
         monkeypatch.setattr(scdec, "sc_decode_batch", record)
         for i_min, n, max_trials, rows in (

@@ -11,6 +11,7 @@ from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import _reference
 from _reference import boxplus_reference, sc_decode_recursive, sc_reference
 from rmpsc._gf2 import pack_row, rank
 import rmpsc._kernels
@@ -42,6 +43,27 @@ def correlation(X, llrs):
     """Per-row correlation of codewords with LLRs, as a product with +-1.0,
     summed in C order whatever the layout of X."""
     return ((1.0 - 2.0 * np.ascontiguousarray(X, dtype=np.float64)) * llrs).sum(axis=1)
+
+
+def record_f_and_g(monkeypatch, *modules):
+    """Patch ``_f`` and ``_g`` in ``rmpsc._kernels`` and in each of
+    ``modules`` with wrappers that run them and record each call as
+    ``(kind, output bytes)``, kind "f" or "g", in call order; returns the
+    list of records."""
+    calls = []
+
+    def f(tiles, minsum):
+        _f(tiles, minsum)
+        calls.append(("f", b"".join(tile[0].tobytes() for tile in tiles)))
+
+    def g(tiles, bits):
+        _g(tiles, bits)
+        calls.append(("g", b"".join(tile[0].tobytes() for tile in tiles)))
+
+    for module in (rmpsc._kernels, *modules):
+        monkeypatch.setattr(module, "_f", f)
+        monkeypatch.setattr(module, "_g", g)
+    return calls
 
 
 class TestEncode:
@@ -186,49 +208,32 @@ class TestScDecode:
         X = sc_decode_frames(noiseless_llr(x), code, minsum=True)
         assert np.array_equal(X, x)
 
-    def test_trace_nodes(self):
+    def test_trace_nodes(self, monkeypatch):
         code = CodeSpec.from_i_min({3, 5, 6}, 3)
         rng = np.random.default_rng(7)
         llrs = rng.normal(0, 2, (1, 8))
         frozen = code.frozen_mask()
-        # only computed nodes: the root (8 LLRs), the Rep node u0-u3 (4), the
-        # node u4-u7 (4), the Rep node u4-u5 (2) and the Rate-1 node u6-u7 (2),
-        # which is decided by hard decision: its LLRs are nonzero and above
-        # 1 * _F_LOSS in magnitude.  Scaled by 1e-5 they are not, so the
-        # exact rule then also visits the node's two leaves (1 + 1)
-        for scale, minsum, visited in (
-            (1.0, False, 20), (1.0, True, 20), (1e-5, False, 22), (1e-5, True, 20)
+        calls = record_f_and_g(monkeypatch)
+        # f and g run only at the nodes that split: the root (4 + 4 LLRs out)
+        # and the node u4-u7 (2 + 2).  The Rep nodes u0-u3 and u4-u5 fold, and
+        # the Rate-1 node u6-u7 is decided by hard decision: its LLRs are
+        # nonzero and above 1 * _F_LOSS in magnitude.  Scaled by 1e-5 they are
+        # not, so the exact rule then also splits that node (1 + 1)
+        for scale, minsum, split in (
+            (1.0, False, 0), (1.0, True, 0), (1e-5, False, 1), (1e-5, True, 0)
         ):
-            nodes = []
-
-            def record(level, start, v):
-                nodes.append((level, start, v.copy()))
-
-            X = sc_decode_batch(scale * llrs, frozen, minsum, trace=record)
-            assert np.array_equal(X, sc_decode_batch(scale * llrs, frozen, minsum))
-            assert sum(len(v) for _, _, v in nodes) == visited
-            level, start, root = nodes[0]
-            assert (level, start) == (3, 0)
-            assert np.array_equal(root[:, 0], scale * llrs[0])
+            calls.clear()
+            X = sc_decode_batch(scale * llrs, frozen, minsum)
+            assert np.array_equal(X, sc_reference(scale * llrs, frozen, minsum))
+            sizes = [(kind, len(out) // 8) for kind, out in calls]
+            assert sizes == [("f", 4), ("g", 4), ("f", 2), ("g", 2)] + [("f", 1), ("g", 1)] * split
+            a, b = scale * llrs[0, :4], scale * llrs[0, 4:]
+            assert calls[0][1] == boxplus_reference(a, b, minsum).tobytes()
 
 
 class TestBatchDecode:
-    @pytest.mark.parametrize("minsum", [False, True])
-    @pytest.mark.parametrize("name", ["rand16", "rand64", "rand256"])
-    def test_traced_matches_untraced_golden_masks(self, name, minsum):
-        with np.load(GOLDEN) as g:
-            frozen = g[f"frozen_{name}"]
-            for kind in GOLDEN_KINDS:
-                llrs = g[f"llrs_{name}_{kind}"]
-                X = sc_decode_batch(llrs, frozen, minsum)
-                U = polar_transform(X)
-                X_t = sc_decode_batch(llrs, frozen, minsum, trace=lambda *node: None)
-                U_t = polar_transform(X_t)
-                assert np.array_equal(U, U_t), kind
-                assert np.array_equal(X, X_t), kind
-
-    # f LLRs per frame, exact rule, traced or not: skipping the Rate-0 left
-    # children saves (128,60) 40 and (64,37) 16 of them; (1024,512) has none.
+    # f LLRs per frame, exact rule: skipping the Rate-0 left children saves
+    # (128,60) 40 and (64,37) 16 of them; (1024,512) has none.
     # At LLR scale 1e-5 no node LLR reaches _F_LOSS, so no Rate-1 node is
     # decided by hard decision and the counts measure the Rate-0 skip alone
     @pytest.mark.parametrize(
@@ -257,15 +262,8 @@ class TestBatchDecode:
             return _f(tiles, minsum)
 
         monkeypatch.setattr(rmpsc._kernels, "_f", counting)
-        X = sc_decode_batch(llrs, code.frozen_mask())
-        U = polar_transform(X)
+        sc_decode_batch(llrs, code.frozen_mask())
         assert sum(sizes) == f_llrs * B
-        sizes.clear()
-        X_t = sc_decode_batch(llrs, code.frozen_mask(), trace=lambda *node: None)
-        U_t = polar_transform(X_t)
-        assert sum(sizes) == f_llrs * B
-        assert np.array_equal(U, U_t)
-        assert np.array_equal(X, X_t)
 
     @pytest.mark.parametrize("rule", ["exact", "minsum"])
     def test_tiled_nodes_match_golden(self, rule):
@@ -297,6 +295,20 @@ class TestBatchDecode:
         finally:
             gc.enable()
 
+    def test_frozen_mask_must_fit_a_power_of_two(self):
+        # a mask that does not fit the rows is refused before the kept
+        # workspace, whose level rows hold the last call's LLRs, is used
+        rng = np.random.default_rng(25)
+        sc_decode_batch(rng.normal(0.5, 2, (4, 64)), np.zeros(64, dtype=np.uint8))
+        (ws,) = rmpsc._kernels._RETAINED.values()
+        for width, length in ((64, 32), (64, 128), (48, 48), (48, 32), (64, 0)):
+            with pytest.raises(ValueError, match="power of two"):
+                sc_decode_batch(-np.ones((2, width)), np.zeros(length, dtype=np.uint8))
+        with pytest.raises(ValueError, match="power of two"):
+            sc_decode_batch(-np.ones((2, 64)), np.zeros((1, 64), dtype=np.uint8))
+        assert rmpsc._kernels._RETAINED[None] is ws
+        assert sc_decode_batch(-np.ones((2, 64)), np.zeros(64, dtype=np.uint8)).all()
+
     def test_single_frame_near_ties_match_batch(self):
         # one frame: f of a level-1 node is a one-element tile of a scratch
         # sized for wider ones; these LLRs make its magnitude decide the leaves
@@ -308,20 +320,23 @@ class TestBatchDecode:
             assert np.array_equal(sc_decode_batch(llrs[i : i + 1], info_only)[0], X[i])
 
     @pytest.mark.parametrize("minsum", [False, True])
-    def test_node_major_input_is_read_in_place(self, minsum):
+    def test_node_major_input_is_read_in_place(self, monkeypatch, minsum):
         code = CodeSpec.from_i_min({27}, 7)
         rng = np.random.default_rng(19)
         llrs = rng.normal(0.5, 2, (96, 128))
         node_major = np.ascontiguousarray(llrs.T).T
         node_major.flags.writeable = False
-        roots = []
+        reads_input = []
 
-        def trace(level, start, v):
-            if level == 7:
-                roots.append(np.shares_memory(v, node_major))
+        def f(tiles, minsum):
+            # a tile's third entry is its view of the node's halves a and b
+            reads_input.append(np.shares_memory(tiles[0][2], node_major))
+            _f(tiles, minsum)
 
-        X = sc_decode_batch(node_major, code.frozen_mask(), minsum, trace)
-        assert roots == [True]
+        monkeypatch.setattr(rmpsc._kernels, "_f", f)
+        X = sc_decode_batch(node_major, code.frozen_mask(), minsum)
+        # the root's f reads the input; every other f reads the workspace
+        assert reads_input[0] and not any(reads_input[1:])
         assert np.array_equal(X, sc_decode_batch(llrs, code.frozen_mask(), minsum))
         assert np.array_equal(node_major, llrs)
 
@@ -462,10 +477,6 @@ class TestProperties:
         U = polar_transform(X)
         assert np.array_equal(X, sc_reference(llrs, frozen, minsum))
         assert not U[:, frozen == 1].any()
-        X_t = sc_decode_batch(llrs, frozen, minsum, trace=lambda *node: None)
-        U_t = polar_transform(X_t)
-        assert np.array_equal(U_t, U)
-        assert np.array_equal(X_t, X)
         for i in range(len(llrs)):
             Xi = sc_decode_batch(llrs[i : i + 1], frozen, minsum)
             Ui = polar_transform(Xi)
@@ -588,39 +599,43 @@ class TestGolden:
 
 class TestFlatPlan:
     """The kernel runs a cached flat plan of the pruned tree in a workspace it
-    keeps between calls; it must walk the tree of the recursion it replaced
-    (``_reference.sc_decode_recursive``), node for node."""
-
-    @staticmethod
-    def _traced(decode, llrs, frozen, minsum):
-        nodes = []
-        X = decode(llrs, frozen, minsum, lambda level, start, v: nodes.append((level, start, v.copy())))
-        return X, nodes
+    keeps between calls; it must compute what the recursion it replaced
+    (``_reference.sc_decode_recursive``) computes, f and g output for
+    output."""
 
     @pytest.mark.parametrize("rule", ["exact", "minsum"])
     @pytest.mark.parametrize("name", GOLDEN_CODES)
-    def test_trace_matches_recursion(self, name, rule):
+    def test_trace_matches_recursion(self, monkeypatch, name, rule):
         minsum = rule == "minsum"
-        rate_one = split = 0
+        calls = record_f_and_g(monkeypatch, _reference)
+        passed = failed = 0
         with np.load(GOLDEN) as g:
             frozen = g[f"frozen_{name}"]
+            plan = rmpsc._kernels._plan(frozen.astype(bool).tobytes())
+            # f steps run when every Rate-1 guard fails (f_all), and when
+            # every guard reached holds and jumps past its subtree (f_min):
+            # a run with fewer f calls than f_all passed a guard, one with
+            # more than f_min failed one
+            f_all = sum(step[0] == "f" for step in plan)
+            f_min = i = 0
+            while i < len(plan):
+                f_min += plan[i][0] == "f"
+                i = plan[i][-1] if plan[i][0] == "rate1" else i + 1
             for kind in GOLDEN_KINDS:
                 # scaled by 1e-5 no node LLR clears the exact rule's guard
                 for scale in (1.0, 1e-5):
                     llrs = scale * g[f"llrs_{name}_{kind}"]
-                    X, nodes = self._traced(sc_decode_batch, llrs, frozen, minsum)
-                    X_ref, ref = self._traced(sc_decode_recursive, llrs, frozen, minsum)
+                    X = sc_decode_batch(llrs, frozen, minsum)
+                    kernel = calls[:]
+                    calls.clear()
+                    X_ref = sc_decode_recursive(llrs, frozen, minsum)
                     assert np.array_equal(X, X_ref), (kind, scale)
-                    assert [nd[:2] for nd in nodes] == [nd[:2] for nd in ref], (kind, scale)
-                    for (_, _, v), (_, _, v_ref) in zip(nodes, ref):
-                        assert v.tobytes() == v_ref.tobytes(), (kind, scale)
-                    # Rate-1 nodes above the leaves, and those whose guard
-                    # failed: the next node visited is their left child
-                    for (level, start, _), nxt in zip(nodes, nodes[1:] + [None]):
-                        if level and not frozen[start : start + (1 << level)].any():
-                            rate_one += 1
-                            split += nxt is not None and nxt[:2] == (level - 1, start)
-        assert 0 < split < rate_one
+                    assert kernel == calls, (kind, scale)
+                    calls.clear()
+                    f_run = sum(c[0] == "f" for c in kernel)
+                    passed += f_run < f_all
+                    failed += f_run > f_min
+        assert passed and failed
 
     def test_results_do_not_alias(self):
         code = CodeSpec.from_i_min({27}, 7)
@@ -633,28 +648,6 @@ class TestFlatPlan:
         assert np.array_equal(X1, kept)
         assert np.array_equal(X1, sc_reference(first, code.frozen_mask(), False))
         assert np.array_equal(X2, sc_reference(second, code.frozen_mask(), False))
-
-    @pytest.mark.parametrize("minsum", [False, True])
-    def test_trace_may_decode(self, minsum):
-        # a decode inside the trace gets its own workspace: neither call's
-        # level rows are overwritten by the other's
-        outer = CodeSpec.from_i_min({27}, 7)
-        inner = CodeSpec.from_i_min({19}, 6)
-        rng = np.random.default_rng(22)
-        llrs = rng.normal(0.5, 2, (48, 128))
-        inner_llrs = rng.normal(0.5, 2, (20, 64))
-        expected = sc_decode_batch(inner_llrs, inner.frozen_mask(), minsum)
-        inner_X = []
-
-        def trace(level, start, v):
-            inner_X.append(sc_decode_batch(inner_llrs, inner.frozen_mask(), minsum))
-
-        X = sc_decode_batch(llrs, outer.frozen_mask(), minsum, trace)
-        assert np.array_equal(X, sc_decode_batch(llrs, outer.frozen_mask(), minsum))
-        assert np.array_equal(X, sc_reference(llrs, outer.frozen_mask(), minsum))
-        assert len(inner_X) > 1
-        for X_in in inner_X:
-            assert np.array_equal(X_in, expected)
 
     def test_threads_get_their_own_workspace(self):
         # more threads than cores, switching often: a workspace shared by two
@@ -750,26 +743,25 @@ class TestBatchIndependence:
         "minsum, weak",
         [(False, [1e-9, 1e-9, 1e-9, -1e-9]), (True, [0.0, -1e-9, 1e-9, -0.0])],
     )
-    def test_mixed_batch_matches_frames_alone(self, minsum, weak):
+    def test_mixed_batch_matches_frames_alone(self, monkeypatch, minsum, weak):
         rows = np.array([weak, [3.0, -2.5, 1.5, -4.0], [-2.0, 2.0, -2.0, 2.0],
                          [40.0, 1.5, -1.5, -40.0]])
         info_only = np.zeros(4, dtype=np.uint8)
+        calls = record_f_and_g(monkeypatch)
         alone = []
         for i in range(len(rows)):
-            levels = []
-            X = sc_decode_batch(rows[i : i + 1], info_only, minsum,
-                                trace=lambda level, start, v: levels.append(level))
-            assert (levels == [2]) == (i > 0)   # the root alone: hard decision
+            calls.clear()
+            X = sc_decode_batch(rows[i : i + 1], info_only, minsum)
+            assert (not calls) == (i > 0)   # no f: the root by hard decision
             alone.append(X[0])
         assert np.array_equal(alone[0], sc_reference(rows[:1], info_only, minsum)[0])
         for pos in range(len(rows)):
             order = list(range(1, len(rows)))
             order.insert(pos, 0)   # the weak frame at each position
             llrs = rows[order]
-            levels = []
-            X = sc_decode_batch(llrs, info_only, minsum,
-                                trace=lambda level, start, v: levels.append(level))
-            assert len(levels) > 1
+            calls.clear()
+            X = sc_decode_batch(llrs, info_only, minsum)
+            assert calls
             for row, i in zip(X, order):
                 assert np.array_equal(row, alone[i])
 
@@ -804,16 +796,16 @@ def rate_one_rows(draw):
 class TestRateOneGuard:
     @pytest.mark.parametrize("minsum", [False, True])
     @pytest.mark.parametrize("n", range(1, 7))
-    def test_guard_edges_match_reference(self, n, minsum):
+    def test_guard_edges_match_reference(self, monkeypatch, n, minsum):
         info_only = np.zeros(1 << n, dtype=np.uint8)
         at, above, far = guard_edges(n)
+        calls = record_f_and_g(monkeypatch)
         # the exact rule's guard is strict: at the bound the node recurses
         for mag, shortcut in ((at, minsum), (above, True), (far, True)):
             llrs = edge_rows(n, mag, batch=64)
-            levels = []
-            X = sc_decode_batch(llrs, info_only, minsum,
-                                trace=lambda level, start, v: levels.append(level))
-            assert (levels == [n]) == shortcut
+            calls.clear()
+            X = sc_decode_batch(llrs, info_only, minsum)
+            assert (not calls) == shortcut
             assert np.array_equal(X, sc_reference(llrs, info_only, minsum))
 
     @seed(7)
@@ -933,6 +925,20 @@ class TestAeDecode:
         with pytest.raises(ValueError, match="not a permutation"):
             ae_sc_decode_frames(np.zeros((1, 32)), code, [np.zeros(32, int)])
 
+    def test_non_integer_perm_rejected(self):
+        from rmpsc.autgroup import Permutation
+
+        code = CodeSpec.from_i_min({0}, 2)   # rate 1, N = 4
+        llrs = np.array([[1.0, -2.0, 3.0, -4.0]])
+        for perm in ([1.5, 0.2, 2.9, 3.0], [1.0, 0.0, 2.0, np.nan]):
+            with pytest.raises(ValueError, match="not integers"):
+                ae_sc_decode_frames(llrs, code, [np.arange(4), np.array(perm)])
+        # integer-valued entries of any type are taken as they are
+        swap = [1, 0, 2, 3]
+        X, _ = ae_sc_decode_frames(llrs, code, [np.array(swap)])
+        for perm in (swap, np.array(swap, dtype=float), Permutation(np.array(swap))):
+            assert np.array_equal(ae_sc_decode_frames(llrs, code, [perm])[0], X)
+
     def test_stacked_validation_names_the_fault(self):
         # validated as one (M, N) stack, with the messages of one-by-one checks
         code = CodeSpec.from_i_min({11}, 5)
@@ -959,9 +965,9 @@ class TestAeDecode:
         perms = [permutation_from_affine(sample_blta(full, rng)) for _ in range(8)]
         rows = []
 
-        def counting(llrs, frozen, minsum=False, trace=None):
+        def counting(llrs, frozen, minsum=False):
             rows.append(len(llrs))
-            return sc_decode_batch(llrs, frozen, minsum, trace)
+            return sc_decode_batch(llrs, frozen, minsum)
 
         monkeypatch.setattr(rmpsc.scdec, "sc_decode_batch", counting)
         ae_sc_decode_frames(rng.normal(0.5, 2, (batch, 128)), code, perms)
