@@ -13,7 +13,7 @@ from . import _gf2
 from .codes import CodeSpec, dim_rm
 from .monomials import derivative_dimensions
 # encode_batch is unused here but kept importable: perfbench/spans.py wraps it by name
-from .scdec import sc_decode_frames, encode_batch
+from .scdec import Permutation, _integers, encode_batch, sc_decode_frames
 from .channel import noisy_frames
 
 __all__ = [
@@ -47,7 +47,7 @@ class BlockStructure:
     blocks: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "blocks", tuple(int(b) for b in self.blocks))
+        object.__setattr__(self, "blocks", tuple(_integers(self.blocks, "block sizes").tolist()))
         if any(b < 1 for b in self.blocks):
             raise ValueError(f"block sizes must be positive, got {self.blocks}")
 
@@ -119,44 +119,6 @@ class AffineMap:
     @property
     def n(self) -> int:
         return self.b.shape[0]
-
-
-@dataclass(frozen=True)
-class Permutation:
-    """Bijection on code-bit positions; applying it moves entry k to
-    position perm[k]."""
-
-    perm: np.ndarray
-
-    def __post_init__(self):
-        p = np.array(self.perm, dtype=np.intp)  # own the buffer before freezing
-        N = p.shape[0]
-        if sorted(p.tolist()) != list(range(N)):
-            raise ValueError("not a permutation")
-        p.setflags(write=False)
-        object.__setattr__(self, "perm", p)
-
-    @classmethod
-    def identity(cls, N: int) -> "Permutation":
-        return cls(np.arange(N, dtype=np.intp))
-
-    @property
-    def N(self) -> int:
-        return self.perm.shape[0]
-
-    @property
-    def inverse(self) -> "Permutation":
-        return Permutation(np.argsort(self.perm))
-
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        values = np.asarray(values)
-        out = np.empty_like(values)
-        out[..., self.perm] = values
-        return out
-
-    def compose(self, other: "Permutation") -> "Permutation":
-        """self after other: (self . other)(k) = self(other(k))."""
-        return Permutation(self.perm[other.perm])
 
 
 def permutation_from_affine(t: AffineMap) -> Permutation:
@@ -276,6 +238,9 @@ def sample_blta(S: BlockStructure, rng) -> AffineMap:
 # Classes that are distinct under min-sum are therefore also distinct for
 # the exact decoder.
 PROBE_MINSUM = True
+# the noisy frames a probe decodes, and their Eb/N0 in dB
+PROBE_TRIALS = 500
+PROBE_SNR_DB = 2.0
 
 
 def _probe_batch(code: CodeSpec, trials: int, snr_db: float, seed: int, minsum: bool):
@@ -301,8 +266,8 @@ def _branch_matches_sc(
 
 def absorption_structure_empirical(
     code: CodeSpec,
-    trials: int = 500,
-    snr_db: float = 2.0,
+    trials: int = PROBE_TRIALS,
+    snr_db: float = PROBE_SNR_DB,
     seed: int = 0,
 ) -> BlockStructure:
     """Empirical block structure of the SC absorption group.
@@ -370,8 +335,8 @@ def sample_distinct_class_automorphisms(
     m: int,
     seed: int = 0,
     *,
-    trials: int = 500,
-    snr_db: float = 2.0,
+    trials: int = PROBE_TRIALS,
+    snr_db: float = PROBE_SNR_DB,
 ) -> list[Permutation]:
     """Draw m automorphisms from pairwise distinct absorption classes.
 
@@ -408,11 +373,12 @@ def sample_distinct_class_automorphisms(
 
 
 def save_permutations(perms, path) -> None:
-    """One integer per line; each permutation contributes N consecutive lines."""
+    """One integer per line; each permutation contributes N consecutive lines.
+    Every entry is checked as a ``Permutation`` before the file is opened."""
+    perms = [p if isinstance(p, Permutation) else Permutation(p) for p in perms]
     with open(path, "w", encoding="utf-8") as fh:
         for p in perms:
-            for v in np.asarray(getattr(p, "perm", p)).tolist():
-                fh.write(f"{v}\n")
+            fh.writelines(f"{v}\n" for v in p.perm.tolist())
 
 
 def load_permutations(path, N: int) -> list[Permutation]:

@@ -13,7 +13,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .codes import CodeSpec
-from .scdec import _SC_CALL_LLRS, ae_sc_decode_frames, encode_batch, sc_decode_frames
+from .scdec import _SC_CALL_LLRS, Permutation, ae_sc_decode_frames, encode_batch, sc_decode_frames
 
 __all__ = [
     "SimConfig",
@@ -34,7 +34,7 @@ class SimConfig:
 
     code: CodeSpec
     decoder: str = "sc"                     # "sc" or "ae"
-    perms: tuple = ()                       # AE branch permutations
+    perms: tuple = ()                       # AE branch permutations, as Permutations
     ebn0_grid_db: tuple[float, ...] = (1.0, 2.0, 3.0)
     max_trials: int = 10_000
     target_errors: int = 100
@@ -45,6 +45,10 @@ class SimConfig:
             raise ValueError(f"unknown decoder {self.decoder!r}")
         if self.decoder == "ae" and not self.perms:
             raise ValueError("AE decoding needs at least one permutation")
+        perms = tuple(p if isinstance(p, Permutation) else Permutation(p) for p in self.perms)
+        if any(p.N != self.code.N for p in perms):
+            raise ValueError(f"AE permutations must have length N={self.code.N}")
+        object.__setattr__(self, "perms", perms)
         if not self.ebn0_grid_db:
             raise ValueError("empty Eb/N0 grid")
         if not all(math.isfinite(v) for v in self.ebn0_grid_db):

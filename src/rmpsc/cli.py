@@ -11,7 +11,11 @@ from contextlib import nullcontext
 from dataclasses import replace
 from pathlib import Path
 
+# PROBE_TRIALS and PROBE_SNR_DB are unused here but kept importable:
+# perfbench/workloads.py reads them from this module
 from .autgroup import (
+    PROBE_SNR_DB,
+    PROBE_TRIALS,
     absorption_structure_empirical,
     blta_size,
     compute_blta_structure,
@@ -30,9 +34,6 @@ from .codes import (
     min_weight_count,
     search_max_symmetry,
 )
-
-PROBE_TRIALS = 500
-PROBE_SNR_DB = 2.0
 
 
 def _echo_config(ns: argparse.Namespace) -> None:
@@ -69,6 +70,9 @@ def _parse_grid(text: str) -> tuple[float, ...]:
     out = []
     v = a
     while v <= b + 1e-9:
+        # a step that rounds away (1e17 + 1 == 1e17) would never reach b
+        if out and round(v, 10) <= out[-1]:
+            raise ValueError(f"grid step {step:g} is too small to advance from {v:g}")
         out.append(round(v, 10))
         v += step
     return tuple(out)
@@ -95,9 +99,7 @@ def _analyze_report(code: CodeSpec, ns) -> dict:
         "extreme_dimension": code.extreme_dimension,
     }
     if ns.absorption:
-        absorbed = absorption_structure_empirical(
-            code, trials=PROBE_TRIALS, snr_db=PROBE_SNR_DB, seed=ns.seed
-        )
+        absorbed = absorption_structure_empirical(code, seed=ns.seed)
         report["absorption_structure"] = list(absorbed.blocks)
         report["equivalent_classes"] = equivalent_class_count(full, absorbed)
     return report
@@ -130,9 +132,7 @@ def cmd_search(ns) -> int:
             best_t, codes = search_max_symmetry(ns.n, k, mode, seed=ns.seed, rel=rel)
             code = codes[0]
             full = compute_blta_structure(code)
-            absorbed = absorption_structure_empirical(
-                code, trials=PROBE_TRIALS, snr_db=PROBE_SNR_DB, seed=ns.seed
-            )
+            absorbed = absorption_structure_empirical(code, seed=ns.seed)
             imin = ";".join(str(i) for i in code.i_min)
             out.write(
                 f"{1 << ns.n},{k},{best_t},{imin},"
@@ -183,11 +183,7 @@ def cmd_simulate(ns) -> int:
         if ns.perms is not None:
             perms = tuple(_replayed_perms(ns.perms, code, ns.m))
         else:
-            perms = tuple(
-                sample_distinct_class_automorphisms(
-                    code, ns.m, seed=ns.seed, trials=PROBE_TRIALS, snr_db=PROBE_SNR_DB
-                )
-            )
+            perms = tuple(sample_distinct_class_automorphisms(code, ns.m, seed=ns.seed))
         if ns.out:
             replay = Path(ns.out).with_suffix(".perms.txt")
             save_permutations(perms, replay)
@@ -227,9 +223,7 @@ def cmd_extend(ns) -> int:
 
 def cmd_sample_perms(ns) -> int:
     code = _build_code(ns)
-    perms = sample_distinct_class_automorphisms(
-        code, ns.m, seed=ns.seed, trials=PROBE_TRIALS, snr_db=PROBE_SNR_DB
-    )
+    perms = sample_distinct_class_automorphisms(code, ns.m, seed=ns.seed)
     if ns.out:
         save_permutations(perms, ns.out)
     else:

@@ -3,12 +3,69 @@ decoding with least-squares candidate selection, over batches of frames."""
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from ._kernels import _SC_CALL_LLRS, _U63, LLR_CLAMP, polar_transform, sc_decode_batch
 from .codes import CodeSpec
 
-__all__ = ["encode_batch", "polar_transform", "sc_decode_frames", "ae_sc_decode_frames"]
+__all__ = [
+    "Permutation", "encode_batch", "polar_transform", "sc_decode_frames", "ae_sc_decode_frames"
+]
+
+
+def _integers(values, what: str) -> np.ndarray:
+    """An np.intp copy of ``values``; raises unless every entry is
+    integer-valued (1.5, NaN, inf and 1e300 are not)."""
+    given = np.asarray(values)
+    with np.errstate(invalid="ignore"):
+        out = given.astype(np.intp)
+    if not np.array_equal(out, given):
+        raise ValueError(f"{what} are not integers")
+    return out
+
+
+@dataclass(frozen=True)
+class Permutation:
+    """Bijection on code-bit positions; applying it moves entry k to
+    position perm[k].
+
+    The one validator of permutations: the entries must be integer-valued
+    and a rearrangement of range(N), so every consumer (the AE decoder,
+    ``channel.SimConfig``, ``autgroup.save_permutations``) takes an
+    instance as checked and builds one from anything else."""
+
+    perm: np.ndarray
+
+    def __post_init__(self):
+        p = _integers(self.perm, "permutation entries")  # a copy, frozen below
+        if p.ndim != 1 or not np.array_equal(np.sort(p), np.arange(p.size)):
+            raise ValueError(f"not a permutation of range({p.size})")
+        p.setflags(write=False)
+        object.__setattr__(self, "perm", p)
+
+    @classmethod
+    def identity(cls, N: int) -> "Permutation":
+        return cls(np.arange(N, dtype=np.intp))
+
+    @property
+    def N(self) -> int:
+        return self.perm.shape[0]
+
+    @property
+    def inverse(self) -> "Permutation":
+        return Permutation(np.argsort(self.perm))
+
+    def apply(self, values: np.ndarray) -> np.ndarray:
+        values = np.asarray(values)
+        out = np.empty_like(values)
+        out[..., self.perm] = values
+        return out
+
+    def compose(self, other: "Permutation") -> "Permutation":
+        """self after other: (self . other)(k) = self(other(k))."""
+        return Permutation(self.perm[other.perm])
 
 
 def encode_batch(u_info: np.ndarray, code: CodeSpec) -> np.ndarray:
@@ -30,22 +87,6 @@ def _check_llrs(llrs: np.ndarray, N: int) -> np.ndarray:
     if not np.isfinite(llrs).all():
         raise ValueError("LLRs must be finite")
     return llrs
-
-
-def _perm_arrays(perms, N: int) -> np.ndarray:
-    """The (M, N) stack of the permutations, validated in one pass."""
-    rows = [np.asarray(getattr(p, "perm", p)) for p in perms]
-    for arr in rows:
-        if arr.shape != (N,):
-            raise ValueError(f"permutation length {arr.shape} does not match N={N}")
-    given = np.stack(rows)
-    with np.errstate(invalid="ignore"):
-        stacked = given.astype(np.intp)
-    if not np.array_equal(stacked, given):
-        raise ValueError("permutation entries are not integers")
-    if not (np.sort(stacked, axis=1) == np.arange(N)).all():
-        raise ValueError(f"not a permutation of range({N})")
-    return stacked
 
 
 def sc_decode_frames(llrs: np.ndarray, code: CodeSpec, *, minsum: bool = False):
@@ -70,6 +111,8 @@ def ae_sc_decode_frames(llrs: np.ndarray, code: CodeSpec, perms):
     (exact check-node rule) on the permuted LLRs, candidates are mapped back,
     and the best-correlating codeword wins (ties go to the earliest branch).
     Returns the (B, N) winning codewords X and the (B,) winning branches.
+    Entries of ``perms`` that are not ``Permutation``s are converted (and so
+    validated); instances are taken as they are.
 
     Branches are stacked as extra rows of shared kernel calls, as many per
     call as fit in ``3 * _SC_CALL_LLRS`` LLRs at 2 * N per row (at least
@@ -79,7 +122,11 @@ def ae_sc_decode_frames(llrs: np.ndarray, code: CodeSpec, perms):
     llrs = np.clip(_check_llrs(llrs, code.N), -LLR_CLAMP, LLR_CLAMP)
     B = llrs.shape[0]
     frozen = code.frozen_mask()
-    perm_arrays = _perm_arrays(perms, code.N)
+    perms = [p if isinstance(p, Permutation) else Permutation(p) for p in perms]
+    for p in perms:
+        if p.N != code.N:
+            raise ValueError(f"permutation length {p.perm.shape} does not match N={code.N}")
+    perm_arrays = np.stack([p.perm for p in perms])
     M = len(perm_arrays)
     candidates = np.empty((M, B, code.N), dtype=np.uint8)
     scores = np.empty((M, B), dtype=np.float64)

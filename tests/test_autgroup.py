@@ -81,6 +81,41 @@ class TestPermutation:
         with pytest.raises(ValueError):
             Permutation(np.array([0, 0, 1]))
 
+    @pytest.mark.parametrize(
+        "entries", [[1.5, 0.2, 2.9, 3.0], [1.0, 0.0, np.nan], [0.0, np.inf], [1e300, 0.0]]
+    )
+    def test_non_integer_entries_rejected(self, entries):
+        # once truncated: [1.5, 0.2, 2.9, 3.0] became the permutation [1 0 2 3]
+        with pytest.raises(ValueError, match="permutation entries are not integers"):
+            Permutation(np.array(entries))
+
+    @pytest.mark.parametrize("entries", [np.array(3), np.array(0), np.arange(4).reshape(2, 2)])
+    def test_not_one_dimensional_rejected(self, entries):
+        with pytest.raises(ValueError, match=r"not a permutation of range\("):
+            Permutation(entries)
+
+    def test_integer_valued_entries_taken_as_they_are(self):
+        given = np.array([1.0, 0.0, 2.0])
+        p = Permutation(given)
+        assert p.perm.dtype == np.intp and p.perm.tolist() == [1, 0, 2]
+        assert not p.perm.flags.writeable and given.flags.writeable
+        assert Permutation([2, 0, 1]).perm.tolist() == [2, 0, 1]
+
+    def test_one_class_for_every_import(self):
+        import rmpsc
+        import rmpsc.scdec
+
+        assert rmpsc.Permutation is autgroup.Permutation is rmpsc.scdec.Permutation
+
+    @pytest.mark.parametrize(
+        "perms", [[np.array([1.5, 0.0])], [np.arange(4), np.zeros(4, int)], [np.array(2)]]
+    )
+    def test_save_refuses_non_permutations(self, tmp_path, perms):
+        path = tmp_path / "perms.txt"
+        with pytest.raises(ValueError, match="not"):
+            save_permutations(perms, path)
+        assert not path.exists()
+
     def test_file_round_trip(self, tmp_path):
         rng = np.random.default_rng(2)
         perms = [Permutation(rng.permutation(16)) for _ in range(3)]
@@ -245,6 +280,11 @@ class TestBltaSize:
             BlockStructure((2, 0))
         with pytest.raises(ValueError):
             BlockStructure((-1,))
+        # sizes are integer-valued or refused, never truncated
+        for sizes in ((2.5, 1), (np.nan,), (1, np.inf), (1e300,)):
+            with pytest.raises(ValueError, match="block sizes are not integers"):
+                BlockStructure(sizes)
+        assert BlockStructure((2.0, np.int64(1))).blocks == (2, 1)
 
 
 class TestBlockMembership:

@@ -18,6 +18,7 @@ from rmpsc.channel import (
     write_fer_csv,
 )
 from rmpsc.codes import CodeSpec
+from rmpsc.scdec import Permutation
 from rmpsc.scdec import encode_batch, sc_decode_frames
 
 
@@ -137,6 +138,33 @@ class TestSimConfig:
         code = CodeSpec.from_i_min({1}, 1)
         with pytest.raises(ValueError):
             SimConfig(code=code, decoder="scl")
+
+    @pytest.mark.parametrize(
+        "perm, message",
+        [
+            (np.arange(32), "length N=64"),
+            (np.zeros(64, int), r"not a permutation of range\(64\)"),
+            (np.arange(64) + 0.5, "not integers"),
+        ],
+        ids=["short", "repeated", "non-integer"],
+    )
+    def test_bad_ae_permutation_rejected_before_any_frame(self, monkeypatch, perm, message):
+        def no_frames(*args, **kwargs):
+            raise AssertionError("a frame was drawn")
+
+        monkeypatch.setattr(channel, "noisy_frames", no_frames)
+        code = CodeSpec.from_i_min((19,), 6)   # N = 64
+        with pytest.raises(ValueError, match=message):
+            SimConfig(code=code, decoder="ae", perms=(np.arange(64), perm))
+
+    def test_perms_held_as_permutations(self):
+        code = CodeSpec.from_i_min((19,), 6)
+        given = Permutation.identity(64)
+        cfg = SimConfig(code=code, decoder="ae", perms=[given, np.arange(64)[::-1]])
+        assert isinstance(cfg.perms, tuple) and len(cfg.perms) == 2
+        assert cfg.perms[0] is given
+        assert isinstance(cfg.perms[1], Permutation)
+        assert cfg.perms[1].perm.tolist() == list(range(63, -1, -1))
 
 
 class TestRunFer:

@@ -314,6 +314,32 @@ class TestSimulate:
         assert not out.with_suffix(".perms.txt").exists()
 
     @pytest.mark.parametrize(
+        "text, points",
+        [
+            ("1:4:1", (1.0, 2.0, 3.0, 4.0)),
+            ("0:1:0.1", (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)),
+            ("-1:2:0.3", (-1.0, -0.7, -0.4, -0.1, 0.2, 0.5, 0.8, 1.1, 1.4, 1.7, 2.0)),
+            ("0:0.3:0.1", (0.0, 0.1, 0.2, 0.3)),
+            ("1:1:1", (1.0,)),
+            ("3:1:1", ()),
+            ("1,2,3", (1.0, 2.0, 3.0)),
+        ],
+    )
+    def test_grid_points(self, text, points):
+        from rmpsc.cli import _parse_grid
+
+        assert _parse_grid(text) == points
+
+    @pytest.mark.parametrize("grid", ["1e17:2e17:1", "0:1:1e-11"])
+    def test_grid_step_that_rounds_away_exits_2(self, capsys, grid):
+        # 1e17 + 1 == 1e17, and round(1e-11, 10) == 0.0: the grid would
+        # never advance, so it is refused as a usage error
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--imin", "19", "--n", "6", f"--ebn0={grid}"])
+        assert exc.value.code == 2
+        assert "--ebn0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "args",
         [
             ["--ebn0", "5:1:1", "--max-trials", "100", "--target-errors", "10"],
@@ -445,3 +471,38 @@ class TestEntryPoint:
             timeout=120,
         )
         assert proc.returncode == 2
+
+
+class TestPinnedOutputs:
+    # SHA-256 of four outputs taken before Permutation became the one
+    # validator of permutations; refactors must leave these bytes alone
+    AE = [
+        "simulate", "--n", "7", "--imin", "27", "--dec", "ae", "--m", "8", "--ebn0", "1:4:1",
+        "--max-trials", "20000", "--target-errors", "200", "--seed", "3",
+    ]
+    DIGESTS = {
+        "ae.csv": "52cb83e57f0a8ee95987ddc47352aa17dfd981a68beca09ac4af67900fb26840",
+        "ae.perms.txt": "7f72c120fb9dc4dab8316b79fd1a07d41a14bf43aeeab3902a28735f1f1ac325",
+        "sc.csv": "20c3cf4b2d8ae38502a1040fb125405b8e76e251a8715ae2cc80266a8bf8058d",
+        "analyze.json": "d96fdc4c12f1e15059991440e31ecb4a68be636f964150c302b6efd378a52e69",
+    }
+
+    def test_output_digests(self, tmp_path, capsys):
+        import hashlib
+
+        sc = list(self.AE)
+        sc[1:5] = ["--n", "6", "--imin", "19"]
+        sc[sc.index("ae")] = "sc"
+        for args, name in (
+            (self.AE, "ae.csv"),
+            (sc, "sc.csv"),
+            (["analyze", "--imin", "27", "--n", "7", "--absorption", "--json"], "analyze.json"),
+        ):
+            assert main(args + ["--out", str(tmp_path / name)]) == 0
+        capsys.readouterr()
+        digests = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in self.DIGESTS
+        }
+        assert digests == self.DIGESTS
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(self.DIGESTS)

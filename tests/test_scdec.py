@@ -939,8 +939,22 @@ class TestAeDecode:
         for perm in (swap, np.array(swap, dtype=float), Permutation(np.array(swap))):
             assert np.array_equal(ae_sc_decode_frames(llrs, code, [perm])[0], X)
 
+    def test_instances_are_not_validated_again(self, monkeypatch):
+        from rmpsc.scdec import Permutation
+
+        code, perms = self._code_and_perms()
+        llrs = np.random.default_rng(4).normal(size=(6, 32))
+        X, winner = ae_sc_decode_frames(llrs, code, [p.perm for p in perms])
+
+        def refuse(self):
+            raise AssertionError("a Permutation was validated again")
+
+        monkeypatch.setattr(Permutation, "__post_init__", refuse)
+        again, again_winner = ae_sc_decode_frames(llrs, code, perms)
+        assert np.array_equal(again, X) and np.array_equal(again_winner, winner)
+
     def test_stacked_validation_names_the_fault(self):
-        # validated as one (M, N) stack, with the messages of one-by-one checks
+        # each entry becomes a Permutation, whose check names the fault
         code = CodeSpec.from_i_min({11}, 5)
         llrs = np.zeros((2, 32))
         with pytest.raises(ValueError, match=r"permutation length \(16,\) does not match N=32"):
