@@ -14,41 +14,23 @@ LLR_CLAMP = 40.0
 
 # ----------------------------------------------------------------- transform
 
-def _butterfly(x: np.ndarray, size: int) -> np.ndarray:
-    """Polar transform in place along the last axis, of length ``size``
-    (``x`` C-ordered): log2(size) XOR stages."""
-    d = 1
-    while d < size:
-        w = x.reshape(-1, 2, d)
-        w[:, 0] ^= w[:, 1]
-        d <<= 1
-    return x
-
-
-# byte lanes of a little-endian uint64 with lane bit d clear, for d = 1, 2, 4
-_LANE_MASKS = tuple(
-    (d, np.uint64(sum(0xFF << (8 * j) for j in range(8) if not j & d))) for d in (1, 2, 4)
-)
-
-
 def polar_transform(u: np.ndarray) -> np.ndarray:
     """Bit transform for encoding; involutive, accepts (..., N) bit arrays.
 
     Multiplies bit rows by the n-fold Kronecker power of [[1,0],[1,1]], as
-    log2(N) butterfly stages of one XOR each.  From N = 8 on, the rows are
-    read as little-endian uint64 words of 8 bits each: the first three
-    stages run inside each word by shifts, the others XOR whole words.
+    log2(N) butterfly stages on a node-major (N, ...) copy: each stage XORs
+    whole contiguous row blocks.  Returns a (..., N) view of that copy, so a
+    node-major (B, N) batch (a view whose transpose is C-contiguous) is
+    copied as it lies in memory and comes back node-major.
     """
-    # C order, so that every reshape below is a view of x
-    x = np.array(u, dtype=np.uint8, order="C", copy=True)
-    N = x.shape[-1]
-    if N < 8:
-        return _butterfly(x, N)
-    w = x.view("<u8")
-    for d, mask in _LANE_MASKS:
-        w ^= (w >> np.uint64(8 * d)) & mask
-    _butterfly(w, N // 8)
-    return x
+    x = np.array(np.moveaxis(u, -1, 0), dtype=np.uint8, order="C", copy=True)
+    N = x.shape[0]
+    d = 1
+    while d < N:
+        w = x.reshape(N // (2 * d), 2, d, x.size // N)
+        w[:, 0] ^= w[:, 1]
+        d <<= 1
+    return np.moveaxis(x, 0, -1)
 
 
 # ------------------------------------------------------------------ f and g
@@ -252,14 +234,19 @@ def _compile(level, start, frozen, info_before, steps):
 # gathered branches and the kernel's workspace.  The kernel reads node-major
 # input in place and works in N level rows below the root plus one tile of
 # scratch, so a call holds 2 * N * rows LLRs, and more rows per call cost
-# peak memory.  The same 3 * _SC_CALL_LLRS bounds the workspace that
-# sc_decode_batch keeps from one call to the next
+# peak memory.  sc_decode_batch keeps the workspace of a call of up to
+# max(_SC_MIN_ROWS, 3 * _SC_CALL_LLRS // (2 * N)) rows for the next call:
+# the AE call budget, and every default FER batch
 _SC_CALL_LLRS = 1 << 16
+# the fewest frames of a default FER batch: run_fer's batch is
+# max(_SC_MIN_ROWS, _SC_CALL_LLRS // N) frames
+_SC_MIN_ROWS = 256
+
 
 # The workspace a finished call keeps for the next one, under the key None.
 # A call pops it, so that a call made meanwhile, from another thread,
-# allocates its own, and puts it back when it returns, if the call fits the
-# AE call budget.
+# allocates its own, and puts it back when it returns, if the call's rows fit
+# the AE call budget or a default FER batch (see sc_decode_batch).
 _RETAINED = {}
 
 
@@ -341,9 +328,12 @@ def sc_decode_batch(llrs: np.ndarray, frozen: np.ndarray, minsum: bool = False):
     masks) and at most one workspace, kept between calls.  A call checks
     the kept workspace out and uses its memory when it is large enough.  On
     return it keeps its workspace (with the views over it for its (N, B)
-    and the previous call's) if 2 * N * B <= 3 * ``_SC_CALL_LLRS``, the AE call budget, and drops it
-    otherwise, so the kept memory is at most 3 * ``_SC_CALL_LLRS`` / 2 LLRs
-    of level rows plus one scratch.
+    and the previous call's) if B <= max(``_SC_MIN_ROWS``,
+    3 * ``_SC_CALL_LLRS`` // (2 * N)), which covers the AE call budget and
+    every default FER batch, and drops it otherwise, so the kept memory is
+    at most max(3 * 2^15, 256 * N) LLRs of level rows plus one scratch.
+    A campaign's calls then neither free the workspace nor fault it in
+    again.
 
     Returns
     -------
@@ -394,7 +384,7 @@ def sc_decode_batch(llrs: np.ndarray, frozen: np.ndarray, minsum: bool = False):
                 np.less(v, 0.0, out=X[start:end].view(bool))
                 i = after
     rows[n] = halves[n] = tiles[n] = None
-    if 2 * N * B <= 3 * _SC_CALL_LLRS:
+    if B <= max(_SC_MIN_ROWS, 3 * _SC_CALL_LLRS // (2 * N)):
         _RETAINED[None] = ws
     return X.T
 

@@ -13,7 +13,8 @@ import numpy as np
 from scipy.special import ndtri
 
 from .codes import CodeSpec
-from .scdec import _SC_CALL_LLRS, Permutation, ae_sc_decode_frames, encode_batch, sc_decode_frames
+from ._kernels import _SC_CALL_LLRS, _SC_MIN_ROWS
+from .scdec import Permutation, ae_sc_decode_frames, encode_batch, sc_decode_frames
 
 __all__ = [
     "SimConfig",
@@ -159,13 +160,15 @@ def run_fer(
     not depend on ``batch_size`` or ``workers``.
 
     By default a batch fills one SC kernel call of ``_SC_CALL_LLRS`` LLRs,
-    but holds at least 256 frames: max(256, 2^16 // N), so 1024 frames at
-    N = 64 and 256 for N >= 256.  A stopped point may have decoded up to
+    but holds at least ``_SC_MIN_ROWS`` frames: max(256, 2^16 // N), so
+    1024 frames at N = 64 and 256 for N >= 256.  The kernel keeps its
+    workspace from one such batch to the next at every N, so a campaign
+    allocates it once.  A stopped point may have decoded up to
     ``workers * batch_size - 1`` trials past its stop trial; those are
     discarded.
     """
     if batch_size is None:
-        batch_size = max(256, _SC_CALL_LLRS // cfg.code.N)
+        batch_size = max(_SC_MIN_ROWS, _SC_CALL_LLRS // cfg.code.N)
     if batch_size < 1:
         raise ValueError(f"batch_size must be at least 1, got {batch_size}")
     if workers < 1:

@@ -55,24 +55,40 @@ def _output(path):
 
 
 def _parse_imin(text: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in text.split(",") if v.strip())
+    try:
+        return tuple(int(v) for v in text.split(",") if v.strip())
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"generator indices must be integers, got {text!r}"
+        ) from None
 
 
 def _parse_grid(text: str) -> tuple[float, ...]:
-    values = [float(v) for v in text.split(":" if ":" in text else ",")]
+    """Eb/N0 points from ``a:b:step`` or a comma list; argparse shows the
+    reason of a refusal."""
+    grid = ":" in text
+    fields = text.split(":" if grid else ",")
+    if grid and len(fields) != 3:
+        raise argparse.ArgumentTypeError(f"a grid a:b:step has three fields, got {text!r}")
+    try:
+        values = [float(v) for v in fields]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"Eb/N0 values must be numbers, got {text!r}") from None
     if not all(math.isfinite(v) for v in values):
-        raise ValueError("Eb/N0 values must be finite")
-    if ":" not in text:
+        raise argparse.ArgumentTypeError("Eb/N0 values must be finite")
+    if not grid:
         return tuple(values)
     a, b, step = values
     if step <= 0:
-        raise ValueError("grid step must be positive")
+        raise argparse.ArgumentTypeError("grid step must be positive")
     out = []
     v = a
     while v <= b + 1e-9:
         # a step that rounds away (1e17 + 1 == 1e17) would never reach b
         if out and round(v, 10) <= out[-1]:
-            raise ValueError(f"grid step {step:g} is too small to advance from {v:g}")
+            raise argparse.ArgumentTypeError(
+                f"grid step {step:g} is too small to advance from {v:g}"
+            )
         out.append(round(v, 10))
         v += step
     return tuple(out)

@@ -69,6 +69,9 @@ class CodeSpec:
             raise ValueError("a code needs at least one generator index")
         self.i_min = tuple(sorted(minimal_generators(self.info_set, self.n)))
         self.K = len(self.info_set)
+        # the information positions in ascending order, read-only
+        self.info_positions = np.array(sorted(self.info_set), dtype=np.intp)
+        self.info_positions.setflags(write=False)
         self.gen_set = GeneratorSet.from_indices(self.info_set, self.n)
 
     @classmethod
@@ -91,7 +94,7 @@ class CodeSpec:
 
     def frozen_mask(self) -> np.ndarray:
         mask = np.ones(self.N, dtype=np.uint8)
-        mask[sorted(self.info_set)] = 0
+        mask[self.info_positions] = 0
         return mask
 
     @property

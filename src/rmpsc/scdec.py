@@ -71,13 +71,14 @@ class Permutation:
 def encode_batch(u_info: np.ndarray, code: CodeSpec) -> np.ndarray:
     """Scatter each row of (B, K) information bits into the information
     positions (ascending index), zeros elsewhere, and apply the polar
-    transform; returns the (B, N) codewords."""
+    transform; returns the (B, N) codewords as a node-major view (its
+    transpose is C-contiguous), the layout the SC kernel returns."""
     u_info = np.asarray(u_info, dtype=np.uint8)
     if u_info.ndim != 2 or u_info.shape[1] != code.K:
         raise ValueError(f"expected shape (B, {code.K}), got {u_info.shape}")
-    u = np.zeros((u_info.shape[0], code.N), dtype=np.uint8)
-    u[:, sorted(code.info_set)] = u_info
-    return polar_transform(u)
+    u = np.zeros((code.N, u_info.shape[0]), dtype=np.uint8)
+    u[code.info_positions] = u_info.T
+    return polar_transform(u.T)
 
 
 def _check_llrs(llrs: np.ndarray, N: int) -> np.ndarray:

@@ -7,6 +7,8 @@ from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri
 
+import rmpsc._kernels
+import rmpsc.scdec
 from rmpsc import channel
 from rmpsc.channel import (
     FerPoint,
@@ -189,6 +191,28 @@ class TestRunFer:
         (point,) = run_fer(cfg)
         assert point.frame_errors == 0
         assert point.trials == 1000
+
+    def test_default_batches_reuse_one_workspace(self, monkeypatch):
+        # a default batch at N = 1024 is 256 frames, above the AE call budget;
+        # the kernel keeps its workspace for it, so both points decode in
+        # one buffer
+        kept = []
+        decode = rmpsc.scdec.sc_decode_batch
+
+        def record(llrs, frozen, minsum=False):
+            X = decode(llrs, frozen, minsum)
+            kept.append(rmpsc._kernels._RETAINED[None].llrs)
+            return X
+
+        monkeypatch.setattr(rmpsc.scdec, "sc_decode_batch", record)
+        code = CodeSpec.from_i_min({63, 121}, 10)
+        cfg = SimConfig(
+            code=code, ebn0_grid_db=(3.0, 3.5), max_trials=256, target_errors=256, seed=2
+        )
+        run_fer(cfg)
+        buffer = kept[0]
+        assert len(kept) == 2 and buffer.size >= 256 * code.N
+        assert all(ws_llrs is buffer for ws_llrs in kept)
 
     @pytest.mark.parametrize("kwargs", [{"batch_size": 0}, {"workers": 0}, {"workers": -1}])
     def test_rejects_empty_batches_and_pools(self, kwargs):

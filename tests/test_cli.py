@@ -340,6 +340,22 @@ class TestSimulate:
         assert "--ebn0" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "args, reason",
+        [
+            (["--imin", "19", "--ebn0=1e17:2e17:1"], "grid step 1 is too small to advance"),
+            (["--imin", "19", "--ebn0=0:nan:1"], "Eb/N0 values must be finite"),
+            (["--imin", "19", "--ebn0=1:2"], "a grid a:b:step has three fields"),
+            (["--imin", "1,x"], "generator indices must be integers"),
+        ],
+        ids=["step-rounds-away", "nan", "two-fields", "imin-not-integer"],
+    )
+    def test_usage_errors_give_their_reason(self, capsys, args, reason):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--n", "6"] + args)
+        assert exc.value.code == 2
+        assert reason in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "args",
         [
             ["--ebn0", "5:1:1", "--max-trials", "100", "--target-errors", "10"],

@@ -112,6 +112,16 @@ class TestCodeSpec:
         code = CodeSpec.from_i_min({3, 5, 6}, 3)
         mask = code.frozen_mask()
         assert mask.tolist() == [1, 1, 1, 0, 1, 0, 0, 0]
+        # every call returns a fresh mask
+        mask[:] = 7
+        assert code.frozen_mask().tolist() == [1, 1, 1, 0, 1, 0, 0, 0]
+
+    def test_info_positions_sorted_and_read_only(self):
+        code = CodeSpec.from_i_min({3, 5, 6}, 3)
+        assert code.info_positions.dtype == np.intp
+        assert code.info_positions.tolist() == [3, 5, 6, 7]
+        with pytest.raises(ValueError):
+            code.info_positions[0] = 0
 
 
 class TestReliability:

@@ -103,21 +103,30 @@ class TestEncode:
         with pytest.raises(ValueError):
             encode_batch(np.zeros(code.K, dtype=np.uint8), code)   # not a batch
 
-    # n <= 2 runs the byte butterfly alone; from n = 3 on, the word path
     @pytest.mark.parametrize("n", range(11))
     def test_transform_matches_kronecker(self, n):
         N = 1 << n
         G = reduce(np.kron, [T2] * n, np.ones((1, 1), dtype=np.uint8)).astype(np.int64)
         rng = np.random.default_rng(n)
-        inputs = [rng.integers(0, 2, shape).astype(np.uint8) for shape in ((N,), (5, N), (2, 3, N))]
-        # not C-contiguous; the (2, 3, N) one cannot be reshaped as a view
+        inputs = [
+            rng.integers(0, 2, shape).astype(np.uint8) for shape in ((N,), (5, N), (0, N), (2, 3, N))
+        ]
+        # not C-contiguous: a node-major batch, and a 3-D transpose
         inputs += [rng.integers(0, 2, shape).astype(np.uint8).T for shape in ((N, 7), (N, 3, 2))]
         for u in inputs:
             before = u.copy()
             x = polar_transform(u)
-            assert x.dtype == np.uint8
+            assert x.dtype == np.uint8 and x.shape == u.shape
             assert np.array_equal(x, (u.astype(np.int64) @ G) % 2)
             assert np.array_equal(u, before)
+        # a node-major batch comes back node-major, and so do encoded batches
+        assert polar_transform(inputs[4]).T.flags.c_contiguous
+        code = CodeSpec.from_i_min({(N - 1) // 2}, n)
+        for B in (0, 1, 9):
+            bits = rng.integers(0, 2, (B, code.K)).astype(np.uint8)
+            x = encode_batch(bits, code)
+            assert x.shape == (B, N) and x.T.flags.c_contiguous
+            assert np.array_equal(x, (bits.astype(np.int64) @ G[sorted(code.info_set)]) % 2)
 
 
 class TestScDecode:
@@ -685,13 +694,21 @@ class TestFlatPlan:
 
     def test_kept_workspace_is_bounded(self):
         budget = 3 * rmpsc._kernels._SC_CALL_LLRS
+        floor = rmpsc._kernels._SC_MIN_ROWS
         rng = np.random.default_rng(23)
         small = CodeSpec.from_i_min({27}, 7)
         sc_decode_batch(rng.normal(0.5, 2, (8, 128)), small.frozen_mask())
         assert len(rmpsc._kernels._RETAINED) == 1
-        # 2 * 1024 * 128 LLRs exceed the budget: the call keeps nothing
         large = CodeSpec.from_i_min({63, 121}, 10)
-        llrs = rng.normal(0.5, 2, (128, 1024))
+        # a default FER batch at N = 1024 exceeds the AE budget but is kept
+        llrs = rng.normal(0.5, 2, (floor, 1024))
+        assert 2 * llrs.size > budget
+        X = sc_decode_batch(llrs, large.frozen_mask())
+        assert len(rmpsc._kernels._RETAINED) == 1
+        assert np.array_equal(X, sc_decode_recursive(llrs, large.frozen_mask()))
+        # 512 rows at N = 1024 exceed both the floor and the budget: the
+        # call keeps nothing
+        llrs = rng.normal(0.5, 2, (2 * floor, 1024))
         assert 2 * llrs.size > budget
         X = sc_decode_batch(llrs, large.frozen_mask())
         assert not rmpsc._kernels._RETAINED
