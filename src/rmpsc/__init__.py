@@ -5,20 +5,7 @@ groups, successive-cancellation and automorphism-ensemble decoding, and
 Monte Carlo frame-error-rate simulation.
 """
 
-from .monomials import (
-    GeneratorSet,
-    Monomial,
-    evaluate_monomial,
-    index_leq,
-    is_decreasing,
-    min_distance,
-    minimal_generators,
-    monomial_from_index,
-    monomial_leq,
-    partial_derivative,
-    symmetry,
-    upward_closure,
-)
+from .monomials import min_distance, minimal_generators, symmetry, upward_closure
 from .codes import (
     CodeSpec,
     ReliabilityOrder,
@@ -27,7 +14,6 @@ from .codes import (
     load_reliability,
     min_weight_count,
     rm_polar_construct,
-    search_rm_psc,
 )
 from .autgroup import (
     AffineMap,

@@ -187,7 +187,7 @@ def compute_blta_structure(code: CodeSpec) -> BlockStructure:
     therefore exactly the pairs inside one run (Bardet, Dragoi, Otmani &
     Tillich, ISIT 2016).
     """
-    dims = derivative_dimensions(code.gen_set)
+    dims = derivative_dimensions(code.info_set, code.n)
     return BlockStructure(tuple(len(list(run)) for _, run in groupby(dims)))
 
 
@@ -281,7 +281,7 @@ def absorption_structure_empirical(
     """
     if trials < 100:
         raise ValueError("need at least 100 probe trials")
-    dims = derivative_dimensions(code.gen_set)
+    dims = derivative_dimensions(code.info_set, code.n)
     llrs, sc_ref = _probe_batch(code, trials, snr_db, seed, PROBE_MINSUM)
     absorbed = {}
     for a, b in combinations(range(code.n), 2):

@@ -4,6 +4,7 @@ bound for ML performance."""
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -58,6 +59,8 @@ class SimConfig:
             raise ValueError("Eb/N0 grid must be strictly increasing")
         if not 1 <= self.target_errors <= self.max_trials:
             raise ValueError("need max_trials >= target_errors >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -153,11 +156,12 @@ def run_fer(
     """Monte Carlo FER per grid point, stopping at target_errors or max_trials.
 
     A grid point runs in rounds.  A round decodes the next ``workers``
-    batches of ``batch_size`` consecutive trials (on a process pool when
-    ``workers`` > 1) and joins their error flags in trial order.  The
-    running error count over those flags finds the trial that reaches
-    target_errors, and the point stops exactly there, so the outcome does
-    not depend on ``batch_size`` or ``workers``.
+    batches of ``batch_size`` consecutive trials and joins their error
+    flags in trial order.  The batches go to a pool of at most
+    min(``workers``, CPU count) processes, or run in this process when
+    that is one.  The running error count over those flags finds the trial
+    that reaches target_errors, and the point stops exactly there, so the
+    outcome does not depend on ``batch_size`` or ``workers``.
 
     By default a batch fills one SC kernel call of ``_SC_CALL_LLRS`` LLRs,
     but holds at least ``_SC_MIN_ROWS`` frames: max(256, 2^16 // N), so
@@ -173,8 +177,11 @@ def run_fer(
         raise ValueError(f"batch_size must be at least 1, got {batch_size}")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
+    # the executor forks every worker at its first submit, so the pool is
+    # bounded by the cores; rounds keep ``workers`` batches either way
+    procs = min(workers, os.cpu_count() or 1)
     points = []
-    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+    with ProcessPoolExecutor(max_workers=procs) if procs > 1 else nullcontext() as pool:
         run = map if pool is None else pool.map
         for gi, ebn0_db in enumerate(cfg.ebn0_grid_db):
             simulate = partial(_simulate_range, cfg, gi)

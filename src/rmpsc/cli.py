@@ -63,6 +63,16 @@ def _parse_imin(text: str) -> tuple[int, ...]:
         ) from None
 
 
+def _parse_seed(text: str) -> int:
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"seed must be an integer, got {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be non-negative, got {seed}")
+    return seed
+
+
 def _parse_grid(text: str) -> tuple[float, ...]:
     """Eb/N0 points from ``a:b:step`` or a comma list; argparse shows the
     reason of a refusal."""
@@ -269,14 +279,14 @@ def build_parser() -> argparse.ArgumentParser:
     add_code_args(p)
     p.add_argument("--absorption", action="store_true", help="probe the absorption group")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_parse_seed, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("search", help="per-dimension maximum-symmetry atlas as CSV")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--rel", help="reliability sequence file (validated)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_parse_seed, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_search)
 
@@ -290,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ebn0", type=_parse_grid, default=(1.0, 2.0, 3.0), help="a:b:step in dB")
     p.add_argument("--max-trials", type=int, default=100_000)
     p.add_argument("--target-errors", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_parse_seed, default=0)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out")
     p.set_defaults(func=cmd_simulate)
@@ -304,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample-perms", help="draw class-distinct automorphisms")
     add_code_args(p)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_parse_seed, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_sample_perms)
 

@@ -11,16 +11,8 @@ from functools import cached_property
 
 import numpy as np
 
-from . import _gf2, _kernels
-from .monomials import (
-    GeneratorSet,
-    _steps_below,
-    evaluate_monomial,
-    min_distance,
-    minimal_generators,
-    monomial_from_index,
-    upward_closure,
-)
+from . import _gf2, _kernels, monomials
+from .monomials import _steps_below, minimal_generators, upward_closure
 
 __all__ = [
     "CodeSpec",
@@ -31,7 +23,6 @@ __all__ = [
     "load_reliability",
     "rm_polar_construct",
     "extend_code",
-    "search_rm_psc",
     "min_weight_count",
     "weight_distribution_via_dual",
 ]
@@ -56,7 +47,7 @@ class CodeSpec:
     """A decreasing monomial code, described by its minimal generator indices.
 
     The information set is the upward closure of ``i_min`` in the index
-    order; the generator monomials are the monomials of those indices.
+    order; it is the whole description of the code.
     """
 
     def __init__(self, i_min, n: int):
@@ -72,7 +63,6 @@ class CodeSpec:
         # the information positions in ascending order, read-only
         self.info_positions = np.array(sorted(self.info_set), dtype=np.intp)
         self.info_positions.setflags(write=False)
-        self.gen_set = GeneratorSet.from_indices(self.info_set, self.n)
 
     @classmethod
     def from_i_min(cls, i_min, n: int) -> "CodeSpec":
@@ -99,13 +89,11 @@ class CodeSpec:
 
     @property
     def min_distance(self) -> int:
-        return min_distance(self.gen_set, check=False)
+        return monomials.min_distance(self.info_set, self.n)
 
     @property
     def symmetry(self) -> int:
-        from .monomials import symmetry as _symmetry
-
-        return _symmetry(self.gen_set, check=False)
+        return monomials.symmetry(self.info_set, self.n)
 
     @property
     def is_rm_polar(self) -> bool:
@@ -127,17 +115,14 @@ class CodeSpec:
         """False when some variable appears in no generator monomial; the
         code is then a shorter code replicated across the unused coordinates
         and permutations of those coordinates never change decoding."""
-        from .monomials import derivative_dimensions
-
-        return derivative_dimensions(self.gen_set)[-1] > 0
+        return monomials.derivative_dimensions(self.info_set, self.n)[-1] > 0
 
     # -- matrices ------------------------------------------------------------
 
     def generator_rows(self) -> np.ndarray:
-        """(K, N) evaluation rows, information indices ascending."""
-        return np.stack(
-            [evaluate_monomial(monomial_from_index(i, self.n)) for i in sorted(self.info_set)]
-        )
+        """(K, N) evaluation rows, information indices ascending: the
+        Kronecker rows, 1 at k iff k has no bit outside i."""
+        return ((np.arange(self.N) & ~self.info_positions[:, None]) == 0).astype(np.uint8)
 
     def generator_rows_packed(self) -> list[int]:
         return [_gf2.pack_row(r) for r in self.generator_rows()]
@@ -422,20 +407,6 @@ def search_max_symmetry(
     return _search_heuristic(n, k, poset, seed=seed, rel=rel)
 
 
-def search_rm_psc(
-    n: int,
-    k: int,
-    mode: str = "exhaustive",
-    *,
-    seed: int = 0,
-    rel: ReliabilityOrder | None = None,
-) -> list[CodeSpec]:
-    """Dimension-k RM-polar codes of maximal symmetry t >= 2, or [] when the
-    dimension admits no partially/fully symmetric code."""
-    best_t, codes = search_max_symmetry(n, k, mode, seed=seed, rel=rel)
-    return codes if best_t >= 2 else []
-
-
 def _search_heuristic(n, k, poset: _MonomialPoset, *, seed, rel=None):
     # First-improvement hill-climb over single-monomial swaps, keyed by
     # (symmetry, reliability sum).  A swap's key is taken from the running
@@ -553,7 +524,7 @@ def min_weight_count(code: CodeSpec) -> int:
     degree r has an orbit of 2^(r + lambda(m)) words, where lambda(m) counts
     the pairs (j, i) with variable i in m, variable j not in m, and j < i.
     """
-    masks = code.gen_set.masks
+    masks = [~i & (code.N - 1) for i in code.info_set]
     r = max(m.bit_count() for m in masks)
     total = 0
     for m in masks:

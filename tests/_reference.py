@@ -286,11 +286,12 @@ def _swap_bits(x: int, a: int, b: int) -> int:
 
 
 def _admissible_swaps(code: CodeSpec) -> dict[tuple[int, int], bool]:
-    masks = set(code.gen_set.masks)
+    # swapping two bits of an index swaps the same two variables of its monomial
+    info = code.info_set
     out = {}
     for a in range(code.n):
         for b in range(a + 1, code.n):
-            out[(a, b)] = all(_swap_bits(m, a, b) in masks for m in masks)
+            out[(a, b)] = all(_swap_bits(i, a, b) in info for i in info)
     return out
 
 

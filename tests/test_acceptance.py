@@ -35,9 +35,8 @@ from rmpsc.codes import (
     min_weight_count,
     rm_order,
     search_max_symmetry,
-    search_rm_psc,
 )
-from rmpsc.monomials import GeneratorSet, symmetry, upward_closure
+from rmpsc.monomials import symmetry, upward_closure
 from rmpsc.scdec import ae_sc_decode_frames, encode_batch, polar_transform, sc_decode_frames
 
 
@@ -86,17 +85,14 @@ class TestCriterion1Dimensions:
 class TestCriterion2Symmetry:
     def test_symmetry_anchors(self):
         t0 = time.time()
-        t_c1 = symmetry(GeneratorSet.from_indices(upward_closure({63, 121}, 10), 10), check=False)
-        t_c2 = symmetry(
-            GeneratorSet.from_indices(upward_closure({183, 207, 241, 391, 928}, 10), 10),
-            check=False,
-        )
+        t_c1 = symmetry(upward_closure({63, 121}, 10), 10)
+        t_c2 = symmetry(upward_closure({183, 207, 241, 391, 928}, 10), 10)
         t_19 = CodeSpec.from_i_min({19}, 6).symmetry
         rm_ok = True
         for n in range(2, 9):
             for r in range(n):
-                masks = frozenset(m for m in range(1 << n) if m.bit_count() <= r)
-                rm_ok &= symmetry(GeneratorSet(n, masks), check=False) == n
+                info = frozenset(i for i in range(1 << n) if n - i.bit_count() <= r)
+                rm_ok &= symmetry(info, n) == n
         elapsed = time.time() - t0
         report(
             "2 (symmetry anchors)",
@@ -211,8 +207,8 @@ class TestCriterion5AbsorptionLastBlock:
         for n in (5, 6):
             lo, hi = dim_rm(1, n), dim_rm(n - 2, n)
             for k in range(lo, hi + 1):
-                codes = search_rm_psc(n, k, seed=0)
-                for code in codes:
+                t, codes = search_max_symmetry(n, k, seed=0)
+                for code in codes if t >= 2 else ():
                     if not code.uses_every_variable:
                         degenerate.append((n, k, code.i_min))
                         continue

@@ -131,6 +131,11 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(code=code, max_trials=10, target_errors=11)
 
+    def test_negative_seed_rejected(self):
+        code = CodeSpec.from_i_min({1}, 1)
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            SimConfig(code=code, seed=-1)
+
     def test_ae_needs_perms(self):
         code = CodeSpec.from_i_min({1}, 1)
         with pytest.raises(ValueError):
@@ -252,6 +257,39 @@ class TestRunFer:
         a = run_fer(cfg, workers=1)
         b = run_fer(cfg, workers=2, batch_size=97)
         assert a == b
+
+    def test_pool_bounded_by_cores(self, monkeypatch):
+        # a recording stand-in for the executor: no process is started, and
+        # its map is the built-in one, so batches run in this process
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(channel, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(channel.os, "cpu_count", lambda: 3)
+        cfg = SimConfig(
+            code=CodeSpec.from_i_min({11}, 5),
+            ebn0_grid_db=(1.0, 2.0),
+            max_trials=600,
+            target_errors=40,
+            seed=3,
+        )
+        expect = run_fer(cfg, workers=1)
+        assert sizes == []
+        assert run_fer(cfg, workers=10**6, batch_size=7) == expect
+        assert run_fer(cfg, workers=2, batch_size=7) == expect
+        assert sizes == [3, 2]
 
     # each example starts a process pool, so the example count stays small
     @seed(11)

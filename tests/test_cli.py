@@ -14,7 +14,18 @@ def run_cli(args, capsys):
     return code, captured.out, captured.err
 
 
+def assert_usage_error(argv, reason, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert reason in capsys.readouterr().err
+
+
 class TestAnalyze:
+    def test_negative_seed_is_usage_error(self, capsys):
+        argv = ["analyze", "--imin", "27", "--n", "7", "--absorption", "--seed", "-1"]
+        assert_usage_error(argv, "seed must be non-negative", capsys)
+
     def test_anchor_128_60(self, capsys):
         code, out, err = run_cli(
             ["analyze", "--imin", "27", "--n", "7", "--absorption"], capsys
@@ -94,6 +105,11 @@ class TestAnalyze:
 
 
 class TestSearch:
+    def test_negative_seed_is_usage_error(self, capsys):
+        assert_usage_error(
+            ["search", "--n", "4", "--seed", "-1"], "--seed: seed must be non-negative", capsys
+        )
+
     def test_atlas_n4(self, capsys):
         code, out, _ = run_cli(["search", "--n", "4"], capsys)
         assert code == 0
@@ -346,8 +362,9 @@ class TestSimulate:
             (["--imin", "19", "--ebn0=0:nan:1"], "Eb/N0 values must be finite"),
             (["--imin", "19", "--ebn0=1:2"], "a grid a:b:step has three fields"),
             (["--imin", "1,x"], "generator indices must be integers"),
+            (["--imin", "19", "--seed", "-1"], "seed must be non-negative"),
         ],
-        ids=["step-rounds-away", "nan", "two-fields", "imin-not-integer"],
+        ids=["step-rounds-away", "nan", "two-fields", "imin-not-integer", "negative-seed"],
     )
     def test_usage_errors_give_their_reason(self, capsys, args, reason):
         with pytest.raises(SystemExit) as exc:
@@ -431,6 +448,10 @@ class TestExtend:
 
 
 class TestSamplePerms:
+    def test_negative_seed_is_usage_error(self, capsys):
+        argv = ["sample-perms", "--imin", "19", "--n", "6", "--m", "2", "--seed", "-1"]
+        assert_usage_error(argv, "seed must be non-negative", capsys)
+
     def test_writes_file(self, tmp_path, capsys):
         out = tmp_path / "perms.txt"
         code = main(

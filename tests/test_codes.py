@@ -20,19 +20,10 @@ from rmpsc.codes import (
     rm_order,
     rm_polar_construct,
     search_max_symmetry,
-    search_rm_psc,
     weight_distribution_via_dual,
     _MonomialPoset,
 )
-from rmpsc.monomials import (
-    GeneratorSet,
-    evaluate_monomial,
-    index_leq,
-    is_decreasing,
-    min_distance,
-    monomial_from_index,
-    upward_closure,
-)
+from rmpsc.monomials import derivative_dimensions, symmetry, upward_closure
 
 
 def random_linear_extension(n: int, seed: int) -> ReliabilityOrder:
@@ -83,13 +74,12 @@ class TestCodeSpec:
             CodeSpec.from_info_set({1, 2}, 3)
 
     def test_closure_two_ways(self):
-        # index-order closure must agree with the monomial-set construction
+        # index-order closure must agree with the pairwise monomial order
         code = CodeSpec.from_i_min({11, 21}, 5)
-        by_index = {
-            i for i in range(32) if any(index_leq(j, i, 5) for j in (11, 21))
+        by_monomial = {
+            i for i in range(32) if any(_mask_leq(~i & 31, ~j & 31, 5) for j in (11, 21))
         }
-        assert code.info_set == by_index
-        assert code.gen_set.indices == code.info_set
+        assert code.info_set == by_monomial
 
     def test_json_round_trip(self, tmp_path):
         code = CodeSpec.from_i_min({63, 121}, 10)
@@ -187,10 +177,7 @@ class TestRmPolarConstruct:
         for n in (4, 5, 6):
             for r in range(n + 1):
                 code = rm_polar_construct(n, dim_rm(r, n))
-                expect = {
-                    i for i in range(1 << n)
-                    if monomial_from_index(i, n).degree <= r
-                }
+                expect = {i for i in range(1 << n) if n - i.bit_count() <= r}
                 assert code.info_set == expect
 
     def test_64_37_distance(self):
@@ -205,7 +192,7 @@ class TestRmPolarConstruct:
             k = int(rng.integers(1, (1 << n) + 1))
             code = rm_polar_construct(n, k)
             assert code.K == k
-            assert is_decreasing(code.gen_set)
+            assert upward_closure(code.info_set, n) == code.info_set
             assert code.min_distance == 1 << (n - rm_order(k, n))
 
     def test_brute_force_distance_small(self):
@@ -242,16 +229,16 @@ class TestExtend:
         code = extend_code({3}, 3)
         assert code.N == 16
         assert code.K == 11
-        expect = {i for i in range(16) if monomial_from_index(i, 4).degree <= 2}
+        expect = {i for i in range(16) if 4 - i.bit_count() <= 2}
         assert code.info_set == expect
 
     def test_generators_gain_top_variable(self):
         base = CodeSpec.from_i_min({19}, 6)
         ext = extend_code({19}, 6)
+        assert ext.i_min == base.i_min
         for i in base.i_min:
-            m_old = monomial_from_index(i, 6)
-            m_new = monomial_from_index(i, 7)
-            assert m_new.variables == m_old.variables + (6,)
+            # the monomial of i at n=7 is its n=6 monomial times v6
+            assert derivative_dimensions({i}, 7) == derivative_dimensions({i}, 6) + (1,)
 
     def test_symmetry_grows_by_one(self):
         assert extend_code({19}, 6).symmetry == CodeSpec.from_i_min({19}, 6).symmetry + 1
@@ -274,32 +261,34 @@ class TestSearch:
     def test_rm_dimensions_fully_symmetric(self):
         for r in (1, 2, 3):
             k = dim_rm(r, 5)
-            codes = search_rm_psc(5, k)
-            assert codes, (r, k)
+            t, codes = search_max_symmetry(5, k)
+            assert t >= 2, (r, k)
             assert codes[0].symmetry == 5
 
     def test_exactly_two_infeasible_at_n5(self):
         lo, hi = dim_rm(1, 5), dim_rm(3, 5)
-        infeasible = [k for k in range(lo, hi + 1) if not search_rm_psc(5, k)]
+        infeasible = [k for k in range(lo, hi + 1) if search_max_symmetry(5, k)[0] < 2]
         assert infeasible == [12, 14]
 
     def test_64_37_contains_19(self):
-        codes = search_rm_psc(6, 37)
-        assert codes
+        t, codes = search_max_symmetry(6, 37)
+        assert t >= 2
         assert all(c.symmetry == 2 for c in codes)
         assert any(c.i_min == (19,) for c in codes)
 
     def test_small_n_only_rm(self):
         # at n=3 every non-extreme dimension coincides with an RM dimension
         for r in (1, 2):
-            codes = search_rm_psc(3, dim_rm(r, 3))
-            assert codes and codes[0].symmetry == 3
+            t, codes = search_max_symmetry(3, dim_rm(r, 3))
+            assert t >= 2 and codes[0].symmetry == 3
 
     def test_results_are_rm_polar_decreasing(self):
         for k in (9, 11, 15, 18, 22):
-            for code in search_rm_psc(5, k):
+            t, codes = search_max_symmetry(5, k)
+            assert t >= 2, k
+            for code in codes:
                 assert code.is_rm_polar
-                assert is_decreasing(code.gen_set)
+                assert upward_closure(code.info_set, 5) == code.info_set
                 assert code.K == k
 
     def test_exhaustive_dominates_random_ideals(self):
@@ -323,10 +312,7 @@ class TestSearch:
                         )
                     ]
                     ideal.add(cands[int(rng.integers(len(cands)))])
-                g = GeneratorSet(5, frozenset(ideal))
-                from rmpsc.monomials import symmetry
-
-                assert symmetry(g, check=False) <= best_t
+                assert symmetry({~m & 31 for m in ideal}, 5) <= best_t
 
     def test_heuristic_finds_good_codes(self):
         best_t, codes = search_max_symmetry(5, 15, mode="heuristic", seed=1)
@@ -337,19 +323,16 @@ class TestSearch:
     def test_search_space_complete_at_n4(self):
         # independent oracle: filter all 2^16 subsets at n=4 down to the
         # decreasing best-distance sets and compare the per-dimension optimum
-        from rmpsc.monomials import symmetry as sym
-
         best_by_k = {}
         for bits in range(1, 1 << 16):
-            masks = frozenset(m for m in range(16) if (bits >> m) & 1)
-            g = GeneratorSet(4, masks)
-            if not is_decreasing(g):
+            info = frozenset(i for i in range(16) if (bits >> i) & 1)
+            if upward_closure(info, 4) != info:
                 continue
-            k = len(masks)
-            max_deg = max(m.bit_count() for m in masks)
+            k = len(info)
+            max_deg = 4 - min(i.bit_count() for i in info)
             if max_deg != rm_order(k, 4):
                 continue
-            t = sym(g, check=False)
+            t = symmetry(info, 4)
             best_by_k[k] = max(best_by_k.get(k, 0), t)
         for k, expect_t in best_by_k.items():
             got_t, codes = search_max_symmetry(4, k)
@@ -358,11 +341,11 @@ class TestSearch:
 
     def test_exhaustive_rejected_large_n(self):
         with pytest.raises(ValueError):
-            search_rm_psc(7, 64, mode="exhaustive")
+            search_max_symmetry(7, 64, mode="exhaustive")
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
-            search_rm_psc(5, 10, mode="stochastic")
+            search_max_symmetry(5, 10, mode="stochastic")
 
     @pytest.mark.parametrize("mode", ["exhaustive", "heuristic"])
     def test_reliability_length_checked(self, mode):
