@@ -12,7 +12,8 @@ def pack_row(bits: np.ndarray) -> int:
 
 
 def _pivots(rows) -> dict[int, int]:
-    """Echelon form of the packed rows, keyed by leading bit."""
+    """Echelon form of the packed rows, keyed by leading bit, in the order
+    the rows became pivots."""
     pivots: dict[int, int] = {}
     for row in rows:
         row = int(row)

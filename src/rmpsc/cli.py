@@ -73,6 +73,16 @@ def _parse_seed(text: str) -> int:
     return seed
 
 
+def _parse_count(text: str) -> int:
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
+    return count
+
+
 def _parse_grid(text: str) -> tuple[float, ...]:
     """Eb/N0 points from ``a:b:step`` or a comma list; argparse shows the
     reason of a refusal."""
@@ -192,8 +202,6 @@ def _replayed_perms(path, code: CodeSpec, m):
 
 
 def cmd_simulate(ns) -> int:
-    if ns.workers < 1:
-        raise ValueError(f"workers must be at least 1, got {ns.workers}")
     code = _build_code(ns)
     # validated as an SC campaign before the AE permutations are sampled
     cfg = SimConfig(
@@ -294,14 +302,16 @@ def build_parser() -> argparse.ArgumentParser:
     add_code_args(p)
     p.add_argument("--dec", choices=("sc", "ae"), default="sc")
     p.add_argument(
-        "--m", type=int, help="AE ensemble size (distinct classes; default 4, or the --perms count)",
+        "--m",
+        type=_parse_count,
+        help="AE ensemble size (distinct classes; default 4, or the --perms count)",
     )
     p.add_argument("--perms", help="replay the AE permutations of this file instead of sampling")
     p.add_argument("--ebn0", type=_parse_grid, default=(1.0, 2.0, 3.0), help="a:b:step in dB")
     p.add_argument("--max-trials", type=int, default=100_000)
     p.add_argument("--target-errors", type=int, default=100)
     p.add_argument("--seed", type=_parse_seed, default=0)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_parse_count, default=1)
     p.add_argument("--out")
     p.set_defaults(func=cmd_simulate)
 
@@ -313,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample-perms", help="draw class-distinct automorphisms")
     add_code_args(p)
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=_parse_count, required=True)
     p.add_argument("--seed", type=_parse_seed, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_sample_perms)

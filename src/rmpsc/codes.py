@@ -492,21 +492,21 @@ def weight_distribution_via_dual(code: CodeSpec) -> list[int]:
     hist = _kernels.gray_weight_histogram(
         np.array(dual_basis, dtype=np.uint64), N
     )
-    # MacWilliams transform with exact integer Krawtchouk sums
+    # MacWilliams transform, A_j = 2^-(N-K) sum_w B_w K_j(w), with the
+    # Krawtchouk values from their three-term recurrence in exact integers:
+    # K_0 = 1, K_1 = N - 2w, (j+1) K_{j+1} = (N - 2w) K_j - (N - j + 1) K_{j-1}
+    acc = [0] * (N + 1)
+    for w, bw in enumerate(hist.tolist()):
+        if bw == 0:
+            continue
+        prev, kj = 0, 1
+        for j in range(N + 1):
+            acc[j] += bw * kj
+            prev, kj = kj, ((N - 2 * w) * kj - (N - j + 1) * prev) // (j + 1)
     dist = []
     scale = 1 << (N - K)
-    for j in range(N + 1):
-        acc = 0
-        for w in range(N + 1):
-            bw = int(hist[w])
-            if bw == 0:
-                continue
-            kraw = sum(
-                (-1) ** i * math.comb(w, i) * math.comb(N - w, j - i)
-                for i in range(max(0, j - (N - w)), min(j, w) + 1)
-            )
-            acc += bw * kraw
-        q, rem = divmod(acc, scale)
+    for a in acc:
+        q, rem = divmod(a, scale)
         if rem:
             raise ArithmeticError("dual spectrum is inconsistent")
         dist.append(q)

@@ -12,6 +12,9 @@ cancellation decoding that visits every leaf, with the textbook f and g,
 and the SC kernel's pruned walk as a recursion (the library runs it as a
 flat plan).  Results must be equal, not just close.
 
+The weight spectrum of a span of packed words is the walk over every XOR
+combination (the library counts it by a split of the coordinates).
+
 Beside them are helpers that only the tests use: affine-map composition, the
 single-permutation absorption probe and the brute-force minimum-weight count.
 """
@@ -20,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from rmpsc._kernels import _F_LOSS, _TILE, _f, _g, _scratch, _tiles
+from rmpsc._kernels import _F_LOSS, _TILE, _f, _g, _popcount_u64, _scratch, _tiles
 from rmpsc.autgroup import (
     PROBE_MINSUM,
     AbsorptionProbeError,
@@ -339,6 +342,32 @@ def count_min_weight_codewords(code: CodeSpec, k_limit: int = 24) -> int:
         if x.bit_count() == d:
             count += 1
     return count
+
+
+def _gray_span(basis: np.ndarray) -> np.ndarray:
+    """All XOR combinations of the given uint64 basis words, Gray order."""
+    out = np.zeros(1 << len(basis), dtype=np.uint64)
+    x = np.uint64(0)
+    for g in range(1, 1 << len(basis)):
+        x ^= basis[(g & -g).bit_length() - 1]
+        out[g] = x
+    return out
+
+
+def gray_weight_histogram(basis, nbits: int) -> np.ndarray:
+    """Weight distribution of the span of packed words (codewords as uint64).
+
+    Walks all 2^k XOR combinations, split into two Gray-ordered halves; the
+    zero word is counted.
+    """
+    basis = np.asarray(basis, dtype=np.uint64)
+    counts = np.zeros(nbits + 1, dtype=np.int64)
+    k1 = len(basis) // 2
+    lo = _gray_span(basis[:k1])
+    for word in _gray_span(basis[k1:]):
+        w = _popcount_u64(lo ^ word)
+        counts += np.bincount(w.astype(np.int64), minlength=nbits + 1)
+    return counts
 
 
 def boxplus_reference(a, b, minsum):

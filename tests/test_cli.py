@@ -290,27 +290,20 @@ class TestSimulate:
         assert "only 1" in err
 
     def test_zero_workers_fails(self, tmp_path, capsys):
-        code, _, err = run_cli(
-            [
-                "simulate", "--imin", "11", "--n", "5", "--ebn0", "1:1:1",
-                "--max-trials", "100", "--target-errors", "10", "--workers", "0",
-            ],
-            capsys,
-        )
-        assert code == 1
-        assert "error:" in err
-        # rejected before the AE permutations are sampled and logged
+        argv = [
+            "simulate", "--imin", "11", "--n", "5", "--ebn0", "1:1:1",
+            "--max-trials", "100", "--target-errors", "10", "--workers", "0",
+        ]
+        assert_usage_error(argv, "argument --workers: must be at least 1, got 0", capsys)
+        # a usage error, raised before the AE permutations are sampled and logged
         out = tmp_path / "ae.csv"
-        code, _, err = run_cli(
-            [
-                "simulate", "--imin", "19", "--n", "6", "--dec", "ae", "--m", "4",
-                "--max-trials", "100", "--target-errors", "10", "--workers", "0",
-                "--out", str(out),
-            ],
-            capsys,
-        )
-        assert code == 1
-        assert "error:" in err
+        argv = [
+            "simulate", "--imin", "19", "--n", "6", "--dec", "ae", "--m", "4",
+            "--max-trials", "100", "--target-errors", "10", "--workers", "0",
+            "--out", str(out),
+        ]
+        assert_usage_error(argv, "argument --workers: must be at least 1, got 0", capsys)
+        assert not out.exists()
         assert not out.with_suffix(".perms.txt").exists()
 
     @pytest.mark.parametrize("grid", ["nan", "inf", "-inf", "1,inf", "0:inf:1", "nan:3:1"])
@@ -395,15 +388,12 @@ class TestSimulate:
 
     def test_zero_m_fails(self, tmp_path, capsys):
         out = tmp_path / "ae.csv"
-        code, _, err = run_cli(
-            [
-                "simulate", "--imin", "19", "--n", "6", "--dec", "ae", "--m", "0",
-                "--max-trials", "100", "--target-errors", "10", "--out", str(out),
-            ],
-            capsys,
-        )
-        assert code == 1
-        assert "error:" in err
+        argv = [
+            "simulate", "--imin", "19", "--n", "6", "--dec", "ae", "--m", "0",
+            "--max-trials", "100", "--target-errors", "10", "--out", str(out),
+        ]
+        assert_usage_error(argv, "argument --m: must be at least 1, got 0", capsys)
+        assert not out.exists()
         assert not out.with_suffix(".perms.txt").exists()
 
     def test_byte_identical_with_workers(self, tmp_path, capsys):
@@ -480,12 +470,8 @@ class TestSamplePerms:
 
     def test_zero_m_fails(self, tmp_path, capsys):
         out = tmp_path / "perms.txt"
-        code, _, err = run_cli(
-            ["sample-perms", "--imin", "19", "--n", "6", "--m", "0", "--out", str(out)],
-            capsys,
-        )
-        assert code == 1
-        assert "error:" in err
+        argv = ["sample-perms", "--imin", "19", "--n", "6", "--m", "0", "--out", str(out)]
+        assert_usage_error(argv, "argument --m: must be at least 1, got 0", capsys)
         assert not out.exists()
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import _reference as reference
 from _reference import _mask_leq, count_min_weight_codewords
+from rmpsc import _gf2, _kernels
 from rmpsc.codes import (
     CodeSpec,
     ReliabilityOrder,
@@ -501,7 +502,121 @@ class TestMinWeightCounts:
         count = min_weight_count(code)
         if code.K <= 16:
             assert count == count_min_weight_codewords(code)
-        if code.N - code.K <= 20:
+        if code.N - code.K <= 30:
             dist = weight_distribution_via_dual(code)
             assert dist[1:d] == [0] * (d - 1)
             assert count == dist[d]
+
+
+# the (64,37) code's weight distribution, as the dual walk gave it
+DIST_64_37 = [
+    1, 0, 0, 0, 0, 0, 0, 0, 3480, 0, 0, 0, 244608, 0, 1720320, 0, 12438620, 0,
+    70533120, 0, 334562688, 0, 1206976512, 0, 3729110056, 0, 8622243840, 0,
+    16763846400, 0, 23921393664, 0, 28112806854, 0, 23921393664, 0, 16763846400,
+    0, 8622243840, 0, 3729110056, 0, 1206976512, 0, 334562688, 0, 70533120, 0,
+    12438620, 0, 1720320, 0, 244608, 0, 0, 0, 3480, 0, 0, 0, 0, 0, 0, 0, 1,
+]
+
+
+def dual_basis(code: CodeSpec) -> np.ndarray:
+    return np.array(_gf2.nullspace(code.generator_rows_packed(), code.N), dtype=np.uint64)
+
+
+def random_words(rng, nbits: int) -> list[int]:
+    """Up to 12 words below 2^nbits: zero words, XORs of earlier words, words
+    confined to the positions whose index has some bit v clear (or set), and
+    plain random words; sometimes none at all."""
+    full = (1 << nbits) - 1
+    words: list[int] = []
+    for _ in range(int(rng.integers(0, 13))):
+        w = int(rng.integers(0, 1 << 63)) << 1 | int(rng.integers(0, 2))
+        kind = rng.random()
+        if kind < 0.15:
+            w = 0
+        elif kind < 0.3 and words:
+            w = words[int(rng.integers(len(words)))] ^ words[int(rng.integers(len(words)))]
+        elif kind < 0.65:
+            v = int(rng.integers(0, 6))
+            half = sum(1 << p for p in range(64) if not p >> v & 1)
+            w &= half if rng.random() < 0.5 else ~half
+        words.append(w & full)
+    return words
+
+
+class TestWeightHistogram:
+    """``_kernels.gray_weight_histogram`` against the walk over every XOR
+    combination (``_reference.gray_weight_histogram``)."""
+
+    @pytest.mark.parametrize("nbits", range(1, 65))
+    def test_matches_walk_on_random_words(self, nbits):
+        rng = np.random.default_rng(nbits)
+        for _ in range(6):
+            words = random_words(rng, nbits)
+            got = _kernels.gray_weight_histogram(np.array(words, dtype=np.uint64), nbits)
+            want = reference.gray_weight_histogram(np.array(words, dtype=np.uint64), nbits)
+            assert got.dtype == want.dtype == np.int64
+            assert got.tolist() == want.tolist(), words
+
+    @pytest.mark.parametrize(
+        "words, nbits, hist",
+        [
+            ([], 0, [1]),
+            ([], 3, [1, 0, 0, 0]),
+            ([0], 0, [2]),
+            ([0, 0], 2, [4, 0, 0]),
+            ([3, 3, 1], 4, [2, 4, 2, 0, 0]),
+            ([1 << 63, 1 << 63], 64, [2, 2] + [0] * 63),
+        ],
+    )
+    def test_every_combination_counts(self, words, nbits, hist):
+        words = np.array(words, dtype=np.uint64)
+        assert _kernels.gray_weight_histogram(words, nbits).tolist() == hist
+        assert reference.gray_weight_histogram(words, nbits).tolist() == hist
+
+    @pytest.mark.parametrize("i_min, n", [({3, 5, 6}, 3), ({11}, 5), ({15}, 5), ({19}, 6)])
+    def test_matches_walk_on_duals(self, i_min, n):
+        code = CodeSpec.from_i_min(i_min, n)
+        basis = dual_basis(code)
+        got = _kernels.gray_weight_histogram(basis, code.N)
+        assert got.tolist() == reference.gray_weight_histogram(basis, code.N).tolist()
+
+    def test_64_37_distribution(self):
+        assert weight_distribution_via_dual(CodeSpec.from_i_min({19}, 6)) == DIST_64_37
+
+    def test_64_37_dual_is_split(self, monkeypatch):
+        # 2^17 + 2^17 popcounts for the 2^27 dual words (positions split by
+        # index bit 0), not a walk
+        counted = []
+        popcount = _kernels._popcount_u64
+
+        def counting(arr):
+            counted.append(arr.size)
+            return popcount(arr)
+
+        monkeypatch.setattr(_kernels, "_popcount_u64", counting)
+        weight_distribution_via_dual(CodeSpec.from_i_min({19}, 6))
+        assert sum(counted) == 1 << 18
+
+    @pytest.mark.parametrize(
+        "words, nbits", [([1 << 5], 4), ([1 << 4], 4), ([1, 2, 1 << 40], 40), ([1], 0)]
+    )
+    def test_word_beyond_nbits_is_refused(self, words, nbits):
+        with pytest.raises(ValueError, match="at or above nbits"):
+            _kernels.gray_weight_histogram(np.array(words, dtype=np.uint64), nbits)
+
+    def test_count_beyond_int64_is_refused(self):
+        # 2^63 combinations of zero words: the walk never finished, a shifted
+        # count would wrap
+        zeros = np.zeros(63, dtype=np.uint64)
+        assert _kernels.gray_weight_histogram(zeros[:62], 1).tolist() == [1 << 62, 0]
+        with pytest.raises(ValueError, match="overflow"):
+            _kernels.gray_weight_histogram(zeros, 1)
+
+    def test_popcount_without_bitwise_count(self, monkeypatch):
+        # the table fallback of numpy < 2.0, where np.bitwise_count is missing
+        basis = dual_basis(CodeSpec.from_i_min({19}, 6))
+        want = _kernels.gray_weight_histogram(basis, 64)
+        monkeypatch.delattr(np, "bitwise_count")
+        words = np.array([0, 1, (1 << 64) - 1, 0xF0F0], dtype=np.uint64)
+        assert _kernels._popcount_u64(words).tolist() == [0, 1, 64, 8]
+        assert _kernels.gray_weight_histogram(basis, 64).tolist() == want.tolist()
