@@ -240,9 +240,14 @@ def _compile(level, start, frozen, info_before, steps):
 # max(_SC_MIN_ROWS, 3 * _SC_CALL_LLRS // (2 * N)) rows for the next call:
 # the AE call budget, and every default FER batch
 _SC_CALL_LLRS = 1 << 16
-# the fewest frames of a default FER batch: run_fer's batch is
-# max(_SC_MIN_ROWS, _SC_CALL_LLRS // N) frames
+# the fewest frames of a default FER batch (see _batch_rows)
 _SC_MIN_ROWS = 256
+
+
+def _batch_rows(N: int) -> int:
+    """Frames of a default FER batch, channel.run_fer's, and the most an
+    absorption probe call decodes: max(_SC_MIN_ROWS, _SC_CALL_LLRS // N)."""
+    return max(_SC_MIN_ROWS, _SC_CALL_LLRS // N)
 
 
 # The workspace a finished call keeps for the next one, under the key None.
@@ -404,6 +409,9 @@ def _popcount_u64(arr: np.ndarray) -> np.ndarray:
 
 # words per numpy call of a weight count: no temporary exceeds 2^16 elements
 _CHUNK_BITS = 16
+# the most popcounts a weight count may take, the 2^30 words the walk it
+# replaced was allowed
+_MAX_POPCOUNTS = 1 << 30
 # _HALF[v]: the positions of a 64-bit word whose index has bit v clear
 _HALF = [sum(1 << p for p in range(64) if not p >> v & 1) for v in range(6)]
 
@@ -460,7 +468,8 @@ def gray_weight_histogram(basis, nbits: int) -> np.ndarray:
     bits, with the trivial split (L every position, R empty, the walk itself)
     as one more candidate, so no input costs more than the walk.  The dual of
     a decreasing monomial code splits as a (u | u+v) code: (64,37)'s 2^27
-    words take 2^17 + 2^17 popcounts.
+    words take 2^17 + 2^17 popcounts.  A span whose cheapest split takes
+    more than 2^30 popcounts is refused before any is counted.
     """
     words = [int(w) for w in np.asarray(basis, dtype=np.uint64)]
     if len(words) > 62:
@@ -471,12 +480,17 @@ def gray_weight_histogram(basis, nbits: int) -> np.ndarray:
     full = (1 << min(nbits, 64)) - 1
     span = list(_gf2._pivots(words).values())
     r = len(span)
-    # (L, G0, Y) for each split, by its cost 2^(r - |Y|) + 2^(r - |G0|)
-    splits = [
-        (L, _vanishing(span, full & ~L), _vanishing(span, L))
-        for L in [full] + [full & h for h in _HALF if full & ~h]
-    ]
-    L, g0, y = min(splits, key=lambda s: (1 << r - len(s[2])) + (1 << r - len(s[1])))
+    # (cost, L, G0, Y) for each split, its cost 2^(r - |Y|) + 2^(r - |G0|)
+    splits = []
+    for L in [full] + [full & h for h in _HALF if full & ~h]:
+        g0, y = _vanishing(span, full & ~L), _vanishing(span, L)
+        splits.append(((1 << r - len(y)) + (1 << r - len(g0)), L, g0, y))
+    cost, L, g0, y = min(splits, key=lambda split: split[0])
+    if cost > _MAX_POPCOUNTS:
+        raise ValueError(
+            f"a span of rank {r} needs {cost} popcounts at its cheapest split, "
+            f"more than 2^{_MAX_POPCOUNTS.bit_length() - 1}"
+        )
     # the pivots of g0 and y come first, as they are independent
     g1 = list(_gf2._pivots([*g0, *y, *span]).values())[len(g0) + len(y):]
     WL = _coset_histograms(g0, g1, L)

@@ -10,6 +10,7 @@ from itertools import combinations, groupby
 import numpy as np
 
 from . import _gf2
+from ._kernels import _batch_rows
 from .codes import CodeSpec, dim_rm
 from .monomials import derivative_dimensions
 # encode_batch is unused here but kept importable: perfbench/spans.py wraps it by name
@@ -244,24 +245,49 @@ PROBE_SNR_DB = 2.0
 
 
 def _probe_batch(code: CodeSpec, trials: int, snr_db: float, seed: int, minsum: bool):
-    """Fixed batch of noisy-codeword LLRs plus the plain SC reference output."""
+    """Fixed batch of noisy-codeword LLRs plus the plain SC reference output,
+    decoded in calls of at most ``_batch_rows(N)`` frames (SC decisions do
+    not depend on the batch)."""
     _, llrs = noisy_frames(code, snr_db, seed, (0xAB5,), 0, trials)
-    sc_ref = sc_decode_frames(llrs, code, minsum=minsum)
-    return llrs, sc_ref
+    rows = _batch_rows(code.N)
+    sc_ref = np.empty((code.N, trials), dtype=np.uint8)
+    for lo in range(0, trials, rows):
+        sc_ref[:, lo : lo + rows] = sc_decode_frames(llrs[lo : lo + rows], code, minsum=minsum).T
+    return llrs, sc_ref.T
 
 
-def _branch_matches_sc(
-    llrs, sc_ref, perm: Permutation, code: CodeSpec, minsum: bool, chunk=64
-) -> bool:
-    p = perm.perm
-    for lo in range(0, llrs.shape[0], chunk):
-        block = llrs[lo : lo + chunk]
-        branch_in = np.empty_like(block)
-        branch_in[:, p] = block
-        x_hat = sc_decode_frames(branch_in, code, minsum=minsum)
-        if not np.array_equal(x_hat[:, p], sc_ref[lo : lo + chunk]):
-            return False
-    return True
+def _absorbed_swaps(llrs, sc_ref, swaps, code: CodeSpec, minsum: bool) -> list[tuple[int, int]]:
+    """The swaps whose branch, the SC decode of the swapped LLRs swapped
+    back, equals ``sc_ref`` on every frame.
+
+    Rounds over the swaps still open: each gets the same window of the
+    next max(1, rows // open) frames, rows = ``_batch_rows(N)``, and the
+    windows, swapped, are the rows of one kernel call, at most rows rows
+    (the n(n-1)/2 swaps of n <= 23 variables never outnumber rows).  A
+    swap closes at the first window that holds a differing frame.
+    """
+    N, trials = code.N, llrs.shape[0]
+    rows = _batch_rows(N)
+    # a coordinate swap is an involution: branch_in[:, p] = llrs is llrs[:, p]
+    perms = np.array([permutation_from_affine(variable_swap(code.n, a, b)).perm for a, b in swaps])
+    ref = sc_ref.T  # node-major, (N, trials)
+    # one buffer for every round's gather, node-major: frame pos + i of the
+    # open swap j on row j * window + i
+    work = np.empty(max(rows, len(swaps)) * N)
+    open_ = np.arange(len(swaps))
+    pos = 0
+    while open_.size and pos < trials:
+        window = min(max(1, rows // open_.size), trials - pos)
+        group = perms[open_].T  # (N, open)
+        stacked = work[: group.size * window].reshape(N, open_.size, window)
+        # the indices are valid; take would buffer its output under "raise"
+        np.take(llrs[pos : pos + window].T, group, axis=0, out=stacked, mode="clip")
+        X = sc_decode_frames(stacked.reshape(N, -1).T, code, minsum=minsum)
+        want = np.take(ref[:, pos : pos + window], group, axis=0)
+        differ = (X.T.reshape(want.shape) != want).any(axis=(0, 2))
+        open_ = open_[~differ]
+        pos += window
+    return [swaps[j] for j in open_.tolist()]
 
 
 def absorption_structure_empirical(
@@ -274,22 +300,23 @@ def absorption_structure_empirical(
 
     Every coordinate swap admissible for the full automorphism group (a
     pair of equal derivative dimensions) is probed on a shared batch of
-    noisy codewords; absorbed swaps must tile into consecutive blocks.  For
-    a partially symmetric code of best distance whose dimension is not
-    extreme, the last block is known to be one, and a probe result
-    contradicting that raises.
+    ``trials`` noisy codewords: it is absorbed iff SC on the swapped frames,
+    swapped back, equals SC on every frame.  The frames are checked in
+    rounds over the swaps still open, each stopping at its first differing
+    frame (``_absorbed_swaps``); the order in which frames are checked
+    does not change whether any of them differs, so the answer is that of
+    checking every frame of every swap.  Absorbed swaps must tile into
+    consecutive blocks.  For a partially symmetric code of best distance
+    whose dimension is not extreme, the last block is known to be one, and
+    a probe result contradicting that raises.
     """
     if trials < 100:
         raise ValueError("need at least 100 probe trials")
     dims = derivative_dimensions(code.info_set, code.n)
     llrs, sc_ref = _probe_batch(code, trials, snr_db, seed, PROBE_MINSUM)
-    absorbed = {}
-    for a, b in combinations(range(code.n), 2):
-        absorbed[(a, b)] = dims[a] == dims[b] and _branch_matches_sc(
-            llrs, sc_ref, permutation_from_affine(variable_swap(code.n, a, b)), code,
-            PROBE_MINSUM,
-        )
-    blocks = _blocks_from_pairs(code.n, lambda a, b: absorbed[(a, b)])
+    swaps = [(a, b) for a, b in combinations(range(code.n), 2) if dims[a] == dims[b]]
+    absorbed = set(_absorbed_swaps(llrs, sc_ref, swaps, code, PROBE_MINSUM))
+    blocks = _blocks_from_pairs(code.n, lambda a, b: (a, b) in absorbed)
     result = BlockStructure(blocks)
     # structural guarantee: a partially/fully symmetric best-distance code of
     # non-extreme dimension whose generators touch every variable has a

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .codes import CodeSpec
-from ._kernels import _SC_CALL_LLRS, _SC_MIN_ROWS
+from ._kernels import _batch_rows
 from .scdec import Permutation, ae_sc_decode_frames, encode_batch, sc_decode_frames
 
 __all__ = [
@@ -172,7 +172,7 @@ def run_fer(
     discarded.
     """
     if batch_size is None:
-        batch_size = max(_SC_MIN_ROWS, _SC_CALL_LLRS // cfg.code.N)
+        batch_size = _batch_rows(cfg.code.N)
     if batch_size < 1:
         raise ValueError(f"batch_size must be at least 1, got {batch_size}")
     if workers < 1:

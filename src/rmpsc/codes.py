@@ -479,14 +479,15 @@ def _search_heuristic(n, k, poset: _MonomialPoset, *, seed, rel=None):
 def weight_distribution_via_dual(code: CodeSpec) -> list[int]:
     """Exact weight distribution from the dual spectrum (MacWilliams).
 
-    Enumerates the 2^(N-K) dual codewords as packed 64-bit words, so it
-    needs N <= 64 and a dual dimension small enough to walk.
+    The dual's weight histogram comes from ``_kernels.gray_weight_histogram``
+    on the dual basis as packed 64-bit words, so it needs N <= 64; that
+    count splits the coordinates by one index bit and refuses, with a
+    ``ValueError``, a dual whose cheapest split takes more than 2^30
+    popcounts ((64,22) = RM(2,6) takes 2^27, (64,7) 2^32).
     """
     N, K = code.N, code.K
     if N > 64:
         raise ValueError("dual-spectrum counting requires N <= 64")
-    if N - K > 30:
-        raise ValueError("dual dimension too large to enumerate")
     dual_basis = _gf2.nullspace(code.generator_rows_packed(), N)
     assert len(dual_basis) == N - K
     hist = _kernels.gray_weight_histogram(

@@ -13,7 +13,10 @@ and the SC kernel's pruned walk as a recursion (the library runs it as a
 flat plan).  Results must be equal, not just close.
 
 The weight spectrum of a span of packed words is the walk over every XOR
-combination (the library counts it by a split of the coordinates).
+combination (the library counts it by a split of the coordinates), and the
+absorption probe decodes every frame of every swap, one swap at a time (the
+library probes the open swaps together, each up to its first differing
+frame).
 
 Beside them are helpers that only the tests use: affine-map composition, the
 single-permutation absorption probe and the brute-force minimum-weight count.
@@ -31,8 +34,9 @@ from rmpsc.autgroup import (
     BlockStructure,
     Permutation,
     _blocks_from_pairs,
-    _branch_matches_sc,
     _probe_batch,
+    permutation_from_affine,
+    variable_swap,
 )
 from rmpsc.codes import (
     CodeSpec,
@@ -41,6 +45,8 @@ from rmpsc.codes import (
     rm_order,
     rm_polar_construct,
 )
+from rmpsc.monomials import derivative_dimensions
+from rmpsc.scdec import sc_decode_frames
 
 
 def _mask_leq(m1: int, m2: int, n: int) -> bool:
@@ -312,6 +318,35 @@ def compute_blta_structure(code: CodeSpec) -> BlockStructure:
 def compose_affine(t1: AffineMap, t2: AffineMap) -> AffineMap:
     """t1 after t2: z -> A1 (A2 z + b2) + b1."""
     return AffineMap((t1.A @ t2.A) & 1, ((t1.A @ t2.b) + t1.b) & 1)
+
+
+def _branch_matches_sc(
+    llrs, sc_ref, perm: Permutation, code: CodeSpec, minsum: bool, chunk=64
+) -> bool:
+    p = perm.perm
+    for lo in range(0, llrs.shape[0], chunk):
+        block = llrs[lo : lo + chunk]
+        branch_in = np.empty_like(block)
+        branch_in[:, p] = block
+        x_hat = sc_decode_frames(branch_in, code, minsum=minsum)
+        if not np.array_equal(x_hat[:, p], sc_ref[lo : lo + chunk]):
+            return False
+    return True
+
+
+def absorption_structure_per_swap(
+    code: CodeSpec, trials: int = 500, snr_db: float = 2.0, seed: int = 0
+) -> BlockStructure:
+    """The absorption probe swap by swap: every admissible swap decodes all
+    ``trials`` frames of the shared batch, in 64-frame chunks."""
+    dims = derivative_dimensions(code.info_set, code.n)
+    llrs, sc_ref = _probe_batch(code, trials, snr_db, seed, PROBE_MINSUM)
+
+    def absorbed(a, b):
+        swap = permutation_from_affine(variable_swap(code.n, a, b))
+        return dims[a] == dims[b] and _branch_matches_sc(llrs, sc_ref, swap, code, PROBE_MINSUM)
+
+    return BlockStructure(_blocks_from_pairs(code.n, absorbed))
 
 
 def is_absorbed_empirical(

@@ -11,6 +11,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from _reference import _branch_matches_sc
 from rmpsc._gf2 import is_invertible
 from rmpsc.autgroup import (
     AffineMap,
@@ -139,18 +140,26 @@ class TestCriterion3Classes:
             for s in range(3)
         ]
         margins = {}
+        verdicts_ok = True
         for s in range(3):
             llrs, sc_ref = _probe_batch(code, 500, 2.0, s, minsum=True)
             for a, b in in_block:
-                p = permutation_from_affine(variable_swap(6, a, b)).perm
+                swap = permutation_from_affine(variable_swap(6, a, b))
+                p = swap.perm
                 branch_in = np.empty_like(llrs)
                 branch_in[:, p] = llrs
                 x_hat = sc_decode_frames(branch_in, code, minsum=True)
                 differ = int((x_hat[:, p] != sc_ref).any(axis=1).sum())
                 margins[(a, b)] = min(margins.get((a, b), differ), differ)
-        absorbed_ok = all(S.blocks == (2, 1, 1, 1, 1) for S in absorbed) and all(
-            (count == 0) if (a, b) == (0, 1) else (count >= 10)
-            for (a, b), count in margins.items()
+                # the per-swap reference probe agrees with the count
+                verdicts_ok &= _branch_matches_sc(llrs, sc_ref, swap, code, True) == (differ == 0)
+        absorbed_ok = (
+            verdicts_ok
+            and all(S.blocks == (2, 1, 1, 1, 1) for S in absorbed)
+            and all(
+                (count == 0) if (a, b) == (0, 1) else (count >= 10)
+                for (a, b), count in margins.items()
+            )
         )
 
         # BLTA(4,2) / BLTA(2,1,1,1,1) is the set of partial flags the full

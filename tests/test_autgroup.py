@@ -377,6 +377,57 @@ class TestAbsorption:
         with pytest.raises(ValueError):
             absorption_structure_empirical(code, trials=50)
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_per_swap_probe_on_maximisers(self, n):
+        # the rounds check the frames in another order than the per-swap
+        # probe, and stop early; the structure must not change
+        for k in range(1, (1 << n) + 1):
+            for code in search_max_symmetry(n, k)[1]:
+                for seed in (k, 1000 + k):
+                    want = reference.absorption_structure_per_swap(code, seed=seed)
+                    assert absorption_structure_empirical(code, seed=seed) == want, (n, k, seed)
+
+    @pytest.mark.parametrize("i_min, n", [((63, 121), 10), ((27,), 7), ((19,), 6)])
+    def test_matches_per_swap_probe_on_workload_codes(self, i_min, n):
+        code = CodeSpec.from_i_min(i_min, n)
+        for seed in (7, 1001):
+            want = reference.absorption_structure_per_swap(code, seed=seed)
+            assert absorption_structure_empirical(code, seed=seed) == want, seed
+
+    def test_probe_calls_are_bounded(self, monkeypatch):
+        rows = []
+        decode = autgroup.sc_decode_frames
+
+        def counting(llrs, code, **kwargs):
+            rows.append(len(llrs))
+            return decode(llrs, code, **kwargs)
+
+        monkeypatch.setattr(autgroup, "sc_decode_frames", counting)
+        for i_min, n in [((27,), 7), ((19,), 6), ((63, 121), 10)]:
+            code = CodeSpec.from_i_min(i_min, n)
+            rows.clear()
+            absorption_structure_empirical(code, seed=1000)
+            assert max(rows) <= max(256, 2**16 // code.N), (n, rows)
+        # two reference calls, one round that closes the 21 non-absorbed
+        # swaps of (1024,512), and six that run the 3 absorbed ones through
+        # their 490 remaining frames
+        assert len(rows) <= 9, rows
+
+    def test_every_frame_is_checked(self, monkeypatch):
+        # a reference that differs from the branches on one frame closes the
+        # absorbed swap (0, 1) of (64,37), wherever that frame falls in the
+        # rounds: 64 rows give windows of 32 frames, then 64
+        code = CodeSpec.from_i_min({19}, 6)
+        llrs, sc_ref = autgroup._probe_batch(code, 200, 2.0, 0, True)
+        swaps = [(0, 1), (2, 3)]
+        monkeypatch.setattr(autgroup, "_batch_rows", lambda N: 64)
+        assert autgroup._absorbed_swaps(llrs, sc_ref, swaps, code, True) == [(0, 1)]
+        for frame in range(200):
+            ref = sc_ref.copy()
+            ref[frame, 0] ^= 1
+            assert autgroup._absorbed_swaps(llrs, ref, swaps, code, True) == [], frame
+
+
     @seed(13)
     @settings(max_examples=30, deadline=None, derandomize=False, database=None)
     @given(

@@ -498,7 +498,9 @@ class TestEntryPoint:
 
 class TestPinnedOutputs:
     # SHA-256 of four outputs taken before Permutation became the one
-    # validator of permutations; refactors must leave these bytes alone
+    # validator of permutations, and of the n = 6 atlas (the probed
+    # absorption structure of all 51 dimensions) taken before the probe ran
+    # its swaps in shared rounds; refactors must leave these bytes alone
     AE = [
         "simulate", "--n", "7", "--imin", "27", "--dec", "ae", "--m", "8", "--ebn0", "1:4:1",
         "--max-trials", "20000", "--target-errors", "200", "--seed", "3",
@@ -508,6 +510,7 @@ class TestPinnedOutputs:
         "ae.perms.txt": "7f72c120fb9dc4dab8316b79fd1a07d41a14bf43aeeab3902a28735f1f1ac325",
         "sc.csv": "20c3cf4b2d8ae38502a1040fb125405b8e76e251a8715ae2cc80266a8bf8058d",
         "analyze.json": "d96fdc4c12f1e15059991440e31ecb4a68be636f964150c302b6efd378a52e69",
+        "search.csv": "9929804ac9b4a9534131ad44a3920c011372c4728060d8c13765fb0725d0c119",
     }
 
     def test_output_digests(self, tmp_path, capsys):
@@ -520,6 +523,7 @@ class TestPinnedOutputs:
             (self.AE, "ae.csv"),
             (sc, "sc.csv"),
             (["analyze", "--imin", "27", "--n", "7", "--absorption", "--json"], "analyze.json"),
+            (["search", "--n", "6", "--seed", "1"], "search.csv"),
         ):
             assert main(args + ["--out", str(tmp_path / name)]) == 0
         capsys.readouterr()

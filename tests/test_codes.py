@@ -482,6 +482,21 @@ class TestMinWeightCounts:
         assert min_weight_count(code) == 3480
         assert weight_distribution_via_dual(code)[code.min_distance] == 3480
 
+    def test_dual_refused_by_split_cost(self, monkeypatch):
+        # RM(2,6) = (64,22): a 42-dimensional dual, beyond any walk, that the
+        # split counts from 2^27 popcounts
+        rm26 = CodeSpec.from_i_min({15}, 6)
+        assert (rm26.K, min_weight_count(rm26)) == (22, 2604)
+        assert weight_distribution_via_dual(rm26)[16] == 2604
+
+        # RM(1,6) = (64,7): its dual needs 2^32 popcounts, refused before any
+        def no_count(*args):
+            raise AssertionError("counted before refusing")
+
+        monkeypatch.setattr(_kernels, "_coset_histograms", no_count)
+        with pytest.raises(ValueError, match="more than 2\\^30"):
+            weight_distribution_via_dual(CodeSpec.from_i_min({31}, 6))
+
     def test_reed_muller_multiplicities(self):
         # beyond both walks: the classical count of minimum-weight words of
         # RM(r, m), 2^r * prod_{i < m-r} (2^(m-i) - 1) / (2^(m-r-i) - 1)
