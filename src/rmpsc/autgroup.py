@@ -246,14 +246,21 @@ PROBE_SNR_DB = 2.0
 
 def _probe_batch(code: CodeSpec, trials: int, snr_db: float, seed: int, minsum: bool):
     """Fixed batch of noisy-codeword LLRs plus the plain SC reference output,
-    decoded in calls of at most ``_batch_rows(N)`` frames (SC decisions do
-    not depend on the batch)."""
+    both (trials, N) node-major views, decoded in calls of at most
+    ``_batch_rows(N)`` frames (SC decisions do not depend on the batch)."""
     _, llrs = noisy_frames(code, snr_db, seed, (0xAB5,), 0, trials)
     rows = _batch_rows(code.N)
     sc_ref = np.empty((code.N, trials), dtype=np.uint8)
     for lo in range(0, trials, rows):
         sc_ref[:, lo : lo + rows] = sc_decode_frames(llrs[lo : lo + rows], code, minsum=minsum).T
     return llrs, sc_ref.T
+
+
+def _swap_permutation(N: int, a: int, b: int) -> np.ndarray:
+    """``permutation_from_affine(variable_swap(n, a, b)).perm`` for N = 2^n,
+    as the exchange of index bits a and b."""
+    i = np.arange(N)
+    return i ^ (((i >> a) ^ (i >> b)) & 1) * ((1 << a) | (1 << b))
 
 
 def _absorbed_swaps(llrs, sc_ref, swaps, code: CodeSpec, minsum: bool) -> list[tuple[int, int]]:
@@ -269,8 +276,8 @@ def _absorbed_swaps(llrs, sc_ref, swaps, code: CodeSpec, minsum: bool) -> list[t
     N, trials = code.N, llrs.shape[0]
     rows = _batch_rows(N)
     # a coordinate swap is an involution: branch_in[:, p] = llrs is llrs[:, p]
-    perms = np.array([permutation_from_affine(variable_swap(code.n, a, b)).perm for a, b in swaps])
-    ref = sc_ref.T  # node-major, (N, trials)
+    perms = np.array([_swap_permutation(N, a, b) for a, b in swaps])
+    frames, ref = llrs.T, sc_ref.T  # node-major, (N, trials)
     # one buffer for every round's gather, node-major: frame pos + i of the
     # open swap j on row j * window + i
     work = np.empty(max(rows, len(swaps)) * N)
@@ -281,7 +288,7 @@ def _absorbed_swaps(llrs, sc_ref, swaps, code: CodeSpec, minsum: bool) -> list[t
         group = perms[open_].T  # (N, open)
         stacked = work[: group.size * window].reshape(N, open_.size, window)
         # the indices are valid; take would buffer its output under "raise"
-        np.take(llrs[pos : pos + window].T, group, axis=0, out=stacked, mode="clip")
+        np.take(frames[:, pos : pos + window], group, axis=0, out=stacked, mode="clip")
         X = sc_decode_frames(stacked.reshape(N, -1).T, code, minsum=minsum)
         want = np.take(ref[:, pos : pos + window], group, axis=0)
         differ = (X.T.reshape(want.shape) != want).any(axis=(0, 2))

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -57,6 +58,8 @@ class SimConfig:
             raise ValueError("Eb/N0 values must be finite")
         if any(b >= a for a, b in zip(self.ebn0_grid_db[1:], self.ebn0_grid_db)):
             raise ValueError("Eb/N0 grid must be strictly increasing")
+        for ebn0_db in self.ebn0_grid_db:
+            noise_sigma(ebn0_db, self.code.rate)
         if not 1 <= self.target_errors <= self.max_trials:
             raise ValueError("need max_trials >= target_errors >= 1")
         if self.seed < 0:
@@ -79,9 +82,27 @@ class FerPoint:
 
 
 def noise_sigma(ebn0_db: float, rate: float) -> float:
+    """The AWGN standard deviation sigma at Eb/N0 ``ebn0_db`` (dB) for BPSK
+    at code rate ``rate``: sigma^2 = 1 / (2 * rate * Eb/N0).
+
+    Raises a ``ValueError`` naming the point unless sigma^2 and sigma^2/2,
+    and so sigma, are positive normal floats.  That keeps every LLR finite,
+    and it makes ``noisy_frames``' one division by sigma^2/2 give the bits
+    of 2v / sigma^2: halving sigma^2 in its lowest normal binade would drop
+    its last bit.  Rate 1/2 admits -3082 to 3073 dB.
+    """
     if rate <= 0 or rate > 1:
         raise ValueError(f"rate must be in (0, 1], got {rate}")
-    return math.sqrt(1.0 / (2.0 * rate * 10.0 ** (ebn0_db / 10.0)))
+    try:
+        sigma = math.sqrt(1.0 / (2.0 * rate * 10.0 ** (ebn0_db / 10.0)))
+    except (OverflowError, ZeroDivisionError):  # 10^(Eb/N0 / 10) beyond the floats
+        sigma = math.nan
+    if not (sys.float_info.min <= sigma * sigma / 2 and sigma * sigma <= sys.float_info.max):
+        raise ValueError(
+            f"Eb/N0 {ebn0_db:g} dB is out of range: at rate {rate:.4g} its noise "
+            f"variance sigma^2 and sigma^2/2 are not both positive normal floats"
+        )
+    return sigma
 
 
 def noisy_frames(
@@ -89,6 +110,8 @@ def noisy_frames(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Trials [start, start+count) of stream (seed, stream): the codewords
     ``x`` (count, N) and their BPSK/AWGN LLRs (bit 0 -> +1, LLR 2y/sigma^2).
+    Both are node-major views (their transposes are C-contiguous), the
+    layout the SC kernel reads in place.
 
     Counter-based (Salmon et al., SC'11): trial t is Philox counter block
     t*stride under a key from (seed, stream), so results do not depend on
@@ -96,6 +119,20 @@ def noisy_frames(
     the bits (little-endian) and the next N the uniforms
     ((w >> 12) + 0.5) * 2^-52: exact and strictly inside (0, 1), where 53
     bits would round w = 2^64 - 1 to 1.0 and give an infinite LLR.
+
+    The LLRs are 2.0 * ((1.0 - 2.0*x) + sigma*ndtri(u)) / (sigma*sigma),
+    each step exact or rounded once, in this order:
+    - every word w becomes the double 1 + (w >> 12) * 2^-52 in [1, 2) by
+      ``>>= 12`` and OR-ing in the exponent of 1.0, in place;
+    - subtracting 1 - 2^-53 gives u, written node-major into one (N, count)
+      buffer.  Both operands lie within a factor of two of each other, so
+      the difference is exact (Sterbenz);
+    - ndtri(u), then times sigma, then plus the BPSK points 1 - 2x (exact,
+      written node-major into the consumed Philox words);
+    - one division by sigma^2/2.  ``noise_sigma`` makes sigma^2/2 a
+      positive normal float, so the halving is exact, and v / (sigma^2/2)
+      rounds the same quotient as (2v) / sigma^2, whose doubling is exact
+      too.
     """
     sigma = noise_sigma(ebn0_db, code.rate)
     words = -(-code.K // 64)
@@ -108,21 +145,18 @@ def noisy_frames(
         raw[:, :words].astype("<u8").view(np.uint8), axis=1, count=code.K, bitorder="little"
     )
     x = encode_batch(bits, code)
-    # the LLRs 2.0 * ((1.0 - 2.0*x) + sigma*ndtri(u)) / (sigma*sigma), op by
-    # op in one buffer; the used noise words then hold the BPSK points
-    noise = raw[:, words : words + code.N]
-    noise >>= 12
-    llr = np.add(noise, 0.5, dtype=np.float64)
-    llr *= 2.0**-52
+    raw >>= 12
+    raw |= 0x3FF0000000000000  # the exponent of 1.0
+    llr = np.empty((code.N, count))
+    np.subtract(raw.view(np.float64)[:, words : words + code.N].T, 1.0 - 2.0**-53, out=llr)
     ndtri(llr, out=llr)
     llr *= sigma
-    bpsk = noise.view(np.float64)
-    np.multiply(x, 2.0, out=bpsk)
+    bpsk = raw.reshape(-1)[: llr.size].view(np.float64).reshape(llr.shape)
+    np.multiply(x.T, 2.0, out=bpsk)
     np.subtract(1.0, bpsk, out=bpsk)
     llr += bpsk
-    llr *= 2.0
-    llr /= sigma * sigma
-    return x, llr
+    llr /= sigma * sigma / 2
+    return x, llr.T
 
 
 def tub_ml_bound(dmin: int, a_dmin: int, rate: float, ebn0_db: float) -> float:

@@ -100,10 +100,10 @@ def sc_decode_frames(llrs: np.ndarray, code: CodeSpec, *, minsum: bool = False):
     check-node rule by min-sum."""
     llrs = _check_llrs(llrs, code.N)
     # clamp (it keeps the exact check-node rule numerically stable and makes
-    # absorption probes deterministic) a node-major copy in place, which the
-    # kernel reads in place
-    node_major = np.array(llrs.T, order="C")
-    np.clip(node_major, -LLR_CLAMP, LLR_CLAMP, out=node_major)
+    # absorption probes deterministic) into a fresh node-major buffer, which
+    # the kernel reads in place: one pass, contiguous on both sides when the
+    # frames come node-major from ``channel.noisy_frames``
+    node_major = np.clip(llrs.T, -LLR_CLAMP, LLR_CLAMP, order="C")
     return sc_decode_batch(node_major.T, code.frozen_mask(), minsum)
 
 
@@ -136,6 +136,8 @@ def ae_sc_decode_frames(llrs: np.ndarray, code: CodeSpec, perms):
     # in place, frame b of branch j on row j*B + b
     inverses = np.empty_like(perm_arrays)
     inverses[np.arange(M)[:, None], perm_arrays] = np.arange(code.N)
+    # no copy when the frames came node-major (``channel.noisy_frames``):
+    # clip keeps their layout
     node_major = np.ascontiguousarray(llrs.T)
     group = max(1, 3 * _SC_CALL_LLRS // (2 * code.N * max(B, 1)))
     # one buffer for every group's gather, reused for its scores once the

@@ -153,6 +153,13 @@ class TestAffine:
         p = permutation_from_affine(variable_swap(2, 0, 1))
         assert p.perm.tolist() == [0, 2, 1, 3]
 
+    def test_swap_permutation_is_the_affine_swap(self):
+        # the probe builds its swaps by exchanging index bits
+        for n in range(1, 8):
+            for a, b in itertools.combinations(range(n), 2):
+                expect = permutation_from_affine(variable_swap(n, a, b)).perm
+                assert np.array_equal(autgroup._swap_permutation(1 << n, a, b), expect), (n, a, b)
+
     def test_homomorphism(self):
         rng = np.random.default_rng(3)
         for n in (2, 3, 5, 8):

@@ -1,5 +1,6 @@
 import io
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -26,6 +27,22 @@ from rmpsc.scdec import encode_batch, sc_decode_frames
 
 def q_func(x):
     return 0.5 * math.erfc(x / math.sqrt(2.0))
+
+
+def rebuilt_trial(code, ebn0, seed, stream, trial):
+    """Trial ``trial``'s codeword and LLRs from a bare Philox stream, one
+    frame at a time in the formula's own order."""
+    words = -(-code.K // 64)
+    stride = -(-(words + code.N) // 4)
+    key = np.random.SeedSequence(seed, spawn_key=stream).generate_state(2, np.uint64)
+    gen = np.random.Philox(key=key)
+    gen.advance(trial * stride)
+    w = [int(v) for v in gen.random_raw(4 * stride)]
+    bits = np.array([(w[i // 64] >> (i % 64)) & 1 for i in range(code.K)], np.uint8)
+    uniforms = np.array([((v >> 12) + 0.5) * 2.0**-52 for v in w[words : words + code.N]])
+    (x,) = encode_batch(bits[None, :], code)
+    sigma = noise_sigma(ebn0, code.rate)
+    return x, 2.0 * ((1.0 - 2.0 * x) + sigma * ndtri(uniforms)) / (sigma * sigma)
 
 
 class TestNoisyFrames:
@@ -59,6 +76,35 @@ class TestNoisyFrames:
         with pytest.raises(ValueError):
             noise_sigma(1.0, 1.5)
 
+    # at rate 1/2, sigma^2 and sigma^2/2 are positive normal floats from
+    # -3082 to 3073 dB: at 3074 dB sigma^2 lies in the lowest normal binade,
+    # at 3080 it underflows, 4000 overflows 10^(Eb/N0 / 10) and -4000
+    # divides by zero
+    @pytest.mark.parametrize("ebn0", [3074.0, 3080.0, 4000.0, -3083.0, -4000.0, math.nan])
+    def test_sigma_out_of_range_refused(self, ebn0):
+        with pytest.raises(ValueError, match=f"Eb/N0 {ebn0:g} dB is out of range"):
+            noise_sigma(ebn0, 0.5)
+
+    @pytest.mark.parametrize("ebn0", [3073.0, -3082.0])
+    def test_sigma_edge_accepted(self, ebn0):
+        # sigma^2 in the second-lowest normal binade, and nearly the largest
+        # normal float; the one division by sigma^2/2 gives the formula's bits
+        sigma = noise_sigma(ebn0, 0.5)
+        assert sys.float_info.min <= sigma * sigma / 2
+        assert sigma * sigma <= sys.float_info.max
+        code = CodeSpec.from_i_min({63, 121}, 10)   # (1024,512), rate 1/2
+        x, llr = rebuilt_trial(code, ebn0, 3, (2,), 5)
+        (x_got,), (llr_got,) = noisy_frames(code, ebn0, 3, (2,), 5, 1)
+        assert np.isfinite(llr_got).all()
+        assert np.array_equal(x_got, x)
+        assert np.array_equal(llr_got, llr)
+
+    def test_node_major_layout(self):
+        # the layout the SC kernel reads in place, so no consumer copies it
+        x, llr = noisy_frames(CodeSpec.from_i_min({27}, 7), 2.0, 0, (0,), 3, 37)
+        assert x.shape == llr.shape == (37, 128)
+        assert x.T.flags.c_contiguous and llr.T.flags.c_contiguous
+
     @pytest.mark.parametrize("i_min,n", [({1}, 1), ({19}, 6), ({63, 121}, 10)])
     def test_block_mid_stream_matches_longer_draw(self, i_min, n):
         # (2,1), (64,37) and (1024,512): one, one and eight words of bits
@@ -70,24 +116,48 @@ class TestNoisyFrames:
 
     def test_trial_rebuilt_from_bare_philox(self):
         code = CodeSpec.from_i_min({63, 121}, 10)   # (1024,512), K > 64
-        ebn0, seed, stream, trial = 2.5, 3, (2,), 5
-        words = -(-code.K // 64)
-        stride = -(-(words + code.N) // 4)
-        key = np.random.SeedSequence(seed, spawn_key=stream).generate_state(2, np.uint64)
-        gen = np.random.Philox(key=key)
-        gen.advance(trial * stride)
-        w = [int(v) for v in gen.random_raw(4 * stride)]
-        bits = np.array([(w[i // 64] >> (i % 64)) & 1 for i in range(code.K)], np.uint8)
-        uniforms = np.array([((v >> 12) + 0.5) * 2.0**-52 for v in w[words : words + code.N]])
-        (x,) = encode_batch(bits[None, :], code)
-        sigma = noise_sigma(ebn0, code.rate)
-        llr = 2.0 * ((1.0 - 2.0 * x) + sigma * ndtri(uniforms)) / (sigma * sigma)
-        (x_got,), (llr_got,) = noisy_frames(code, ebn0, seed, stream, trial, 1)
+        x, llr = rebuilt_trial(code, 2.5, 3, (2,), 5)
+        (x_got,), (llr_got,) = noisy_frames(code, 2.5, 3, (2,), 5, 1)
         assert np.array_equal(x_got, x)
         assert np.array_equal(llr_got, llr)
         # the extreme words map strictly inside (0, 1), so noise is finite
         for v in (0, 2**64 - 1):
             assert 0.0 < ((v >> 12) + 0.5) * 2.0**-52 < 1.0
+
+
+class TestPinnedFrames:
+    # SHA-256 of noisy_frames' x and LLR bytes (C order), taken before the
+    # LLRs were drawn node-major; a change to the channel must leave them
+    # alone.  (1024,512) draws eight words of bits per trial.
+    CASES = [
+        # (i_min, n), Eb/N0, seed, stream, start, count, x digest, LLR digest
+        (({19}, 6), 2.0, 0, (0,), 0, 64,
+         "2201fb3fdf29f8f9733e738220d420d5924cafa71cdac19120aa5585a47539dd",
+         "66551a73f76fcba6f7dd48b323ca5c7f56072d708ac3f5ad02c7f78f67980c5f"),
+        (({19}, 6), 2.0, 5, (2,), 1000, 33,
+         "177685c97ba31a092bce3b65cd6c511868d971b686bc494cd05117a1f6a2c893",
+         "b1f3fd2655802debb89ce2a7ecb1ac4ad488cf64d95ae2241688f3dec1b0de66"),
+        (({27}, 7), 2.0, 3, (1,), 517, 37,
+         "38845b0bc8cdfac63e9d90547c2ba5e3573febe8707b00c57eacbe56b5fbf24f",
+         "02050cfb8b5a18b55f32ebc5574bfdb841845d51cfd693a9ca443a8e0003203f"),
+        (({63, 121}, 10), 3.5, 1, (0xAB5,), 7, 9,
+         "70d01151712d49f2e6c6b8c8ecb65f4e9e2ef03e8de706b49c0409a021828fde",
+         "7a3714c816ece8a79236db47bb988a07fc07fe8c5423c762200cc9c6ef5e25aa"),
+        (({63, 121}, 10), 3.5, 0, (0,), 0, 256,
+         "098dcb3a2a853e36a051c2a953eb8fed98f49bdee8fa0f57bee4dbf879a297ad",
+         "de9b4dde9b3e2f4797279e8ec0d33766b3d1d34c66f14b6d2c0e697b445d6f9d"),
+    ]
+
+    @pytest.mark.parametrize("case", CASES, ids=lambda c: f"{c[0][1]}-{c[4]}-{c[5]}")
+    def test_frame_digests(self, case):
+        import hashlib
+
+        (i_min, n), ebn0, seed, stream, start, count, x_digest, llr_digest = case
+        code = CodeSpec.from_i_min(i_min, n)
+        x, llr = noisy_frames(code, ebn0, seed, stream, start, count)
+        assert x.shape == llr.shape == (count, code.N)
+        assert hashlib.sha256(x.tobytes()).hexdigest() == x_digest
+        assert hashlib.sha256(llr.tobytes()).hexdigest() == llr_digest
 
 
 class TestTub:
@@ -125,6 +195,13 @@ class TestSimConfig:
         for grid in ((bad,), (1.0, bad), (bad, 1.0)):
             with pytest.raises(ValueError, match="finite"):
                 SimConfig(code=code, ebn0_grid_db=grid)
+
+    def test_grid_points_need_a_normal_noise_variance(self):
+        code = CodeSpec.from_i_min({1}, 1)   # rate 1/2
+        for bad in (3074.0, -3083.0):
+            with pytest.raises(ValueError, match=f"Eb/N0 {bad:g} dB is out of range"):
+                SimConfig(code=code, ebn0_grid_db=tuple(sorted((1.0, bad))))
+        SimConfig(code=code, ebn0_grid_db=(-3082.0, 3073.0))
 
     def test_targets_validated(self):
         code = CodeSpec.from_i_min({1}, 1)

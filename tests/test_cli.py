@@ -306,6 +306,22 @@ class TestSimulate:
         assert not out.exists()
         assert not out.with_suffix(".perms.txt").exists()
 
+    @pytest.mark.parametrize("ebn0", ["3080", "4000", "-4000"])
+    def test_out_of_range_ebn0_fails_before_sampling(self, tmp_path, capsys, ebn0):
+        # sigma^2 underflows, 10^(Eb/N0 / 10) overflows, or it divides by
+        # zero: refused by the campaign's check, before any permutation
+        out = tmp_path / "ae.csv"
+        argv = [
+            "simulate", "--n", "4", "--imin", "3", "--dec", "ae", "--m", "4",
+            f"--ebn0={ebn0}", "--out", str(out),
+        ]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"error: Eb/N0 {ebn0} dB is out of range" in err
+        assert "Warning" not in err
+        assert not out.exists()
+        assert not out.with_suffix(".perms.txt").exists()
+
     @pytest.mark.parametrize("grid", ["nan", "inf", "-inf", "1,inf", "0:inf:1", "nan:3:1"])
     def test_nonfinite_ebn0_exits_2(self, tmp_path, capsys, grid):
         # a usage error, raised before the AE permutations are sampled
