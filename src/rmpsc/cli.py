@@ -63,14 +63,22 @@ def _parse_imin(text: str) -> tuple[int, ...]:
         ) from None
 
 
-def _parse_seed(text: str) -> int:
+def _parse_non_negative(text: str, what: str) -> int:
     try:
-        seed = int(text)
+        value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"seed must be an integer, got {text!r}") from None
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"seed must be non-negative, got {seed}")
-    return seed
+        raise argparse.ArgumentTypeError(f"{what} must be an integer, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{what} must be non-negative, got {value}")
+    return value
+
+
+def _parse_seed(text: str) -> int:
+    return _parse_non_negative(text, "seed")
+
+
+def _parse_n(text: str) -> int:
+    return _parse_non_negative(text, "n")
 
 
 def _parse_count(text: str) -> int:
@@ -157,7 +165,7 @@ def cmd_analyze(ns) -> int:
 
 
 def cmd_search(ns) -> int:
-    mode = "exhaustive" if ns.n <= 6 else "heuristic"
+    mode = "exhaustive" if ns.n <= 7 else "heuristic"
     rel = load_reliability(ns.rel) if ns.rel is not None else None
     if rel is not None and rel.n != ns.n:
         raise ValueError(f"reliability file is for n={rel.n}, expected {ns.n}")
@@ -279,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_code_args(p):
-        p.add_argument("--n", type=int, help="length exponent (N = 2^n)")
+        p.add_argument("--n", type=_parse_n, help="length exponent (N = 2^n)")
         p.add_argument("--imin", type=_parse_imin, help="comma list of generator indices")
         p.add_argument("--spec", help="JSON code file with fields n, i_min")
 
@@ -292,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("search", help="per-dimension maximum-symmetry atlas as CSV")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_parse_n, required=True)
     p.add_argument("--rel", help="reliability sequence file (validated)")
     p.add_argument("--seed", type=_parse_seed, default=0)
     p.add_argument("--out")
@@ -308,15 +316,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--perms", help="replay the AE permutations of this file instead of sampling")
     p.add_argument("--ebn0", type=_parse_grid, default=(1.0, 2.0, 3.0), help="a:b:step in dB")
-    p.add_argument("--max-trials", type=int, default=100_000)
-    p.add_argument("--target-errors", type=int, default=100)
+    p.add_argument("--max-trials", type=_parse_count, default=100_000)
+    p.add_argument("--target-errors", type=_parse_count, default=100)
     p.add_argument("--seed", type=_parse_seed, default=0)
     p.add_argument("--workers", type=_parse_count, default=1)
     p.add_argument("--out")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("extend", help="double the length, reusing the generators")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_parse_n, required=True)
     p.add_argument("--imin", type=_parse_imin, required=True)
     p.add_argument("--out", help="write the extended code JSON here")
     p.set_defaults(func=cmd_extend)

@@ -271,7 +271,8 @@ SEARCH_RESTARTS = 32
 
 
 class _MonomialPoset:
-    """The monomials of degree <= r over n variables, with dominance order.
+    """The monomials of degree <= r over n variables, with dominance order,
+    as the hill-climb walks them.
 
     Elements are index masks; a dimension-K decreasing code of maximal
     minimum distance is exactly a K-element downward-closed subset here.
@@ -282,8 +283,6 @@ class _MonomialPoset:
     """
 
     def __init__(self, n: int, r: int):
-        self.n = n
-        self.r = r
         full = (1 << n) - 1
         masks = [m for m in range(1 << n) if m.bit_count() <= r]
         masks.sort(key=lambda m: (m.bit_count(), m))  # linear extension
@@ -306,49 +305,6 @@ class _MonomialPoset:
         self.above = above
         self.below = [frozenset(b) for b in below]
 
-    def ideals_of_size(self, size: int):
-        """All downward-closed subsets of the given cardinality (position sets)."""
-        if size > self.size - size:
-            # enumerate the complement side: filters are ideals of the dual
-            universe = frozenset(range(self.size))
-            for filt in self._ideals(
-                self.above, list(range(self.size - 1, -1, -1)), self.size - size
-            ):
-                yield universe - filt
-        else:
-            yield from self._ideals(self.below, list(range(self.size)), size)
-
-    def _ideals(self, preds, order, size):
-        m = len(order)
-        out_sets = []
-        in_set: set = set()
-
-        def rec(pos: int, count: int):
-            if count == size:
-                out_sets.append(frozenset(in_set))
-                return
-            if pos == m or count + (m - pos) < size:
-                return
-            e = order[pos]
-            if preds[e] <= in_set:
-                in_set.add(e)
-                rec(pos + 1, count + 1)
-                in_set.remove(e)
-            rec(pos + 1, count)
-
-        rec(0, 0)
-        return out_sets
-
-    def symmetry_of(self, positions) -> int:
-        counts = [0] * self.n
-        for p in positions:
-            m = self.masks[p]
-            for v in range(self.n):
-                if (m >> v) & 1:
-                    counts[v] += 1
-        lo = min(counts)
-        return sum(1 for c in counts if c == lo)
-
     def info_indices(self, positions) -> frozenset[int]:
         return frozenset(~self.masks[p] & self.full for p in positions)
 
@@ -363,6 +319,55 @@ class _MonomialPoset:
         return [i for i in positions if self.above[i].isdisjoint(positions)]
 
 
+def _upward_closed_words(n: int, r: int, size: int):
+    """Every upward-closed set of ``size`` indices among those of popcount
+    >= n - r, as N-bit words (these are the dimension-``size`` decreasing
+    codes whose monomials have degree <= r).
+
+    The indices are taken in descending order and each is either included
+    or left out; leaving one out leaves out everything below it in the
+    index order too.  When the complement is the smaller side, the
+    complements are enumerated the same way from the bottom up.
+    """
+    N = 1 << n
+    steps = monomials._step_words(n)
+    pool = [i for i in range(N) if i.bit_count() >= n - r]
+    universe = sum(1 << i for i in pool)
+    flip = size > len(pool) - size
+    target = len(pool) - size if flip else size
+    # cone[e]: e and every pool index that must follow it out of the set
+    # (below it), or out of the complement (above it) on the flipped side
+    cone = [0] * N
+    if flip:
+        for e in reversed(pool):
+            cone[e] = 1 << e
+            for shift, mask in steps:
+                if mask >> e & 1:
+                    cone[e] |= cone[e + shift]
+    else:
+        for e in pool:
+            cone[e] = 1 << e
+            for shift, mask in steps:
+                if e >= shift and mask >> (e - shift) & 1:
+                    cone[e] |= cone[e - shift]  # 0 for an index outside the pool
+    # depth-first over (undecided indices still allowed in, chosen, count)
+    stack = [(universe, 0, 0)]
+    while stack:
+        free, chosen, count = stack.pop()
+        need = target - count
+        room = free.bit_count()
+        if room < need:
+            continue
+        if need == 0 or room == need:
+            # what is still allowed in is closed, so taking all of it is a set
+            word = chosen if need == 0 else chosen | free
+            yield universe & ~word if flip else word
+            continue
+        bit = free & -free if flip else 1 << (free.bit_length() - 1)
+        stack.append((free & ~cone[bit.bit_length() - 1], chosen, count))
+        stack.append((free ^ bit, chosen | bit, count + 1))
+
+
 def search_max_symmetry(
     n: int,
     k: int,
@@ -373,7 +378,7 @@ def search_max_symmetry(
 ) -> tuple[int, list[CodeSpec]]:
     """Best achievable symmetry among dimension-k RM-polar codes.
 
-    Returns ``(max_t, codes)``: exhaustively all maximisers (n <= 6), or the
+    Returns ``(max_t, codes)``: exhaustively all maximisers (n <= 7), or the
     best code found by seeded hill-climbing over single-monomial swaps,
     tie-broken toward high reliability sums (``rel`` overrides the default
     beta-expansion order).
@@ -382,29 +387,32 @@ def search_max_symmetry(
         raise ValueError(f"dimension {k} out of range for n={n}")
     if mode not in ("exhaustive", "heuristic"):
         raise ValueError(f"unknown search mode {mode!r}")
-    if mode == "exhaustive" and n > 6:
-        raise ValueError("exhaustive search is limited to n <= 6")
+    if mode == "exhaustive" and n > 7:
+        raise ValueError("exhaustive search is limited to n <= 7")
     if rel is not None and rel.n != n:
         raise ValueError(f"reliability order is for n={rel.n}, expected {n}")
     r = rm_order(k, n)
-    poset = _MonomialPoset(n, r)
 
     if mode == "exhaustive":
+        # the symmetry is the number of derivative dimensions at their
+        # minimum, as in monomials.symmetry (none for n = 0)
+        variables = monomials._variable_words(n)
         best_t = 0
-        best: list[frozenset] = []
-        for ideal in poset.ideals_of_size(k):
-            t = poset.symmetry_of(ideal)
+        best: list[int] = []
+        for word in _upward_closed_words(n, r, k):
+            dims = [(word & var).bit_count() for var in variables]
+            t = dims.count(min(dims, default=0))
             if t > best_t:
-                best_t, best = t, [ideal]
+                best_t, best = t, [word]
             elif t == best_t:
-                best.append(ideal)
+                best.append(word)
         codes = sorted(
-            (CodeSpec.from_info_set(poset.info_indices(s), n) for s in best),
+            (CodeSpec.from_info_set(monomials._members(w), n) for w in best),
             key=lambda c: c.i_min,
         )
         return best_t, codes
 
-    return _search_heuristic(n, k, poset, seed=seed, rel=rel)
+    return _search_heuristic(n, k, _MonomialPoset(n, r), seed=seed, rel=rel)
 
 
 def _search_heuristic(n, k, poset: _MonomialPoset, *, seed, rel=None):

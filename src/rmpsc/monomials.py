@@ -7,11 +7,17 @@ of i is 0.  So the monomial of row i has degree n - popcount(i), row i has
 weight 2^popcount(i), and index 0 is the product of all n variables.  A
 code is its information set, the set of its row indices; it is decreasing
 when the set is upward closed in the index order below.
+
+Inside, an index set is also an N-bit integer word, bit i for index i, so
+closures, minimal generators and derivative counts are masked shifts and
+popcounts on whole words.
 """
 
 from __future__ import annotations
 
-from itertools import compress
+from functools import lru_cache
+
+import numpy as np
 
 __all__ = [
     "upward_closure",
@@ -41,31 +47,74 @@ def _steps_below(i: int) -> list[int]:
     return out
 
 
-def _closure_pass(indices, n: int) -> tuple[frozenset[int], frozenset[int]]:
-    """The upward closure of ``indices`` and its minimal elements, from one
-    ascending pass: an index is in the closure iff it is a member or a step
-    below it is, and a member is minimal iff no step below it is."""
+@lru_cache(maxsize=None)
+def _step_words(n: int) -> tuple[tuple[int, int], ...]:
+    """The steps of the index order as masked shifts on N-bit words.
+
+    One (shift, mask) pair per step kind (clear bit 0, or move bit v down
+    to v-1), in that order: bit j of the mask is set when a step of that
+    kind leads up from j to j + shift.  A sweep over the pairs moves a
+    word up by every kind in turn.
+    """
+    kinds: dict = {}
+    for i in range(1 << n):
+        for j in _steps_below(i):
+            # i ^ j names the kind: 1 for bit 0, 0b11 << (v-1) for a move of bit v
+            key = (i ^ j, i - j)
+            kinds[key] = kinds.get(key, 0) | 1 << j
+    return tuple((shift, mask) for (_, shift), mask in sorted(kinds.items()))
+
+
+@lru_cache(maxsize=None)
+def _variable_words(n: int) -> tuple[int, ...]:
+    """Word v holds the indices with bit v clear: the rows whose monomial
+    contains variable v."""
     N = 1 << n
-    members = set()
+    full = (1 << N) - 1
+    # runs of 2^v set bits alternating with 2^v clear ones, from bit 0
+    return tuple(full // ((1 << (2 << v)) - 1) * ((1 << (1 << v)) - 1) for v in range(n))
+
+
+def _word(indices, n: int) -> int:
+    """An index set as an N-bit word, bit i set for member i."""
+    N = 1 << n
+    word = 0
     for i in indices:
         i = int(i)
         if not 0 <= i < N:
             raise ValueError(f"index {i} out of range for n={n}")
-        members.add(i)
-    inside = bytearray(N)
-    minimal = []
-    for i in range(min(members, default=N), N):
-        if any(inside[j] for j in _steps_below(i)):
-            inside[i] = 1
-        elif i in members:
-            inside[i] = 1
-            minimal.append(i)
-    return frozenset(compress(range(N), inside)), frozenset(minimal)
+        word |= 1 << i
+    return word
+
+
+def _members(word: int) -> list[int]:
+    """The set bits of a word, ascending."""
+    raw = np.frombuffer(word.to_bytes((word.bit_length() + 7) // 8, "little"), np.uint8)
+    return np.flatnonzero(np.unpackbits(raw, bitorder="little")).tolist()
+
+
+def _closure_pass(word: int, n: int) -> tuple[int, int]:
+    """The upward closure of an index word and its minimal elements, as
+    words: the closure is the fixpoint of the step sweeps, and a member is
+    minimal iff no step leads up to it from inside the closure."""
+    steps = _step_words(n)
+    closure = word
+    while True:
+        up = closure
+        for shift, mask in steps:
+            up |= (up & mask) << shift
+        if up == closure:
+            break
+        closure = up
+    reached = 0
+    for shift, mask in steps:
+        reached |= (closure & mask) << shift
+    return closure, closure & ~reached
 
 
 def upward_closure(i_min, n: int) -> frozenset[int]:
     """All indices above some element of ``i_min`` in the index order."""
-    return _closure_pass(i_min, n)[0]
+    return frozenset(_members(_closure_pass(_word(i_min, n), n)[0]))
 
 
 def minimal_generators(info_set, n: int) -> frozenset[int]:
@@ -73,17 +122,18 @@ def minimal_generators(info_set, n: int) -> frozenset[int]:
 
     Raises ValueError when ``info_set`` is not upward closed.
     """
-    info = frozenset(int(i) for i in info_set)
+    info = _word(info_set, n)
     closure, gens = _closure_pass(info, n)
     if closure != info:
         raise ValueError("info_set is not closed under the index partial order")
-    return gens
+    return frozenset(_members(gens))
 
 
 def derivative_dimensions(info_set, n: int) -> tuple[int, ...]:
     """Dimensions of the n partial derivatives: d_v counts the members whose
     monomial contains variable v, the indices with bit v clear."""
-    return tuple(sum(1 for i in info_set if not (i >> v) & 1) for v in range(n))
+    info = _word(info_set, n)
+    return tuple((info & var).bit_count() for var in _variable_words(n))
 
 
 def symmetry(info_set, n: int) -> int:

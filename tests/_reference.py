@@ -2,10 +2,12 @@
 
 These are the plain forms of code that ``rmpsc`` runs in another shape: the
 index order as a pairwise prefix-count test (the library derives it from its
-generating steps), the pairwise closure and antichain of an index set, the
-pairwise dominance relation of the monomial poset, the pairwise consistency
-check of a reliability order, the symmetry search that rescans the whole
-ideal for every candidate swap, the BLTA block structure as the runs of
+generating steps), the pairwise closure and antichain of an index set (the
+library closes N-bit words by masked shifts), the pairwise dominance
+relation of the monomial poset, the pairwise consistency check of a
+reliability order, the exhaustive search over ideals as position sets (the
+library enumerates them as words), the symmetry search that rescans the
+whole ideal for every candidate swap, the BLTA block structure as the runs of
 coordinate swaps that map the generator monomials onto themselves (the
 library reads it off the derivative dimensions), and successive
 cancellation decoding that visits every leaf, with the textbook f and g,

@@ -30,7 +30,6 @@ from rmpsc.autgroup import (
 from rmpsc.channel import SimConfig, run_fer, tub_ml_bound
 from rmpsc.codes import (
     CodeSpec,
-    _MonomialPoset,
     dim_rm,
     extend_code,
     min_weight_count,
@@ -47,13 +46,22 @@ def report(criterion: str, ok: bool, detail: str):
 
 
 def random_ideal_code(n: int, k: int, rng) -> CodeSpec:
-    """Uniform-ish random decreasing RM-polar code of the given dimension."""
-    poset = _MonomialPoset(n, rm_order(k, n))
-    positions: set = set()
-    while len(positions) < k:
-        cands = poset.addable(positions)
-        positions.add(cands[int(rng.integers(len(cands)))])
-    return CodeSpec.from_info_set(poset.info_indices(positions), n)
+    """Uniform-ish random decreasing RM-polar code of the given dimension:
+    indices of popcount >= n - r added one at a time, each drawn among
+    those whose every index above is already in (listed by monomial
+    degree, then monomial mask, ascending)."""
+    r = rm_order(k, n)
+    pool = sorted(
+        (i for i in range(1 << n) if i.bit_count() >= n - r),
+        key=lambda i: (i.bit_count(), i),
+        reverse=True,
+    )
+    above = {i: upward_closure({i}, n) - {i} for i in pool}
+    info: set = set()
+    while len(info) < k:
+        cands = [i for i in pool if i not in info and above[i] <= info]
+        info.add(cands[int(rng.integers(len(cands)))])
+    return CodeSpec.from_info_set(info, n)
 
 
 def gaussian_binomial(n: int, k: int) -> int:

@@ -9,7 +9,7 @@ import _reference as reference
 from _reference import compose_affine, is_absorbed_empirical
 from rmpsc import autgroup
 from rmpsc._gf2 import is_invertible
-from rmpsc.codes import CodeSpec, _MonomialPoset, dim_rm, search_max_symmetry
+from rmpsc.codes import CodeSpec, _upward_closed_words, dim_rm, search_max_symmetry
 from rmpsc.autgroup import (
     AbsorptionProbeError,
     AffineMap,
@@ -27,6 +27,7 @@ from rmpsc.autgroup import (
     save_permutations,
     variable_swap,
 )
+from rmpsc.monomials import _members
 
 
 def all_ga_elements(n):
@@ -229,10 +230,9 @@ class TestBltaStructure:
         # dimensions are the blocks of admissible coordinate swaps
         count = 0
         for n in range(1, 7):
-            poset = _MonomialPoset(n, n)
-            for size in range(1, poset.size + 1):
-                for ideal in poset.ideals_of_size(size):
-                    code = CodeSpec.from_info_set(poset.info_indices(ideal), n)
+            for size in range(1, (1 << n) + 1):
+                for word in _upward_closed_words(n, n, size):
+                    code = CodeSpec.from_info_set(_members(word), n)
                     expected = reference.compute_blta_structure(code)
                     assert compute_blta_structure(code) == expected, code
                     count += 1

@@ -110,6 +110,18 @@ class TestSearch:
             ["search", "--n", "4", "--seed", "-1"], "--seed: seed must be non-negative", capsys
         )
 
+    @pytest.mark.parametrize(
+        "n, reason",
+        [("-3", "argument --n: n must be non-negative, got -3"),
+         ("x", "argument --n: n must be an integer, got 'x'")],
+        ids=["negative", "not-integer"],
+    )
+    def test_bad_n_is_usage_error(self, tmp_path, capsys, n, reason):
+        # refused before the CSV is opened, so no header-only file is left
+        out = tmp_path / "f.csv"
+        assert_usage_error(["search", "--n", n, "--out", str(out)], reason, capsys)
+        assert not out.exists()
+
     def test_atlas_n4(self, capsys):
         code, out, _ = run_cli(["search", "--n", "4"], capsys)
         assert code == 0
@@ -372,8 +384,15 @@ class TestSimulate:
             (["--imin", "19", "--ebn0=1:2"], "a grid a:b:step has three fields"),
             (["--imin", "1,x"], "generator indices must be integers"),
             (["--imin", "19", "--seed", "-1"], "seed must be non-negative"),
+            (["--imin", "19", "--max-trials", "0"], "argument --max-trials: must be at least 1, got 0"),
+            (["--imin", "19", "--max-trials", "-5"], "argument --max-trials: must be at least 1, got -5"),
+            (["--imin", "19", "--target-errors", "0"],
+             "argument --target-errors: must be at least 1, got 0"),
         ],
-        ids=["step-rounds-away", "nan", "two-fields", "imin-not-integer", "negative-seed"],
+        ids=[
+            "step-rounds-away", "nan", "two-fields", "imin-not-integer", "negative-seed",
+            "zero-max-trials", "negative-max-trials", "zero-target-errors",
+        ],
     )
     def test_usage_errors_give_their_reason(self, capsys, args, reason):
         with pytest.raises(SystemExit) as exc:
@@ -489,6 +508,21 @@ class TestSamplePerms:
         argv = ["sample-perms", "--imin", "19", "--n", "6", "--m", "0", "--out", str(out)]
         assert_usage_error(argv, "argument --m: must be at least 1, got 0", capsys)
         assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--imin", "0"],
+        ["simulate", "--imin", "0"],
+        ["extend", "--imin", "0"],
+        ["sample-perms", "--imin", "0", "--m", "1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_negative_n_is_usage_error(capsys, argv):
+    # the code-taking subcommands; search has its own cases in TestSearch
+    assert_usage_error(argv + ["--n", "-1"], "argument --n: n must be non-negative, got -1", capsys)
 
 
 class TestEntryPoint:

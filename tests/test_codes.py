@@ -23,8 +23,9 @@ from rmpsc.codes import (
     search_max_symmetry,
     weight_distribution_via_dual,
     _MonomialPoset,
+    _upward_closed_words,
 )
-from rmpsc.monomials import derivative_dimensions, symmetry, upward_closure
+from rmpsc.monomials import _members, derivative_dimensions, symmetry, upward_closure
 
 
 def random_linear_extension(n: int, seed: int) -> ReliabilityOrder:
@@ -271,6 +272,22 @@ class TestSearch:
         infeasible = [k for k in range(lo, hi + 1) if search_max_symmetry(5, k)[0] < 2]
         assert infeasible == [12, 14]
 
+    def test_n7_decided_exactly(self):
+        # no RM-PSC at k = 25 and 27; at k = 44 the best code has t = 6,
+        # where the seed-0 hill-climb stops at t = 2
+        for k, expect_t in ((25, 1), (27, 1), (44, 6)):
+            t, codes = search_max_symmetry(7, k)
+            assert t == expect_t, k
+            assert codes and all(
+                c.symmetry == t and c.is_rm_polar and c.K == k for c in codes
+            ), k
+        assert search_max_symmetry(7, 44, "heuristic", seed=0)[0] == 2
+
+    def test_length_one_code(self):
+        # n = 0 has no variables, so its one code has symmetry 0
+        assert search_max_symmetry(0, 1) == (0, [CodeSpec.from_i_min({0}, 0)])
+        assert CodeSpec.from_i_min({0}, 0).symmetry == 0
+
     def test_64_37_contains_19(self):
         t, codes = search_max_symmetry(6, 37)
         assert t >= 2
@@ -342,7 +359,7 @@ class TestSearch:
 
     def test_exhaustive_rejected_large_n(self):
         with pytest.raises(ValueError):
-            search_max_symmetry(7, 64, mode="exhaustive")
+            search_max_symmetry(8, 128, mode="exhaustive")
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
@@ -381,6 +398,18 @@ class TestMatchesReference:
                 assert fast.masks == plain.masks
                 assert closure(fast.below) == plain.below, (n, r)
                 assert closure(fast.above) == plain.above, (n, r)
+
+    def test_closed_words_are_the_ideals(self):
+        # the word enumerator lists the same sets as the position-set
+        # recursion, on both sides of the complement switch
+        cases = [(n, r, size) for n in range(6) for r in range(n + 1)
+                 for size in range(sum(math.comb(n, d) for d in range(r + 1)) + 1)]
+        cases += [(7, rm_order(k, 7), k) for k in (25, 27, 44)]
+        for n, r, size in cases:
+            plain = reference.MonomialPoset(n, r)
+            expect = sorted(sorted(plain.info_indices(s)) for s in plain.ideals_of_size(size))
+            got = sorted(_members(w) for w in _upward_closed_words(n, r, size))
+            assert got == expect, (n, r, size)
 
     def test_consistency_verdict(self):
         verdicts = []

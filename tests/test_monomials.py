@@ -4,12 +4,15 @@ from functools import reduce
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 import _reference as reference
 from rmpsc.codes import CodeSpec
 from rmpsc.monomials import (
+    _closure_pass,
+    _members,
+    _word,
     derivative_dimensions,
     min_distance,
     minimal_generators,
@@ -246,6 +249,54 @@ class TestMatchesReference:
         else:
             with pytest.raises(ValueError, match="not closed"):
                 minimal_generators(s, n)
+
+
+@st.composite
+def word_cases(draw):
+    n = draw(st.integers(0, 10))
+    N = 1 << n
+    index = st.integers(0, N - 1)
+    s = draw(st.one_of(
+        st.just(set()),
+        st.builds(lambda i: {i}, index),
+        st.sets(index, max_size=12),
+        # the full set only where the pairwise antichain reference is quick
+        st.just(set(range(N))) if n <= 6 else st.just(set()),
+    ))
+    return n, s
+
+
+class TestWordForms:
+    """Index sets as N-bit words: closure, minimal generators and
+    derivative counts against the per-index forms."""
+
+    @seed(26)
+    @settings(max_examples=200, deadline=None, derandomize=False, database=None)
+    @given(word_cases())
+    @example((0, set()))
+    @example((0, {0}))
+    @example((6, set(range(64))))
+    @example((10, set()))
+    @example((10, {0}))
+    @example((10, {1023}))
+    def test_random_index_sets(self, case):
+        n, s = case
+        word = _word(s, n)
+        assert word.bit_count() == len(s) and set(_members(word)) == s
+        closure, gens = _closure_pass(word, n)
+        assert set(_members(closure)) == reference.upward_closure(s, n)
+        assert set(_members(gens)) == reference.reduce_to_antichain(s, n)
+        for members in (s, set(_members(closure))):
+            assert derivative_dimensions(members, n) == tuple(
+                sum(1 for i in members if not (i >> v) & 1) for v in range(n)
+            )
+
+    def test_out_of_range_index_refused(self):
+        for n in range(11):
+            for bad in (-1, 1 << n):
+                for fn in (_word, upward_closure, minimal_generators, derivative_dimensions):
+                    with pytest.raises(ValueError, match=f"index {bad} out of range"):
+                        fn({0, bad}, n)
 
 
 class TestDerivativesAndSymmetry:
