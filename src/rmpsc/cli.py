@@ -301,7 +301,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="per-dimension maximum-symmetry atlas as CSV")
     p.add_argument("--n", type=_parse_n, required=True)
-    p.add_argument("--rel", help="reliability sequence file (validated)")
+    p.add_argument(
+        "--rel",
+        help="reliability sequence file (validated); steers only the n >= 8 hill-climb",
+    )
     p.add_argument("--seed", type=_parse_seed, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_search)

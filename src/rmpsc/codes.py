@@ -3,7 +3,6 @@ symmetry-maximising search, and minimum-weight counting."""
 
 from __future__ import annotations
 
-import bisect
 import json
 import math
 from dataclasses import dataclass
@@ -270,55 +269,6 @@ def extend_code(i_min, n: int) -> CodeSpec:
 SEARCH_RESTARTS = 32
 
 
-class _MonomialPoset:
-    """The monomials of degree <= r over n variables, with dominance order,
-    as the hill-climb walks them.
-
-    Elements are index masks; a dimension-K decreasing code of maximal
-    minimum distance is exactly a K-element downward-closed subset here.
-    ``above[p]`` and ``below[p]`` hold only the covers of p (one step of
-    the index order); their transitive closure is the order.  Every user
-    tests them against a downward-closed set, where covers give the same
-    answers as the full relation.
-    """
-
-    def __init__(self, n: int, r: int):
-        full = (1 << n) - 1
-        masks = [m for m in range(1 << n) if m.bit_count() <= r]
-        masks.sort(key=lambda m: (m.bit_count(), m))  # linear extension
-        self.masks = masks
-        self.size = len(masks)
-        self.pos = {m: i for i, m in enumerate(masks)}
-        self.full = full
-        # a step below an index is a step above its monomial; ``below`` is
-        # the transpose
-        above: list = []
-        below: list = [set() for _ in masks]
-        for p, m in enumerate(masks):
-            up = set()
-            for i in _steps_below(~m & full):
-                q = self.pos.get(~i & full)
-                if q is not None:
-                    up.add(q)
-                    below[q].add(p)
-            above.append(frozenset(up))
-        self.above = above
-        self.below = [frozenset(b) for b in below]
-
-    def info_indices(self, positions) -> frozenset[int]:
-        return frozenset(~self.masks[p] & self.full for p in positions)
-
-    def addable(self, positions: set) -> list[int]:
-        return [
-            i
-            for i in range(self.size)
-            if i not in positions and self.below[i] <= positions
-        ]
-
-    def removable(self, positions: set) -> list[int]:
-        return [i for i in positions if self.above[i].isdisjoint(positions)]
-
-
 def _upward_closed_words(n: int, r: int, size: int):
     """Every upward-closed set of ``size`` indices among those of popcount
     >= n - r, as N-bit words (these are the dimension-``size`` decreasing
@@ -379,9 +329,10 @@ def search_max_symmetry(
     """Best achievable symmetry among dimension-k RM-polar codes.
 
     Returns ``(max_t, codes)``: exhaustively all maximisers (n <= 7), or the
-    best code found by seeded hill-climbing over single-monomial swaps,
-    tie-broken toward high reliability sums (``rel`` overrides the default
-    beta-expansion order).
+    best code found by seeded hill-climbing over one-index swaps,
+    tie-broken toward high reliability sums.  ``rel`` (default: the
+    beta-expansion order) steers only the hill-climb, its seeded start and
+    tie-break; the exhaustive mode checks its length and does not read it.
     """
     if not 1 <= k <= (1 << n):
         raise ValueError(f"dimension {k} out of range for n={n}")
@@ -412,72 +363,105 @@ def search_max_symmetry(
         )
         return best_t, codes
 
-    return _search_heuristic(n, k, _MonomialPoset(n, r), seed=seed, rel=rel)
+    return _search_heuristic(n, k, r, seed=seed, rel=rel)
 
 
-def _search_heuristic(n, k, poset: _MonomialPoset, *, seed, rel=None):
-    # First-improvement hill-climb over single-monomial swaps, keyed by
-    # (symmetry, reliability sum).  A swap's key is taken from the running
-    # per-variable counts and sum in O(n), and candidates are visited in the
-    # order of the plain search: e_out in the set order of ``positions``
-    # (``removable``), e_in ascending, so the same swaps win.
+def _search_heuristic(n, k, r, *, seed, rel=None):
+    # First-improvement hill-climb over one-member swaps, keyed by
+    # (symmetry, reliability-rank sum).  The set is a word over the pool,
+    # the indices of popcount >= n - r.  e_out runs over its minimal
+    # members, e_in over the pool indices outside it whose every step up
+    # lands inside, less those one step below e_out; both are visited in
+    # the monomial order (popcount descending, then index descending).
     rng = np.random.default_rng(seed)
     if rel is None:
         rel = beta_expansion_reliability(n)
-    rel_rank = rel.ranks()
-    score = [int(rel_rank[~m & poset.full]) for m in poset.masks]
-    bits = [[(m >> v) & 1 for v in range(n)] for m in poset.masks]
+    rank = rel.ranks().tolist()
+    layers = [0] * (n + 1)
+    for i in range(1 << n):
+        layers[i.bit_count()] |= 1 << i
+    layers = layers[n - r :][::-1]  # popcount descending, over the pool
+    pool = sum(layers)
 
-    def seeded_ideal():
-        info = rm_polar_construct(n, k, rel if rel.upo_consistent else None).info_set
-        return {poset.pos[~i & poset.full] for i in info}
+    def ordered(word):
+        out = []
+        for layer in layers:
+            w = word & layer
+            while w:
+                top = w.bit_length() - 1
+                out.append(top)
+                w ^= 1 << top
+        return out
 
     def random_ideal():
-        # each draw indexes the ascending addable list, kept up to date by
-        # counting the predecessors still missing from the ideal
-        missing = [len(b) for b in poset.below]
-        cands = [i for i in range(poset.size) if not missing[i]]
-        positions: set = set()
-        while len(positions) < k:
-            e = cands.pop(int(rng.integers(len(cands))))
-            positions.add(e)
-            for j in poset.above[e]:
-                missing[j] -= 1
-                if not missing[j]:
-                    bisect.insort(cands, j)
-        return positions
+        # each draw picks the i-th addable index in the monomial order: find
+        # its layer, then clear the layer's c - 1 - i lowest bits, since a
+        # layer is visited from its top
+        word = 0
+        for _ in range(k):
+            free = monomials._maximal_members(pool & ~word, n)
+            i = int(rng.integers(free.bit_count()))
+            for layer in layers:
+                w = free & layer
+                c = w.bit_count()
+                if i < c:
+                    break
+                i -= c
+            for _ in range(c - 1 - i):
+                w &= w - 1
+            word |= w & -w
+        return word
 
-    def key_of(counts, total):
-        lo = min(counts)
-        return (counts.count(lo), total)
-
-    best_key, best_pos = None, None
+    best_key, best_word = None, None
     for attempt in range(SEARCH_RESTARTS):
-        positions = seeded_ideal() if attempt == 0 else random_ideal()
-        counts = [sum(bits[p][v] for p in positions) for v in range(n)]
-        key = key_of(counts, sum(score[p] for p in positions))
+        if attempt == 0:
+            seeded = rm_polar_construct(n, k, rel if rel.upo_consistent else None)
+            word = monomials._word(seeded.info_set, n)
+        else:
+            word = random_ideal()
+        # the derivative dimensions and symmetry, as in monomials.symmetry
+        # (no dimensions and symmetry 0 for n = 0)
+        counts = [(word & var).bit_count() for var in monomials._variable_words(n)]
+        t = counts.count(min(counts, default=0))
+        total = sum(rank[i] for i in monomials._members(word))
         improved = True
         while improved:
             improved = False
-            addable = poset.addable(positions)
-            for e_out in poset.removable(positions):
-                # addable(positions - {e_out}) without e_out itself
-                base = [c - b for c, b in zip(counts, bits[e_out])]
-                rest_total = key[1] - score[e_out]
-                for e_in in addable:
-                    if e_out in poset.below[e_in]:
+            cands = ordered(monomials._maximal_members(pool & ~word, n))
+            if not cands:
+                break
+            for e_out in ordered(monomials._minimal_members(word, n)):
+                below = _steps_below(e_out)
+                # the counts without e_out: ``lo`` holds the variables at the
+                # least count m, ``next_lo`` those at m + 1.  Adding e_in
+                # raises the count at each zero bit of e_in, so the least
+                # count stays m at e_in's one bits in ``lo``; when there are
+                # none, it is m + 1, at all of ``lo`` and at e_in's one bits
+                # in ``next_lo``
+                base = [c - 1 + (e_out >> v & 1) for v, c in enumerate(counts)]
+                m = min(base, default=0)
+                lo = next_lo = 0
+                for v, c in enumerate(base):
+                    if c == m:
+                        lo |= 1 << v
+                    elif c == m + 1:
+                        next_lo |= 1 << v
+                rest_total = total - rank[e_out]
+                for e_in in cands:
+                    if e_in in below:
                         continue
-                    cand_counts = [c + b for c, b in zip(base, bits[e_in])]
-                    ck = key_of(cand_counts, rest_total + score[e_in])
-                    if ck > key:
-                        positions = (positions - {e_out}) | {e_in}
-                        counts, key, improved = cand_counts, ck, True
+                    stay = (lo & e_in).bit_count()
+                    swap_t = stay or lo.bit_count() + (next_lo & e_in).bit_count()
+                    if swap_t > t or swap_t == t and rest_total + rank[e_in] > total:
+                        word ^= 1 << e_out | 1 << e_in
+                        counts = [c + 1 - (e_in >> v & 1) for v, c in enumerate(base)]
+                        t, total, improved = swap_t, rest_total + rank[e_in], True
                         break
                 if improved:
                     break
-        if best_key is None or key > best_key:
-            best_key, best_pos = key, positions
-    code = CodeSpec.from_info_set(poset.info_indices(best_pos), n)
+        if best_key is None or (t, total) > best_key:
+            best_key, best_word = (t, total), word
+    code = CodeSpec.from_info_set(monomials._members(best_word), n)
     return best_key[0], [code]
 
 

@@ -93,10 +93,26 @@ def _members(word: int) -> list[int]:
     return np.flatnonzero(np.unpackbits(raw, bitorder="little")).tolist()
 
 
+def _minimal_members(word: int, n: int) -> int:
+    """The members of an index word that no step leads up to from inside it."""
+    reached = 0
+    for shift, mask in _step_words(n):
+        reached |= (word & mask) << shift
+    return word & ~reached
+
+
+def _maximal_members(word: int, n: int) -> int:
+    """The members of an index word from which no step leads up inside it:
+    the mirror sweep of ``_minimal_members``."""
+    reaching = 0
+    for shift, mask in _step_words(n):
+        reaching |= (word >> shift) & mask
+    return word & ~reaching
+
+
 def _closure_pass(word: int, n: int) -> tuple[int, int]:
     """The upward closure of an index word and its minimal elements, as
-    words: the closure is the fixpoint of the step sweeps, and a member is
-    minimal iff no step leads up to it from inside the closure."""
+    words: the closure is the fixpoint of the step sweeps."""
     steps = _step_words(n)
     closure = word
     while True:
@@ -104,12 +120,8 @@ def _closure_pass(word: int, n: int) -> tuple[int, int]:
         for shift, mask in steps:
             up |= (up & mask) << shift
         if up == closure:
-            break
+            return closure, _minimal_members(closure, n)
         closure = up
-    reached = 0
-    for shift, mask in steps:
-        reached |= (closure & mask) << shift
-    return closure, closure & ~reached
 
 
 def upward_closure(i_min, n: int) -> frozenset[int]:

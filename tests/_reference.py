@@ -7,7 +7,8 @@ library closes N-bit words by masked shifts), the pairwise dominance
 relation of the monomial poset, the pairwise consistency check of a
 reliability order, the exhaustive search over ideals as position sets (the
 library enumerates them as words), the symmetry search that rescans the
-whole ideal for every candidate swap, the BLTA block structure as the runs of
+whole ideal for every candidate swap (the library climbs on index words
+and scores a swap from running counts), the BLTA block structure as the runs of
 coordinate swaps that map the generator monomials onto themselves (the
 library reads it off the derivative dimensions), and successive
 cancellation decoding that visits every leaf, with the textbook f and g,

@@ -22,7 +22,6 @@ from rmpsc.codes import (
     rm_polar_construct,
     search_max_symmetry,
     weight_distribution_via_dual,
-    _MonomialPoset,
     _upward_closed_words,
 )
 from rmpsc.monomials import _members, derivative_dimensions, symmetry, upward_closure
@@ -259,6 +258,25 @@ class TestExtend:
             extend_code({24}, 5)
 
 
+# (t, i_min) of search_max_symmetry(8, k, "heuristic", seed=seed), by (k, seed);
+# at (128, 1..9) the seeded start's climb wins, at (128, 11 / 27 / 36) a
+# random restart's does
+HEURISTIC_N8 = {
+    (9, 0): (8, (127,)),
+    (37, 0): (8, (63,)),
+    (64, 0): (2, (95, 117, 205, 211)),
+    (93, 0): (8, (31,)),
+    (128, 0): (2, (55, 79, 90, 101, 195)),
+    (163, 0): (8, (15,)),
+    (200, 0): (3, (15, 38, 49)),
+    (247, 0): (8, (3,)),
+    **{(128, seed): (2, (55, 79, 90, 101, 195)) for seed in range(1, 10)},
+    (128, 11): (2, (55, 79, 89, 102, 195)),
+    (128, 27): (3, (31, 99)),
+    (128, 36): (5, (31, 57)),
+}
+
+
 class TestSearch:
     def test_rm_dimensions_fully_symmetric(self):
         for r in (1, 2, 3):
@@ -285,8 +303,17 @@ class TestSearch:
 
     def test_length_one_code(self):
         # n = 0 has no variables, so its one code has symmetry 0
-        assert search_max_symmetry(0, 1) == (0, [CodeSpec.from_i_min({0}, 0)])
+        for mode in ("exhaustive", "heuristic"):
+            assert search_max_symmetry(0, 1, mode) == (0, [CodeSpec.from_i_min({0}, 0)])
         assert CodeSpec.from_i_min({0}, 0).symmetry == 0
+
+    @pytest.mark.parametrize("k, seed", list(HEURISTIC_N8))
+    def test_heuristic_n8_pinned(self, k, seed):
+        # the order in which the hill-climb visits swaps decides the code it
+        # stops at; these values pin that order at n = 8, where the
+        # reference comparison covers (256,128) at seed 0 only
+        t, codes = search_max_symmetry(8, k, "heuristic", seed=seed)
+        assert (t, codes[0].i_min) == HEURISTIC_N8[k, seed]
 
     def test_64_37_contains_19(self):
         t, codes = search_max_symmetry(6, 37)
@@ -377,27 +404,8 @@ class TestSearch:
 
 
 class TestMatchesReference:
-    """The library's poset relation, consistency check and symmetry search
-    against the plain forms in ``tests/_reference.py``."""
-
-    def test_poset_relation(self):
-        # the library keeps covers only; their closure must be the relation
-        def closure(covers):
-            memo = {}
-
-            def reach(p):
-                if p not in memo:
-                    memo[p] = frozenset().union(*({q} | reach(q) for q in covers[p]))
-                return memo[p]
-
-            return [reach(p) for p in range(len(covers))]
-
-        for n in range(9):
-            for r in range(n + 1):
-                fast, plain = _MonomialPoset(n, r), reference.MonomialPoset(n, r)
-                assert fast.masks == plain.masks
-                assert closure(fast.below) == plain.below, (n, r)
-                assert closure(fast.above) == plain.above, (n, r)
+    """The library's closed-set enumerator, consistency check and symmetry
+    search against the plain forms in ``tests/_reference.py``."""
 
     def test_closed_words_are_the_ideals(self):
         # the word enumerator lists the same sets as the position-set

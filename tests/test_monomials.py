@@ -11,7 +11,10 @@ import _reference as reference
 from rmpsc.codes import CodeSpec
 from rmpsc.monomials import (
     _closure_pass,
+    _maximal_members,
     _members,
+    _minimal_members,
+    _steps_below,
     _word,
     derivative_dimensions,
     min_distance,
@@ -267,8 +270,8 @@ def word_cases(draw):
 
 
 class TestWordForms:
-    """Index sets as N-bit words: closure, minimal generators and
-    derivative counts against the per-index forms."""
+    """Index sets as N-bit words: closure, minimal generators, minimal and
+    maximal members and derivative counts against the per-index forms."""
 
     @seed(26)
     @settings(max_examples=200, deadline=None, derandomize=False, database=None)
@@ -286,6 +289,12 @@ class TestWordForms:
         closure, gens = _closure_pass(word, n)
         assert set(_members(closure)) == reference.upward_closure(s, n)
         assert set(_members(gens)) == reference.reduce_to_antichain(s, n)
+        # the members no step leads up to, and up from, inside the set
+        assert set(_members(_minimal_members(word, n))) == {
+            i for i in s if s.isdisjoint(_steps_below(i))
+        }
+        below_a_member = {j for i in s for j in _steps_below(i)}
+        assert set(_members(_maximal_members(word, n))) == s - below_a_member
         for members in (s, set(_members(closure))):
             assert derivative_dimensions(members, n) == tuple(
                 sum(1 for i in members if not (i >> v) & 1) for v in range(n)
