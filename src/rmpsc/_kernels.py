@@ -40,6 +40,8 @@ def polar_transform(u: np.ndarray) -> np.ndarray:
 # elements per numpy call of f and g on a large node: a tile's operands and
 # the scratch (about 0.5 MB) stay in cache, and no node allocates temporaries
 _TILE = 1 << 14
+# shifts a uint8 sign bit into a uint64 mask: numpy 2's promotion (NEP 50)
+# picks the uint64 loop, hence the numpy >= 2.0 floor
 _U63 = np.uint64(63)
 # a bound on what the exact rule's f can take off the smaller input
 # magnitude: its correction log1p(exp(-||a|-|b||)) is at most ln 2 up to
@@ -399,12 +401,7 @@ def sc_decode_batch(llrs: np.ndarray, frozen: np.ndarray, minsum: bool = False):
 # --------------------------------------------------- GF(2) weight spectrum
 
 def _popcount_u64(arr: np.ndarray) -> np.ndarray:
-    try:
-        return np.bitwise_count(arr)
-    except AttributeError:  # numpy < 2.0
-        as_bytes = arr.view(np.uint8).reshape(arr.shape + (8,))
-        table = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(1)
-        return table[as_bytes].sum(axis=-1, dtype=np.uint8)
+    return np.bitwise_count(arr)
 
 
 # words per numpy call of a weight count: no temporary exceeds 2^16 elements

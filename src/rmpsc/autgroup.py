@@ -244,18 +244,6 @@ PROBE_TRIALS = 500
 PROBE_SNR_DB = 2.0
 
 
-def _probe_batch(code: CodeSpec, trials: int, snr_db: float, seed: int, minsum: bool):
-    """Fixed batch of noisy-codeword LLRs plus the plain SC reference output,
-    both (trials, N) node-major views, decoded in calls of at most
-    ``_batch_rows(N)`` frames (SC decisions do not depend on the batch)."""
-    _, llrs = noisy_frames(code, snr_db, seed, (0xAB5,), 0, trials)
-    rows = _batch_rows(code.N)
-    sc_ref = np.empty((code.N, trials), dtype=np.uint8)
-    for lo in range(0, trials, rows):
-        sc_ref[:, lo : lo + rows] = sc_decode_frames(llrs[lo : lo + rows], code, minsum=minsum).T
-    return llrs, sc_ref.T
-
-
 def _swap_permutation(N: int, a: int, b: int) -> np.ndarray:
     """``permutation_from_affine(variable_swap(n, a, b)).perm`` for N = 2^n,
     as the exchange of index bits a and b."""
@@ -263,35 +251,39 @@ def _swap_permutation(N: int, a: int, b: int) -> np.ndarray:
     return i ^ (((i >> a) ^ (i >> b)) & 1) * ((1 << a) | (1 << b))
 
 
-def _absorbed_swaps(llrs, sc_ref, swaps, code: CodeSpec, minsum: bool) -> list[tuple[int, int]]:
+def _absorbed_swaps(llrs, swaps, code: CodeSpec, minsum: bool) -> list[tuple[int, int]]:
     """The swaps whose branch, the SC decode of the swapped LLRs swapped
-    back, equals ``sc_ref`` on every frame.
+    back, equals plain SC on every frame of ``llrs``.
 
-    Rounds over the swaps still open: each gets the same window of the
-    next max(1, rows // open) frames, rows = ``_batch_rows(N)``, and the
-    windows, swapped, are the rows of one kernel call, at most rows rows
-    (the n(n-1)/2 swaps of n <= 23 variables never outnumber rows).  A
-    swap closes at the first window that holds a differing frame.
+    Rounds over the swaps still open: the identity and each open swap get
+    the same window of the next max(1, rows // (open + 1)) frames, rows =
+    ``_batch_rows(N)``, and the windows, permuted, are the rows of one
+    kernel call, at most rows rows (the n(n-1)/2 swaps of n <= 23
+    variables and the identity never outnumber rows).  The identity's
+    rows are plain SC, so each round brings its own reference.  A swap
+    closes at the first window that holds a differing frame.
     """
     N, trials = code.N, llrs.shape[0]
     rows = _batch_rows(N)
-    # a coordinate swap is an involution: branch_in[:, p] = llrs is llrs[:, p]
-    perms = np.array([_swap_permutation(N, a, b) for a, b in swaps])
-    frames, ref = llrs.T, sc_ref.T  # node-major, (N, trials)
-    # one buffer for every round's gather, node-major: frame pos + i of the
-    # open swap j on row j * window + i
-    work = np.empty(max(rows, len(swaps)) * N)
+    # row 0 is the identity; a coordinate swap is an involution, so
+    # branch_in[:, p] = llrs is llrs[:, p]
+    perms = np.array([np.arange(N)] + [_swap_permutation(N, a, b) for a, b in swaps])
+    frames = llrs.T  # node-major, (N, trials)
+    # one buffer for every round's gather, node-major: frame pos + i of
+    # block j (0 the identity, then the open swaps) on row j * window + i
+    work = np.empty(max(rows, len(perms)) * N)
     open_ = np.arange(len(swaps))
     pos = 0
     while open_.size and pos < trials:
-        window = min(max(1, rows // open_.size), trials - pos)
-        group = perms[open_].T  # (N, open)
-        stacked = work[: group.size * window].reshape(N, open_.size, window)
+        window = min(max(1, rows // (open_.size + 1)), trials - pos)
+        group = perms[np.concatenate(([0], open_ + 1))].T  # (N, open + 1)
+        stacked = work[: group.size * window].reshape(N, open_.size + 1, window)
         # the indices are valid; take would buffer its output under "raise"
         np.take(frames[:, pos : pos + window], group, axis=0, out=stacked, mode="clip")
         X = sc_decode_frames(stacked.reshape(N, -1).T, code, minsum=minsum)
-        want = np.take(ref[:, pos : pos + window], group, axis=0)
-        differ = (X.T.reshape(want.shape) != want).any(axis=(0, 2))
+        X = X.T.reshape(stacked.shape)
+        # each swap's decisions against plain SC's, gathered by the same swap
+        differ = (X[:, 1:] != np.take(X[:, 0], group[:, 1:], axis=0)).any(axis=(0, 2))
         open_ = open_[~differ]
         pos += window
     return [swaps[j] for j in open_.tolist()]
@@ -309,20 +301,22 @@ def absorption_structure_empirical(
     pair of equal derivative dimensions) is probed on a shared batch of
     ``trials`` noisy codewords: it is absorbed iff SC on the swapped frames,
     swapped back, equals SC on every frame.  The frames are checked in
-    rounds over the swaps still open, each stopping at its first differing
-    frame (``_absorbed_swaps``); the order in which frames are checked
-    does not change whether any of them differs, so the answer is that of
-    checking every frame of every swap.  Absorbed swaps must tile into
-    consecutive blocks.  For a partially symmetric code of best distance
-    whose dimension is not extreme, the last block is known to be one, and
-    a probe result contradicting that raises.
+    rounds over the swaps still open, each round decoding a window of
+    frames unswapped (plain SC) and under every open swap in one call, and
+    each swap stopping at its first differing frame (``_absorbed_swaps``);
+    the order in which frames are checked does not change whether any of
+    them differs, so the answer is that of checking every frame of every
+    swap.  Absorbed swaps must tile into consecutive blocks.  For a
+    partially symmetric code of best distance whose dimension is not
+    extreme, the last block is known to be one, and a probe result
+    contradicting that raises.
     """
     if trials < 100:
         raise ValueError("need at least 100 probe trials")
     dims = derivative_dimensions(code.info_set, code.n)
-    llrs, sc_ref = _probe_batch(code, trials, snr_db, seed, PROBE_MINSUM)
+    _, llrs = noisy_frames(code, snr_db, seed, (0xAB5,), 0, trials)
     swaps = [(a, b) for a, b in combinations(range(code.n), 2) if dims[a] == dims[b]]
-    absorbed = set(_absorbed_swaps(llrs, sc_ref, swaps, code, PROBE_MINSUM))
+    absorbed = set(_absorbed_swaps(llrs, swaps, code, PROBE_MINSUM))
     blocks = _blocks_from_pairs(code.n, lambda a, b: (a, b) in absorbed)
     result = BlockStructure(blocks)
     # structural guarantee: a partially/fully symmetric best-distance code of

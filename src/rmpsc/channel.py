@@ -48,6 +48,8 @@ class SimConfig:
             raise ValueError(f"unknown decoder {self.decoder!r}")
         if self.decoder == "ae" and not self.perms:
             raise ValueError("AE decoding needs at least one permutation")
+        if self.decoder == "sc" and self.perms:
+            raise ValueError("SC decoding takes no permutations")
         perms = tuple(p if isinstance(p, Permutation) else Permutation(p) for p in self.perms)
         if any(p.N != self.code.N for p in perms):
             raise ValueError(f"AE permutations must have length N={self.code.N}")

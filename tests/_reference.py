@@ -17,19 +17,21 @@ flat plan).  Results must be equal, not just close.
 
 The weight spectrum of a span of packed words is the walk over every XOR
 combination (the library counts it by a split of the coordinates), and the
-absorption probe decodes every frame of every swap, one swap at a time (the
-library probes the open swaps together, each up to its first differing
-frame).
+absorption probe decodes every frame of every swap, one swap at a time,
+against a plain SC reference decoded up front (the library probes the open
+swaps together with the identity, whose rows are that reference, each swap
+up to its first differing frame).
 
 Beside them are helpers that only the tests use: affine-map composition, the
-single-permutation absorption probe and the brute-force minimum-weight count.
+probe batch with its plain SC reference, the single-permutation absorption
+probe and the brute-force minimum-weight count.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from rmpsc._kernels import _F_LOSS, _TILE, _f, _g, _popcount_u64, _scratch, _tiles
+from rmpsc._kernels import _F_LOSS, _TILE, _batch_rows, _f, _g, _popcount_u64, _scratch, _tiles
 from rmpsc.autgroup import (
     PROBE_MINSUM,
     AbsorptionProbeError,
@@ -37,10 +39,10 @@ from rmpsc.autgroup import (
     BlockStructure,
     Permutation,
     _blocks_from_pairs,
-    _probe_batch,
     permutation_from_affine,
     variable_swap,
 )
+from rmpsc.channel import noisy_frames
 from rmpsc.codes import (
     CodeSpec,
     ReliabilityOrder,
@@ -321,6 +323,18 @@ def compute_blta_structure(code: CodeSpec) -> BlockStructure:
 def compose_affine(t1: AffineMap, t2: AffineMap) -> AffineMap:
     """t1 after t2: z -> A1 (A2 z + b2) + b1."""
     return AffineMap((t1.A @ t2.A) & 1, ((t1.A @ t2.b) + t1.b) & 1)
+
+
+def _probe_batch(code: CodeSpec, trials: int, snr_db: float, seed: int, minsum: bool):
+    """Fixed batch of noisy-codeword LLRs plus the plain SC reference output,
+    both (trials, N) node-major views, decoded in calls of at most
+    ``_batch_rows(N)`` frames (SC decisions do not depend on the batch)."""
+    _, llrs = noisy_frames(code, snr_db, seed, (0xAB5,), 0, trials)
+    rows = _batch_rows(code.N)
+    sc_ref = np.empty((code.N, trials), dtype=np.uint8)
+    for lo in range(0, trials, rows):
+        sc_ref[:, lo : lo + rows] = sc_decode_frames(llrs[lo : lo + rows], code, minsum=minsum).T
+    return llrs, sc_ref.T
 
 
 def _branch_matches_sc(

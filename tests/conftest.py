@@ -1,6 +1,7 @@
 """Test-session set-up shared by every test module."""
 
 import numpy as np
+from numpy.lib.introspect import opt_func_info
 
 
 def pytest_report_header(config):
@@ -8,10 +9,6 @@ def pytest_report_header(config):
     # kernels numpy dispatches float64 exp and log1p to (X86_V4, AVX-512, on
     # the host that wrote the file); naming the target lets a golden-file
     # failure on another CPU show its cause.
-    try:
-        from numpy.lib.introspect import opt_func_info
-    except ImportError:  # numpy < 2.0
-        return f"numpy {np.__version__}: float64 exp/log1p dispatch target unknown"
     info = opt_func_info(func_name="^(exp|log1p)$", signature="float64")
     targets = ", ".join(
         f"{name} {sig['current']}" for name, sigs in sorted(info.items()) for sig in sigs.values()

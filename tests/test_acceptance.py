@@ -11,12 +11,11 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from _reference import _branch_matches_sc
+from _reference import _branch_matches_sc, _probe_batch
 from rmpsc._gf2 import is_invertible
 from rmpsc.autgroup import (
     AffineMap,
     Permutation,
-    _probe_batch,
     absorption_structure_empirical,
     blta_size,
     compute_blta_structure,

@@ -9,6 +9,7 @@ import _reference as reference
 from _reference import compose_affine, is_absorbed_empirical
 from rmpsc import autgroup
 from rmpsc._gf2 import is_invertible
+from rmpsc.channel import noisy_frames
 from rmpsc.codes import CodeSpec, _upward_closed_words, dim_rm, search_max_symmetry
 from rmpsc.autgroup import (
     AbsorptionProbeError,
@@ -28,6 +29,7 @@ from rmpsc.autgroup import (
     variable_swap,
 )
 from rmpsc.monomials import _members
+from rmpsc.scdec import sc_decode_frames
 
 
 def all_ga_elements(n):
@@ -139,6 +141,10 @@ class TestAffine:
         A = np.zeros((3, 3), dtype=np.uint8)
         with pytest.raises(ValueError):
             AffineMap(A, np.zeros(3, dtype=np.uint8))
+        with pytest.raises(ValueError, match="shape mismatch"):
+            AffineMap(np.eye(3, dtype=np.uint8), np.zeros(2, dtype=np.uint8))
+        with pytest.raises(ValueError, match="matrix must be square"):
+            is_invertible(np.zeros((2, 3), dtype=np.uint8))
 
     def test_identity_map(self):
         p = permutation_from_affine(AffineMap(np.eye(3, dtype=np.uint8), np.zeros(3, dtype=np.uint8)))
@@ -415,25 +421,35 @@ class TestAbsorption:
             rows.clear()
             absorption_structure_empirical(code, seed=1000)
             assert max(rows) <= max(256, 2**16 // code.N), (n, rows)
-        # two reference calls, one round that closes the 21 non-absorbed
-        # swaps of (1024,512), and six that run the 3 absorbed ones through
-        # their 490 remaining frames
+        # one round that closes the 21 non-absorbed swaps of (1024,512) on
+        # 10 frames, and eight that run the 3 absorbed ones and the identity
+        # through the 490 remaining frames
         assert len(rows) <= 9, rows
+        # no reference pass before the rounds: (32,12) has one admissible
+        # swap, which the first window tells apart, so SC and the swap
+        # decode all 500 frames in one call
+        rows.clear()
+        absorption_structure_empirical(CodeSpec.from_i_min((14, 21), 5), seed=0)
+        assert rows == [1000]
 
     def test_every_frame_is_checked(self, monkeypatch):
-        # a reference that differs from the branches on one frame closes the
-        # absorbed swap (0, 1) of (64,37), wherever that frame falls in the
-        # rounds: 64 rows give windows of 32 frames, then 64
+        # one frame that tells swap (2, 3) of (64,37) apart from SC, planted
+        # in a quiet batch, closes that swap wherever it falls in the rounds,
+        # and the absorbed (0, 1) stays open: 64 rows give windows of 21
+        # frames (the identity and two swaps), then 32
         code = CodeSpec.from_i_min({19}, 6)
-        llrs, sc_ref = autgroup._probe_batch(code, 200, 2.0, 0, True)
         swaps = [(0, 1), (2, 3)]
+        _, quiet = noisy_frames(code, 8.0, 0, (0xAB5,), 0, 200)
+        loud, sc_ref = reference._probe_batch(code, 200, 2.0, 0, True)
+        p = autgroup._swap_permutation(code.N, 2, 3)
+        differ = (sc_decode_frames(loud[:, p], code, minsum=True)[:, p] != sc_ref).any(axis=1)
+        tell = loud[np.flatnonzero(differ)[0]]
         monkeypatch.setattr(autgroup, "_batch_rows", lambda N: 64)
-        assert autgroup._absorbed_swaps(llrs, sc_ref, swaps, code, True) == [(0, 1)]
+        assert autgroup._absorbed_swaps(quiet, swaps, code, True) == swaps
         for frame in range(200):
-            ref = sc_ref.copy()
-            ref[frame, 0] ^= 1
-            assert autgroup._absorbed_swaps(llrs, ref, swaps, code, True) == [], frame
-
+            llrs = quiet.copy()
+            llrs[frame] = tell
+            assert autgroup._absorbed_swaps(llrs, swaps, code, True) == [(0, 1)], frame
 
     @seed(13)
     @settings(max_examples=30, deadline=None, derandomize=False, database=None)

@@ -181,6 +181,8 @@ class TestTub:
             tub_ml_bound(0, 1, 0.5, 1.0)
         with pytest.raises(ValueError):
             tub_ml_bound(4, 0, 0.5, 1.0)
+        with pytest.raises(ValueError, match="rate must be in"):
+            tub_ml_bound(4, 14, 0.0, 1.0)
 
 
 class TestSimConfig:
@@ -217,6 +219,12 @@ class TestSimConfig:
         code = CodeSpec.from_i_min({1}, 1)
         with pytest.raises(ValueError):
             SimConfig(code=code, decoder="ae")
+
+    def test_sc_refuses_perms(self):
+        # plain SC would decode without them, silently
+        code = CodeSpec.from_i_min({1}, 1)
+        with pytest.raises(ValueError, match="SC decoding takes no permutations"):
+            SimConfig(code=code, decoder="sc", perms=(Permutation.identity(2),))
 
     def test_unknown_decoder(self):
         code = CodeSpec.from_i_min({1}, 1)

@@ -388,10 +388,14 @@ class TestSimulate:
             (["--imin", "19", "--max-trials", "-5"], "argument --max-trials: must be at least 1, got -5"),
             (["--imin", "19", "--target-errors", "0"],
              "argument --target-errors: must be at least 1, got 0"),
+            (["--imin", "19", "--workers", "x"], "argument --workers: must be an integer, got 'x'"),
+            (["--imin", "19", "--ebn0=1,a"], "Eb/N0 values must be numbers, got '1,a'"),
+            (["--imin", "19", "--ebn0=0:1:0"], "grid step must be positive"),
         ],
         ids=[
             "step-rounds-away", "nan", "two-fields", "imin-not-integer", "negative-seed",
             "zero-max-trials", "negative-max-trials", "zero-target-errors",
+            "workers-not-integer", "ebn0-not-number", "zero-step",
         ],
     )
     def test_usage_errors_give_their_reason(self, capsys, args, reason):

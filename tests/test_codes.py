@@ -69,6 +69,9 @@ class TestCodeSpec:
         info = upward_closure({19}, 6)
         code = CodeSpec.from_info_set(info, 6)
         assert code.i_min == (19,)
+        # equal codes hash equal, whichever way they were built
+        assert code == CodeSpec.from_i_min({19}, 6)
+        assert hash(code) == hash(CodeSpec.from_i_min({19}, 6))
 
     def test_from_info_set_rejects_non_closed(self):
         with pytest.raises(ValueError):
@@ -139,6 +142,9 @@ class TestReliability:
         n = 3
         rel = ReliabilityOrder(n, tuple(reversed(range(8))))
         assert not rel.upo_consistent
+        # an order that is no permutation is refused before any verdict
+        with pytest.raises(ValueError, match="permutation of all channel indices"):
+            ReliabilityOrder(n, (0, 1, 2, 2, 4, 5, 6, 7))
 
     def test_verdict_not_injectable(self):
         # the consistency verdict is computed from the order, never passed in
@@ -208,11 +214,19 @@ class TestRmPolarConstruct:
             rm_polar_construct(3, 9)
         with pytest.raises(ValueError):
             rm_polar_construct(3, 0)
+        for k in (0, 9):
+            with pytest.raises(ValueError, match=f"dimension {k} out of range for n=3"):
+                rm_order(k, 3)
+            with pytest.raises(ValueError, match=f"dimension {k} out of range for n=3"):
+                search_max_symmetry(3, k)
 
     def test_rejects_inconsistent_reliability(self):
         rel = ReliabilityOrder(3, tuple(reversed(range(8))))
         with pytest.raises(ValueError):
             rm_polar_construct(3, 4, rel)
+        # a consistent order for another length
+        with pytest.raises(ValueError, match="reliability order is for n=4, expected 3"):
+            rm_polar_construct(3, 4, beta_expansion_reliability(4))
 
     @seed(8)
     @settings(max_examples=40, deadline=None, derandomize=False, database=None)
@@ -533,6 +547,9 @@ class TestMinWeightCounts:
         monkeypatch.setattr(_kernels, "_coset_histograms", no_count)
         with pytest.raises(ValueError, match="more than 2\\^30"):
             weight_distribution_via_dual(CodeSpec.from_i_min({31}, 6))
+        # dual words are packed into 64 bits
+        with pytest.raises(ValueError, match="requires N <= 64"):
+            weight_distribution_via_dual(CodeSpec.from_i_min({27}, 7))
 
     def test_reed_muller_multiplicities(self):
         # beyond both walks: the classical count of minimum-weight words of
@@ -672,12 +689,3 @@ class TestWeightHistogram:
         assert _kernels.gray_weight_histogram(zeros[:62], 1).tolist() == [1 << 62, 0]
         with pytest.raises(ValueError, match="overflow"):
             _kernels.gray_weight_histogram(zeros, 1)
-
-    def test_popcount_without_bitwise_count(self, monkeypatch):
-        # the table fallback of numpy < 2.0, where np.bitwise_count is missing
-        basis = dual_basis(CodeSpec.from_i_min({19}, 6))
-        want = _kernels.gray_weight_histogram(basis, 64)
-        monkeypatch.delattr(np, "bitwise_count")
-        words = np.array([0, 1, (1 << 64) - 1, 0xF0F0], dtype=np.uint64)
-        assert _kernels._popcount_u64(words).tolist() == [0, 1, 64, 8]
-        assert _kernels.gray_weight_histogram(basis, 64).tolist() == want.tolist()

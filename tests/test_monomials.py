@@ -335,6 +335,8 @@ class TestDerivativesAndSymmetry:
         assert symmetry(upward_closure({63, 121}, 10), 10) == 7
         assert symmetry(upward_closure({183, 207, 241, 391, 928}, 10), 10) == 3
         assert symmetry(upward_closure({19}, 6), 6) == 2
+        with pytest.raises(ValueError, match="empty information set has no symmetry"):
+            symmetry(set(), 3)
 
 
 class TestMinDistance:
