@@ -14,7 +14,7 @@ from ._kernels import _batch_rows
 from .codes import CodeSpec, dim_rm
 from .monomials import derivative_dimensions
 # encode_batch is unused here but kept importable: perfbench/spans.py wraps it by name
-from .scdec import Permutation, _integers, encode_batch, sc_decode_frames
+from .scdec import Permutation, _integers, encode_batch, polar_transform, sc_decode_frames
 from .channel import noisy_frames
 
 __all__ = [
@@ -141,14 +141,17 @@ def variable_swap(n: int, a: int, b: int) -> AffineMap:
 
 
 def is_code_automorphism(p: Permutation, code: CodeSpec) -> bool:
-    """Exact row-space test: generator rows permuted by p must span the same
-    space as the originals."""
+    """Exact test that p maps the code onto itself: every permuted generator
+    row is a codeword.
+
+    The transform is an involution, so a word x is a codeword iff x . G_N,
+    its input bits, is zero on every frozen position.  p is a bijection, so
+    the K permuted rows, independent, then span the code.
+    """
     if p.N != code.N:
         raise ValueError(f"permutation length {p.N} does not match N={code.N}")
-    rows = code.generator_rows()
-    packed = [_gf2.pack_row(r) for r in rows]
-    permuted = [_gf2.pack_row(p.apply(r)) for r in rows]
-    return _gf2.rank(packed + permuted) == code.K
+    u = polar_transform(p.apply(code.generator_rows()))
+    return not u[:, code.frozen_mask().astype(bool)].any()
 
 
 def _blocks_from_pairs(n: int, pair_ok) -> tuple[int, ...]:

@@ -27,6 +27,7 @@ from .autgroup import (
 )
 from .channel import SimConfig, run_fer, tub_ml_bound, write_fer_csv
 from .codes import (
+    MAX_N,
     CodeSpec,
     dim_rm,
     extend_code,
@@ -78,7 +79,10 @@ def _parse_seed(text: str) -> int:
 
 
 def _parse_n(text: str) -> int:
-    return _parse_non_negative(text, "n")
+    n = _parse_non_negative(text, "n")
+    if n > MAX_N:
+        raise argparse.ArgumentTypeError(f"n must be at most {MAX_N}, got {n}")
+    return n
 
 
 def _parse_count(text: str) -> int:
@@ -165,7 +169,6 @@ def cmd_analyze(ns) -> int:
 
 
 def cmd_search(ns) -> int:
-    mode = "exhaustive" if ns.n <= 7 else "heuristic"
     rel = load_reliability(ns.rel) if ns.rel is not None else None
     if rel is not None and rel.n != ns.n:
         raise ValueError(f"reliability file is for n={rel.n}, expected {ns.n}")
@@ -173,7 +176,7 @@ def cmd_search(ns) -> int:
         out.write("N,K,max_t,i_min,blta_structure,absorption_structure\n")
         lo, hi = dim_rm(1, ns.n), dim_rm(ns.n - 2, ns.n)
         for k in range(lo, hi + 1):
-            best_t, codes = search_max_symmetry(ns.n, k, mode, seed=ns.seed, rel=rel)
+            best_t, codes = search_max_symmetry(ns.n, k, seed=ns.seed, rel=rel)
             code = codes[0]
             full = compute_blta_structure(code)
             absorbed = absorption_structure_empirical(code, seed=ns.seed)

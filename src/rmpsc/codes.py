@@ -32,6 +32,19 @@ def dim_rm(r: int, n: int) -> int:
     return sum(math.comb(n, d) for d in range(0, r + 1))
 
 
+# the largest length exponent, N = 16384: 16 times the longest code the paper
+# decodes.  Building a code grows with N (0.24 s at n = 16, 2.2 s at n = 18)
+MAX_N = 14
+
+
+def _check_n(n: int) -> int:
+    if n < 0:
+        raise ValueError(f"n must be non-negative, got {n}")
+    if n > MAX_N:
+        raise ValueError(f"n must be at most {MAX_N}, got {n}")
+    return n
+
+
 def rm_order(k: int, n: int) -> int:
     """Smallest r whose order-r Reed-Muller dimension reaches k."""
     if not 1 <= k <= (1 << n):
@@ -50,9 +63,7 @@ class CodeSpec:
     """
 
     def __init__(self, i_min, n: int):
-        self.n = int(n)
-        if self.n < 0:
-            raise ValueError(f"n must be non-negative, got {n}")
+        self.n = _check_n(int(n))
         self.N = 1 << self.n
         self.info_set = upward_closure(i_min, self.n)
         if not self.info_set:
@@ -228,8 +239,7 @@ def rm_polar_construct(n: int, k: int, rel: ReliabilityOrder | None = None) -> C
     """Pick the dimension-k code of best minimum distance: all monomial rows
     of degree below r, filled up from the degree-r layer in descending
     reliability.  The reliability order must respect the index partial order."""
-    if not 1 <= k <= (1 << n):
-        raise ValueError(f"dimension {k} out of range for n={n}")
+    r = rm_order(k, n)
     if rel is None:
         rel = beta_expansion_reliability(n)
     if rel.n != n:
@@ -238,7 +248,6 @@ def rm_polar_construct(n: int, k: int, rel: ReliabilityOrder | None = None) -> C
         raise ValueError("reliability order violates the index partial order")
     N = 1 << n
     full = N - 1
-    r = rm_order(k, n)
     base = [i for i in range(N) if (~i & full).bit_count() < r]
     need = k - len(base)
     layer = [i for i in range(N) if (~i & full).bit_count() == r]
@@ -321,7 +330,7 @@ def _upward_closed_words(n: int, r: int, size: int):
 def search_max_symmetry(
     n: int,
     k: int,
-    mode: str = "exhaustive",
+    mode: str | None = None,
     *,
     seed: int = 0,
     rel: ReliabilityOrder | None = None,
@@ -330,19 +339,21 @@ def search_max_symmetry(
 
     Returns ``(max_t, codes)``: exhaustively all maximisers (n <= 7), or the
     best code found by seeded hill-climbing over one-index swaps,
-    tie-broken toward high reliability sums.  ``rel`` (default: the
-    beta-expansion order) steers only the hill-climb, its seeded start and
-    tie-break; the exhaustive mode checks its length and does not read it.
+    tie-broken toward high reliability sums.  The default mode is the
+    exhaustive one where it runs, n <= 7, and the hill-climb above.
+    ``rel`` (default: the beta-expansion order) steers only the hill-climb,
+    its seeded start and tie-break; the exhaustive mode checks its length
+    and does not read it.
     """
-    if not 1 <= k <= (1 << n):
-        raise ValueError(f"dimension {k} out of range for n={n}")
+    r = rm_order(k, _check_n(n))
+    if mode is None:
+        mode = "exhaustive" if n <= 7 else "heuristic"
     if mode not in ("exhaustive", "heuristic"):
         raise ValueError(f"unknown search mode {mode!r}")
     if mode == "exhaustive" and n > 7:
         raise ValueError("exhaustive search is limited to n <= 7")
     if rel is not None and rel.n != n:
         raise ValueError(f"reliability order is for n={rel.n}, expected {n}")
-    r = rm_order(k, n)
 
     if mode == "exhaustive":
         # the symmetry is the number of derivative dimensions at their
@@ -471,20 +482,25 @@ def _search_heuristic(n, k, r, *, seed, rel=None):
 def weight_distribution_via_dual(code: CodeSpec) -> list[int]:
     """Exact weight distribution from the dual spectrum (MacWilliams).
 
-    The dual's weight histogram comes from ``_kernels.gray_weight_histogram``
-    on the dual basis as packed 64-bit words, so it needs N <= 64; that
-    count splits the coordinates by one index bit and refuses, with a
-    ``ValueError``, a dual whose cheapest split takes more than 2^30
-    popcounts ((64,22) = RM(2,6) takes 2^27, (64,7) 2^32).
+    The dual of a decreasing code is decreasing (Bardet, Dragoi, Otmani &
+    Tillich, ISIT 2016): x is a codeword iff x . G_N is zero on the frozen
+    set F, so the dual is spanned by the columns of G_N at F.  Since
+    G_N^T = J G_N J, J the index reversal, those are the rows of G_N at
+    {N-1-i : i in F} reversed, and reversal (the translation by the
+    all-ones index) maps that code onto itself.  Its weight histogram comes
+    from ``_kernels.gray_weight_histogram`` on the dual's rows as packed
+    64-bit words, so it needs N <= 64; that count splits the coordinates by
+    one index bit and refuses, with a ``ValueError``, a dual whose cheapest
+    split takes more than 2^30 popcounts ((64,22) = RM(2,6) takes 2^27,
+    (64,7) 2^32).
     """
     N, K = code.N, code.K
     if N > 64:
         raise ValueError("dual-spectrum counting requires N <= 64")
-    dual_basis = _gf2.nullspace(code.generator_rows_packed(), N)
-    assert len(dual_basis) == N - K
-    hist = _kernels.gray_weight_histogram(
-        np.array(dual_basis, dtype=np.uint64), N
-    )
+    info = N - 1 - np.flatnonzero(code.frozen_mask())
+    # the dual is the zero code when K = N, and a CodeSpec has an index
+    rows = CodeSpec.from_info_set(info, code.n).generator_rows_packed() if K < N else []
+    hist = _kernels.gray_weight_histogram(np.array(rows, dtype=np.uint64), N)
     # MacWilliams transform, A_j = 2^-(N-K) sum_w B_w K_j(w), with the
     # Krawtchouk values from their three-term recurrence in exact integers:
     # K_0 = 1, K_1 = N - 2w, (j+1) K_{j+1} = (N - 2w) K_j - (N - j + 1) K_{j-1}

@@ -10,7 +10,12 @@ library enumerates them as words), the symmetry search that rescans the
 whole ideal for every candidate swap (the library climbs on index words
 and scores a swap from running counts), the BLTA block structure as the runs of
 coordinate swaps that map the generator monomials onto themselves (the
-library reads it off the derivative dimensions), and successive
+library reads it off the derivative dimensions), the automorphism test as
+a GF(2) rank of the generator rows and their images, and the dual basis as
+a nullspace by elimination (the library reads both off the polar
+transform: a word is a codeword iff its input bits are zero on the frozen
+set, and the dual has the reversed frozen set as its information set), and
+successive
 cancellation decoding that visits every leaf, with the textbook f and g,
 and the SC kernel's pruned walk as a recursion (the library runs it as a
 flat plan).  Results must be equal, not just close.
@@ -32,6 +37,7 @@ from __future__ import annotations
 import numpy as np
 
 from rmpsc._kernels import _F_LOSS, _TILE, _batch_rows, _f, _g, _popcount_u64, _scratch, _tiles
+from rmpsc._gf2 import _pivots, pack_row
 from rmpsc.autgroup import (
     PROBE_MINSUM,
     AbsorptionProbeError,
@@ -318,6 +324,46 @@ def compute_blta_structure(code: CodeSpec) -> BlockStructure:
     except AbsorptionProbeError as exc:
         raise ValueError(f"swap admissibility is not block shaped: {exc}") from exc
     return BlockStructure(blocks)
+
+
+def rank(rows) -> int:
+    """GF(2) rank by elimination on packed rows."""
+    return len(_pivots(rows))
+
+
+def nullspace(rows, ncols: int) -> list[int]:
+    """Basis (packed ints) of {v : row . v = 0 for every row}."""
+    pivots = _pivots(rows)
+    # back-substitution, low pivots first, so each pivot row keeps exactly
+    # one pivot column
+    cols = sorted(pivots)
+    for c in cols:
+        r = pivots[c]
+        for c2 in cols:
+            if c2 != c and (r >> c2) & 1:
+                r ^= pivots[c2]
+        pivots[c] = r
+    pivot_cols = set(pivots.keys())
+    free_cols = [c for c in range(ncols) if c not in pivot_cols]
+    basis = []
+    for f in free_cols:
+        v = 1 << f
+        for c, prow in pivots.items():
+            if (prow >> f) & 1:
+                v |= 1 << c
+        basis.append(v)
+    return basis
+
+
+def is_code_automorphism(p: Permutation, code: CodeSpec) -> bool:
+    """Exact row-space test: generator rows permuted by p must span the same
+    space as the originals."""
+    if p.N != code.N:
+        raise ValueError(f"permutation length {p.N} does not match N={code.N}")
+    rows = code.generator_rows()
+    packed = [pack_row(r) for r in rows]
+    permuted = [pack_row(p.apply(r)) for r in rows]
+    return rank(packed + permuted) == code.K
 
 
 def compose_affine(t1: AffineMap, t2: AffineMap) -> AffineMap:

@@ -30,6 +30,7 @@ from rmpsc.autgroup import (
 )
 from rmpsc.monomials import _members
 from rmpsc.scdec import sc_decode_frames
+from test_codes import small_codes
 
 
 def all_ga_elements(n):
@@ -209,6 +210,40 @@ class TestAutomorphismTest:
         code = CodeSpec.from_i_min({3, 5, 6}, 3)
         with pytest.raises(ValueError):
             is_code_automorphism(Permutation.identity(16), code)
+
+    @staticmethod
+    def candidates(code, rng):
+        """Random permutations, BLTA draws from the code's own structure and
+        from the full affine group, and every coordinate swap."""
+        n = code.n
+        own, full = compute_blta_structure(code), BlockStructure((n,) if n else ())
+        return (
+            [Permutation(rng.permutation(code.N)) for _ in range(3)]
+            + [permutation_from_affine(sample_blta(s, rng)) for s in (own, full) for _ in range(3)]
+            + [permutation_from_affine(variable_swap(n, a, b))
+               for a, b in itertools.combinations(range(n), 2)]
+        )
+
+    @seed(29)
+    @settings(max_examples=80, deadline=None, derandomize=False, database=None)
+    @given(small_codes(), st.integers(0, 2**32 - 1))
+    @example(CodeSpec.from_i_min({0}, 0), 0)  # n = 0
+    @example(CodeSpec.from_i_min({15}, 4), 1)  # K = 1
+    @example(CodeSpec.from_i_min({0}, 4), 2)  # K = N
+    @example(CodeSpec.from_i_min({19}, 6), 3)  # (64,37)
+    def test_transform_matches_rank_test(self, code, draw_seed):
+        rng = np.random.default_rng(draw_seed)
+        for p in self.candidates(code, rng):
+            assert is_code_automorphism(p, code) == reference.is_code_automorphism(p, code)
+
+    def test_transform_matches_rank_test_1024_512(self):
+        code = CodeSpec.from_i_min({63, 121}, 10)
+        perms = self.candidates(code, np.random.default_rng(29))
+        verdicts = [is_code_automorphism(p, code) for p in perms]
+        assert verdicts == [reference.is_code_automorphism(p, code) for p in perms]
+        # the own-structure draws, and the 3 + 21 swaps inside its blocks (3,7)
+        assert compute_blta_structure(code).blocks == (3, 7)
+        assert verdicts[3:6] == [True] * 3 and sum(verdicts) == 3 + 3 + 21
 
 
 class TestBltaStructure:

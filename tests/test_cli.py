@@ -26,6 +26,11 @@ class TestAnalyze:
         argv = ["analyze", "--imin", "27", "--n", "7", "--absorption", "--seed", "-1"]
         assert_usage_error(argv, "seed must be non-negative", capsys)
 
+    def test_n_above_bound_is_usage_error(self, capsys):
+        # refused before any code is built (its index order has 2^n members)
+        argv = ["analyze", "--n", "30", "--imin", "1"]
+        assert_usage_error(argv, "argument --n: n must be at most 14, got 30", capsys)
+
     def test_anchor_128_60(self, capsys):
         code, out, err = run_cli(
             ["analyze", "--imin", "27", "--n", "7", "--absorption"], capsys
@@ -81,8 +86,12 @@ class TestAnalyze:
             ('{"n": 6, "i_min": [19.7]}', '"i_min" must be a list of integers'),
             ('{"n": "6", "i_min": [19]}', '"n" must be an integer'),
             ('{"n": -1, "i_min": [0]}', "n must be non-negative, got -1"),
+            ('{"n": 30, "i_min": [1]}', "n must be at most 14, got 30"),
         ],
-        ids=["no_i_min", "array", "scalar_i_min", "float_i_min", "string_n", "negative_n"],
+        ids=[
+            "no_i_min", "array", "scalar_i_min", "float_i_min", "string_n", "negative_n",
+            "n_above_bound",
+        ],
     )
     def test_malformed_spec_file(self, tmp_path, capsys, spec, message):
         path = tmp_path / "code.json"
@@ -113,8 +122,9 @@ class TestSearch:
     @pytest.mark.parametrize(
         "n, reason",
         [("-3", "argument --n: n must be non-negative, got -3"),
-         ("x", "argument --n: n must be an integer, got 'x'")],
-        ids=["negative", "not-integer"],
+         ("x", "argument --n: n must be an integer, got 'x'"),
+         ("40", "argument --n: n must be at most 14, got 40")],
+        ids=["negative", "not-integer", "above-bound"],
     )
     def test_bad_n_is_usage_error(self, tmp_path, capsys, n, reason):
         # refused before the CSV is opened, so no header-only file is left

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import _reference as reference
 from _reference import _mask_leq, count_min_weight_codewords
-from rmpsc import _gf2, _kernels
+from rmpsc import _kernels
 from rmpsc.codes import (
     CodeSpec,
     ReliabilityOrder,
@@ -72,6 +72,15 @@ class TestCodeSpec:
         # equal codes hash equal, whichever way they were built
         assert code == CodeSpec.from_i_min({19}, 6)
         assert hash(code) == hash(CodeSpec.from_i_min({19}, 6))
+
+    def test_length_bound(self):
+        # n <= 14: the longest code is N = 16384; above it nothing is built
+        assert CodeSpec.from_i_min({(1 << 14) - 1}, 14).K == 1
+        for n in (15, 30):
+            with pytest.raises(ValueError, match=f"n must be at most 14, got {n}"):
+                CodeSpec.from_i_min({1}, n)
+            with pytest.raises(ValueError, match=f"n must be at most 14, got {n}"):
+                search_max_symmetry(n, 1 << (n - 1), "heuristic")
 
     def test_from_info_set_rejects_non_closed(self):
         with pytest.raises(ValueError):
@@ -401,6 +410,11 @@ class TestSearch:
     def test_exhaustive_rejected_large_n(self):
         with pytest.raises(ValueError):
             search_max_symmetry(8, 128, mode="exhaustive")
+        # the default is the hill-climb from n = 8, the exhaustive mode below
+        assert search_max_symmetry(8, 128, seed=3) == search_max_symmetry(
+            8, 128, "heuristic", seed=3
+        )
+        assert search_max_symmetry(7, 44) == search_max_symmetry(7, 44, "exhaustive")
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
@@ -597,7 +611,7 @@ DIST_64_37 = [
 
 
 def dual_basis(code: CodeSpec) -> np.ndarray:
-    return np.array(_gf2.nullspace(code.generator_rows_packed(), code.N), dtype=np.uint64)
+    return np.array(reference.nullspace(code.generator_rows_packed(), code.N), dtype=np.uint64)
 
 
 def random_words(rng, nbits: int) -> list[int]:
@@ -657,6 +671,35 @@ class TestWeightHistogram:
         basis = dual_basis(code)
         got = _kernels.gray_weight_histogram(basis, code.N)
         assert got.tolist() == reference.gray_weight_histogram(basis, code.N).tolist()
+
+    @seed(29)
+    @settings(max_examples=80, deadline=None, derandomize=False, database=None)
+    @given(small_codes())
+    @example(CodeSpec.from_i_min({0}, 0))  # n = 0, K = N
+    @example(CodeSpec.from_i_min({0}, 4))  # K = N
+    @example(CodeSpec.from_i_min({15}, 4))  # K = 1
+    @example(CodeSpec.from_i_min({19}, 6))  # (64,37)
+    @example(CodeSpec.from_i_min({15}, 6))  # RM(2,6) = (64,22)
+    def test_dual_is_reversed_frozen_set(self, code):
+        # the rows weight_distribution_via_dual counts: N - K of them,
+        # orthogonal to the code, spanning the elimination's nullspace
+        seen = []
+        count = _kernels.gray_weight_histogram
+
+        def recording(basis, nbits):
+            seen.append([int(w) for w in basis])
+            return count(basis, nbits)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_kernels, "gray_weight_histogram", recording)
+            weight_distribution_via_dual(code)
+        (dual,) = seen
+        rows = code.generator_rows_packed()
+        assert len(dual) == code.N - code.K
+        assert all((d & g).bit_count() % 2 == 0 for d in dual for g in rows)
+        null = reference.nullspace(rows, code.N)
+        rank = reference.rank
+        assert rank(dual) == rank(null) == rank(dual + null) == code.N - code.K
 
     def test_64_37_distribution(self):
         assert weight_distribution_via_dual(CodeSpec.from_i_min({19}, 6)) == DIST_64_37

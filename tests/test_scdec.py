@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import _reference
-from _reference import boxplus_reference, sc_decode_recursive, sc_reference
-from rmpsc._gf2 import pack_row, rank
+from _reference import boxplus_reference, rank, sc_decode_recursive, sc_reference
+from rmpsc._gf2 import pack_row
 import rmpsc._kernels
 from rmpsc._kernels import (
     _F_LOSS,
