@@ -466,11 +466,10 @@ def gray_weight_histogram(basis, nbits: int) -> np.ndarray:
     as one more candidate, so no input costs more than the walk.  The dual of
     a decreasing monomial code splits as a (u | u+v) code: (64,37)'s 2^27
     words take 2^17 + 2^17 popcounts.  A span whose cheapest split takes
-    more than 2^30 popcounts is refused before any is counted.
+    more than 2^30 popcounts is refused before any is counted, and then
+    more than 62 words, whose combinations overflow the counts.
     """
     words = [int(w) for w in np.asarray(basis, dtype=np.uint64)]
-    if len(words) > 62:
-        raise ValueError(f"2^{len(words)} combinations overflow the int64 counts")
     for w in words:
         if w >> nbits:
             raise ValueError(f"word {w:#x} has a bit at or above nbits = {nbits}")
@@ -488,6 +487,10 @@ def gray_weight_histogram(basis, nbits: int) -> np.ndarray:
             f"a span of rank {r} needs {cost} popcounts at its cheapest split, "
             f"more than 2^{_MAX_POPCOUNTS.bit_length() - 1}"
         )
+    # after the budget, so that a span too large to count (every span of
+    # rank 59 or more) is refused by its cost
+    if len(words) > 62:
+        raise ValueError(f"2^{len(words)} combinations overflow the int64 counts")
     # the pivots of g0 and y come first, as they are independent
     g1 = list(_gf2._pivots([*g0, *y, *span]).values())[len(g0) + len(y):]
     WL = _coset_histograms(g0, g1, L)

@@ -31,7 +31,6 @@ from .codes import (
     CodeSpec,
     dim_rm,
     extend_code,
-    load_reliability,
     min_weight_count,
     search_max_symmetry,
 )
@@ -169,14 +168,11 @@ def cmd_analyze(ns) -> int:
 
 
 def cmd_search(ns) -> int:
-    rel = load_reliability(ns.rel) if ns.rel is not None else None
-    if rel is not None and rel.n != ns.n:
-        raise ValueError(f"reliability file is for n={rel.n}, expected {ns.n}")
     with _output(ns.out) as out:
         out.write("N,K,max_t,i_min,blta_structure,absorption_structure\n")
         lo, hi = dim_rm(1, ns.n), dim_rm(ns.n - 2, ns.n)
         for k in range(lo, hi + 1):
-            best_t, codes = search_max_symmetry(ns.n, k, seed=ns.seed, rel=rel)
+            best_t, codes = search_max_symmetry(ns.n, k)
             code = codes[0]
             full = compute_blta_structure(code)
             absorbed = absorption_structure_empirical(code, seed=ns.seed)
@@ -305,10 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="per-dimension maximum-symmetry atlas as CSV")
     p.add_argument("--n", type=_parse_n, required=True)
     p.add_argument(
-        "--rel",
-        help="reliability sequence file (validated); steers only the n >= 8 hill-climb",
+        "--seed", type=_parse_seed, default=0, help="seeds the absorption probe only"
     )
-    p.add_argument("--seed", type=_parse_seed, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_search)
 

@@ -274,206 +274,115 @@ def extend_code(i_min, n: int) -> CodeSpec:
 # --------------------------------------------------------------------- search
 
 
-# hill-climbs per heuristic search: the seeded RM-polar start, then random ideals
-SEARCH_RESTARTS = 32
-
-
-def _upward_closed_words(n: int, r: int, size: int):
+def _upward_closed_words(n: int, r: int, size: int, s: int = 1):
     """Every upward-closed set of ``size`` indices among those of popcount
-    >= n - r, as N-bit words (these are the dimension-``size`` decreasing
-    codes whose monomials have degree <= r).
+    >= n - r that permutations of the top ``s`` index bits map onto
+    itself, as N-bit words (these are the dimension-``size`` decreasing
+    codes whose monomials have degree <= r and whose symmetry is at least
+    s; every decreasing code has s = 1).
 
-    The indices are taken in descending order and each is either included
-    or left out; leaving one out leaves out everything below it in the
-    index order too.  When the complement is the smaller side, the
+    Such a set is a union of orbits, an orbit being the indices with the
+    same low n - s bits and the same number w of top bits set; it holds
+    C(s, w) indices.  An orbit's least member in the index order, its
+    representative, has the top bits packed low.  One orbit lies below
+    another iff their representatives do, so an invariant set is upward
+    closed iff its representatives are, and it is their upward closure.
+
+    The representatives are taken in descending order and each is either
+    included or left out; leaving one out leaves out everything below it
+    in the index order too.  When the complement is the smaller side, the
     complements are enumerated the same way from the bottom up.
     """
-    N = 1 << n
-    steps = monomials._step_words(n)
-    pool = [i for i in range(N) if i.bit_count() >= n - r]
-    universe = sum(1 << i for i in pool)
-    flip = size > len(pool) - size
-    target = len(pool) - size if flip else size
-    # cone[e]: e and every pool index that must follow it out of the set
-    # (below it), or out of the complement (above it) on the flipped side
-    cone = [0] * N
+    s = min(s, n)  # n = 0 has no bit to permute
+    low, mask = n - s, (1 << (n - s)) - 1
+    # ascending, since the packed top bits outweigh the low ones; layers[c]
+    # holds the representatives of the orbits of size c, to weigh a word
+    reps: list[int] = []
+    layers: dict[int, int] = {}
+    for w in range(s + 1):
+        top = ((1 << w) - 1) << low
+        rows = [lo | top for lo in range(1 << low) if lo.bit_count() + w >= n - r]
+        reps += rows
+        c = math.comb(s, w)
+        layers[c] = layers.get(c, 0) | sum(1 << e for e in rows)
+
+    def weigh(word):
+        return sum(c * (word & layer).bit_count() for c, layer in layers.items())
+
+    universe = sum(layers.values())
+    total = weigh(universe)
+    flip = size > total - size
+    target = total - size if flip else size
+    # (e, j): j is the representative of an index one step below e, the
+    # top bits packed low; these pairs generate the order among
+    # representatives, and come with e ascending.  cone[e]: e and every
+    # representative that must follow it out of the set (below it), or out
+    # of the complement (above it) on the flipped side
+    pairs = [
+        (e, j & mask | ((1 << (j >> low).bit_count()) - 1) << low)
+        for e in reps
+        for j in _steps_below(e)
+        if j.bit_count() >= n - r
+    ]
+    cone = {e: 1 << e for e in reps}
     if flip:
-        for e in reversed(pool):
-            cone[e] = 1 << e
-            for shift, mask in steps:
-                if mask >> e & 1:
-                    cone[e] |= cone[e + shift]
+        for e, j in reversed(pairs):
+            cone[j] |= cone[e]
     else:
-        for e in pool:
-            cone[e] = 1 << e
-            for shift, mask in steps:
-                if e >= shift and mask >> (e - shift) & 1:
-                    cone[e] |= cone[e - shift]  # 0 for an index outside the pool
-    # depth-first over (undecided indices still allowed in, chosen, count)
-    stack = [(universe, 0, 0)]
+        for e, j in pairs:
+            cone[e] |= cone[j]
+    # depth-first over (undecided representatives still allowed in, chosen,
+    # weight still needed, weight still allowed in)
+    stack = [(universe, 0, target, total)] if 0 <= size <= total else []
     while stack:
-        free, chosen, count = stack.pop()
-        need = target - count
-        room = free.bit_count()
-        if room < need:
-            continue
+        free, chosen, need, room = stack.pop()
         if need == 0 or room == need:
             # what is still allowed in is closed, so taking all of it is a set
             word = chosen if need == 0 else chosen | free
-            yield universe & ~word if flip else word
+            word = universe & ~word if flip else word
+            yield word if s <= 1 else monomials._closure_pass(word, n)[0]
             continue
         bit = free & -free if flip else 1 << (free.bit_length() - 1)
-        stack.append((free & ~cone[bit.bit_length() - 1], chosen, count))
-        stack.append((free ^ bit, chosen | bit, count + 1))
+        e = bit.bit_length() - 1
+        out = free & cone[e]
+        rest = room - weigh(out)
+        if rest >= need:
+            stack.append((free ^ out, chosen, need, rest))
+        c = math.comb(s, (e >> low).bit_count())
+        if c <= need:
+            stack.append((free ^ bit, chosen | bit, need - c, room - c))
 
 
 def search_max_symmetry(
-    n: int,
-    k: int,
-    mode: str | None = None,
-    *,
-    seed: int = 0,
-    rel: ReliabilityOrder | None = None,
+    n: int, k: int, mode: str | None = None, *, seed: int = 0
 ) -> tuple[int, list[CodeSpec]]:
-    """Best achievable symmetry among dimension-k RM-polar codes.
+    """Best achievable symmetry among dimension-k RM-polar codes, decided
+    exactly.
 
-    Returns ``(max_t, codes)``: exhaustively all maximisers (n <= 7), or the
-    best code found by seeded hill-climbing over one-index swaps,
-    tie-broken toward high reliability sums.  The default mode is the
-    exhaustive one where it runs, n <= 7, and the hill-climb above.
-    ``rel`` (default: the beta-expansion order) steers only the hill-climb,
-    its seeded start and tie-break; the exhaustive mode checks its length
-    and does not read it.
+    Returns ``(max_t, codes)`` with every maximiser, sorted by ``i_min``;
+    the ``"heuristic"`` mode returns only the first of them, and ``None``
+    is the same as ``"exhaustive"``.  ``seed`` is accepted and not read.
+
+    A decreasing set has nonincreasing derivative dimensions, and two
+    are equal iff the swap of their variables maps the set onto itself
+    (``autgroup.compute_blta_structure``).  So the symmetry is at least s
+    iff the set is invariant under every permutation of the top s index
+    bits.  The search descends s from n and stops at the first s with a
+    dimension-k invariant set of degree <= rm_order(k, n): every such set
+    is a maximiser, with symmetry exactly s (0 for n = 0).
     """
     r = rm_order(k, _check_n(n))
-    if mode is None:
-        mode = "exhaustive" if n <= 7 else "heuristic"
-    if mode not in ("exhaustive", "heuristic"):
+    if mode not in (None, "exhaustive", "heuristic"):
         raise ValueError(f"unknown search mode {mode!r}")
-    if mode == "exhaustive" and n > 7:
-        raise ValueError("exhaustive search is limited to n <= 7")
-    if rel is not None and rel.n != n:
-        raise ValueError(f"reliability order is for n={rel.n}, expected {n}")
-
-    if mode == "exhaustive":
-        # the symmetry is the number of derivative dimensions at their
-        # minimum, as in monomials.symmetry (none for n = 0)
-        variables = monomials._variable_words(n)
-        best_t = 0
-        best: list[int] = []
-        for word in _upward_closed_words(n, r, k):
-            dims = [(word & var).bit_count() for var in variables]
-            t = dims.count(min(dims, default=0))
-            if t > best_t:
-                best_t, best = t, [word]
-            elif t == best_t:
-                best.append(word)
-        codes = sorted(
-            (CodeSpec.from_info_set(monomials._members(w), n) for w in best),
-            key=lambda c: c.i_min,
-        )
-        return best_t, codes
-
-    return _search_heuristic(n, k, r, seed=seed, rel=rel)
-
-
-def _search_heuristic(n, k, r, *, seed, rel=None):
-    # First-improvement hill-climb over one-member swaps, keyed by
-    # (symmetry, reliability-rank sum).  The set is a word over the pool,
-    # the indices of popcount >= n - r.  e_out runs over its minimal
-    # members, e_in over the pool indices outside it whose every step up
-    # lands inside, less those one step below e_out; both are visited in
-    # the monomial order (popcount descending, then index descending).
-    rng = np.random.default_rng(seed)
-    if rel is None:
-        rel = beta_expansion_reliability(n)
-    rank = rel.ranks().tolist()
-    layers = [0] * (n + 1)
-    for i in range(1 << n):
-        layers[i.bit_count()] |= 1 << i
-    layers = layers[n - r :][::-1]  # popcount descending, over the pool
-    pool = sum(layers)
-
-    def ordered(word):
-        out = []
-        for layer in layers:
-            w = word & layer
-            while w:
-                top = w.bit_length() - 1
-                out.append(top)
-                w ^= 1 << top
-        return out
-
-    def random_ideal():
-        # each draw picks the i-th addable index in the monomial order: find
-        # its layer, then clear the layer's c - 1 - i lowest bits, since a
-        # layer is visited from its top
-        word = 0
-        for _ in range(k):
-            free = monomials._maximal_members(pool & ~word, n)
-            i = int(rng.integers(free.bit_count()))
-            for layer in layers:
-                w = free & layer
-                c = w.bit_count()
-                if i < c:
-                    break
-                i -= c
-            for _ in range(c - 1 - i):
-                w &= w - 1
-            word |= w & -w
-        return word
-
-    best_key, best_word = None, None
-    for attempt in range(SEARCH_RESTARTS):
-        if attempt == 0:
-            seeded = rm_polar_construct(n, k, rel if rel.upo_consistent else None)
-            word = monomials._word(seeded.info_set, n)
-        else:
-            word = random_ideal()
-        # the derivative dimensions and symmetry, as in monomials.symmetry
-        # (no dimensions and symmetry 0 for n = 0)
-        counts = [(word & var).bit_count() for var in monomials._variable_words(n)]
-        t = counts.count(min(counts, default=0))
-        total = sum(rank[i] for i in monomials._members(word))
-        improved = True
-        while improved:
-            improved = False
-            cands = ordered(monomials._maximal_members(pool & ~word, n))
-            if not cands:
-                break
-            for e_out in ordered(monomials._minimal_members(word, n)):
-                below = _steps_below(e_out)
-                # the counts without e_out: ``lo`` holds the variables at the
-                # least count m, ``next_lo`` those at m + 1.  Adding e_in
-                # raises the count at each zero bit of e_in, so the least
-                # count stays m at e_in's one bits in ``lo``; when there are
-                # none, it is m + 1, at all of ``lo`` and at e_in's one bits
-                # in ``next_lo``
-                base = [c - 1 + (e_out >> v & 1) for v, c in enumerate(counts)]
-                m = min(base, default=0)
-                lo = next_lo = 0
-                for v, c in enumerate(base):
-                    if c == m:
-                        lo |= 1 << v
-                    elif c == m + 1:
-                        next_lo |= 1 << v
-                rest_total = total - rank[e_out]
-                for e_in in cands:
-                    if e_in in below:
-                        continue
-                    stay = (lo & e_in).bit_count()
-                    swap_t = stay or lo.bit_count() + (next_lo & e_in).bit_count()
-                    if swap_t > t or swap_t == t and rest_total + rank[e_in] > total:
-                        word ^= 1 << e_out | 1 << e_in
-                        counts = [c + 1 - (e_in >> v & 1) for v, c in enumerate(base)]
-                        t, total, improved = swap_t, rest_total + rank[e_in], True
-                        break
-                if improved:
-                    break
-        if best_key is None or (t, total) > best_key:
-            best_key, best_word = (t, total), word
-    code = CodeSpec.from_info_set(monomials._members(best_word), n)
-    return best_key[0], [code]
+    for s in range(n, -1, -1):
+        words = list(_upward_closed_words(n, r, k, s))
+        if words:
+            break
+    codes = sorted(
+        (CodeSpec.from_info_set(monomials._members(w), n) for w in words),
+        key=lambda c: c.i_min,
+    )
+    return s, codes[:1] if mode == "heuristic" else codes
 
 
 # ------------------------------------------------------------- weight counts

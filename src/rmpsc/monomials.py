@@ -101,15 +101,6 @@ def _minimal_members(word: int, n: int) -> int:
     return word & ~reached
 
 
-def _maximal_members(word: int, n: int) -> int:
-    """The members of an index word from which no step leads up inside it:
-    the mirror sweep of ``_minimal_members``."""
-    reaching = 0
-    for shift, mask in _step_words(n):
-        reaching |= (word >> shift) & mask
-    return word & ~reaching
-
-
 def _closure_pass(word: int, n: int) -> tuple[int, int]:
     """The upward closure of an index word and its minimal elements, as
     words: the closure is the fixpoint of the step sweeps."""

@@ -5,10 +5,10 @@ index order as a pairwise prefix-count test (the library derives it from its
 generating steps), the pairwise closure and antichain of an index set (the
 library closes N-bit words by masked shifts), the pairwise dominance
 relation of the monomial poset, the pairwise consistency check of a
-reliability order, the exhaustive search over ideals as position sets (the
-library enumerates them as words), the symmetry search that rescans the
-whole ideal for every candidate swap (the library climbs on index words
-and scores a swap from running counts), the BLTA block structure as the runs of
+reliability order, the exhaustive search over every ideal as a position
+set (the library enumerates, as words, only the ideals that permutations of
+the top index bits map onto themselves), the same search as a 0/1 program
+for scipy's MILP solver, the BLTA block structure as the runs of
 coordinate swaps that map the generator monomials onto themselves (the
 library reads it off the derivative dimensions), the automorphism test as
 a GF(2) rank of the generator rows and their images, and the dual basis as
@@ -27,7 +27,9 @@ against a plain SC reference decoded up front (the library probes the open
 swaps together with the identity, whose rows are that reference, each swap
 up to its first differing frame).
 
-Beside them are helpers that only the tests use: affine-map composition, the
+Beside them are helpers that only the tests use: the seeded hill-climb over
+one-monomial swaps that searched n >= 8 before the search was exact (a
+baseline the exact search must never fall below), affine-map composition, the
 probe batch with its plain SC reference, the single-permutation absorption
 probe and the brute-force minimum-weight count.
 """
@@ -56,7 +58,7 @@ from rmpsc.codes import (
     rm_order,
     rm_polar_construct,
 )
-from rmpsc.monomials import derivative_dimensions
+from rmpsc.monomials import _steps_below, derivative_dimensions
 from rmpsc.scdec import sc_decode_frames
 
 
@@ -303,6 +305,47 @@ def _swap_bits(x: int, a: int, b: int) -> int:
     if bit_a != bit_b:
         x ^= (1 << a) | (1 << b)
     return x
+
+
+def invariant_under_top_bits(info, n: int, s: int) -> bool:
+    """Whether every permutation of the top s index bits maps ``info`` onto
+    itself; the swaps of adjacent bits generate those permutations."""
+    return all(_swap_bits(i, v, v + 1) in info for v in range(n - s, n - 1) for i in info)
+
+
+def milp_symmetry_feasible(n: int, k: int, s: int) -> bool:
+    """Whether a dimension-k decreasing code of degree <= rm_order(k, n)
+    has symmetry >= s, decided by scipy's MILP solver (HiGHS).
+
+    x_i in {0, 1} for each index of popcount >= n - rm_order(k, n); x_j <=
+    x_i for each step from j up to i; sum x = k; and d_{n-s} = d_{n-1},
+    which for a decreasing set's nonincreasing derivative dimensions d_v
+    makes the top s of them equal.
+    """
+    from scipy.optimize import LinearConstraint, milp
+    from scipy.sparse import coo_matrix
+
+    r = rm_order(k, n)
+    pool = [i for i in range(1 << n) if i.bit_count() >= n - r]
+    col = {i: c for c, i in enumerate(pool)}
+    pairs = [(col[j], col[i]) for i in pool for j in _steps_below(i) if j in col]
+    rows = [m for m in range(len(pairs)) for _ in (0, 1)]
+    cols = [c for pair in pairs for c in pair]
+    steps = coo_matrix(([1, -1] * len(pairs), (rows, cols)), shape=(len(pairs), len(pool)))
+    # d_v counts the members with bit v clear
+    equal = [(i >> (n - 1) & 1) - (i >> (n - s) & 1) for i in pool]
+    res = milp(
+        np.zeros(len(pool)),
+        constraints=[
+            LinearConstraint(steps, -np.inf, 0),
+            LinearConstraint(np.array([np.ones(len(pool)), equal]), [k, 0], [k, 0]),
+        ],
+        integrality=np.ones(len(pool)),
+        bounds=(0, 1),
+    )
+    if res.status not in (0, 2):  # solved, or proved infeasible
+        raise RuntimeError(f"MILP solver gave no verdict: {res.message}")
+    return res.status == 0
 
 
 def _admissible_swaps(code: CodeSpec) -> dict[tuple[int, int], bool]:

@@ -281,6 +281,27 @@ class TestCriterion6Atlas:
         )
 
 
+    def test_rm_psc_exist_for_almost_all_dimensions(self):
+        # the paper: RM-PSC exist for almost all code dimensions if N <= 256.
+        # Between the first- and (n-2)-order Reed-Muller dimensions, exactly
+        # two lack one (t = 1), for every n from 4 to 9
+        t0 = time.time()
+        missing = {}
+        for n in range(4, 10):
+            lo, hi = dim_rm(1, n), dim_rm(n - 2, n)
+            missing[n] = [k for k in range(lo, hi + 1) if search_max_symmetry(n, k)[0] == 1]
+        expect = {n: [dim_rm(2, n) - 4, dim_rm(2, n) - 2] for n in range(4, 10)}
+        # the best (256,128) code is a single one, partially symmetric
+        best_256_128 = search_max_symmetry(8, 128)
+        elapsed = time.time() - t0
+        report(
+            "6b (RM-PSC exist for almost all dimensions, N <= 512)",
+            missing == expect and best_256_128 == (7, [CodeSpec.from_i_min({30}, 8)]),
+            f"dimensions without an RM-PSC {missing}, (256,128) {best_256_128} "
+            f"in {elapsed:.1f}s",
+        )
+
+
 class TestCriterion7GroupOracle:
     def test_exhaustive_ga3(self):
         t0 = time.time()

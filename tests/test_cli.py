@@ -148,22 +148,15 @@ class TestSearch:
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
 
-    def test_reliability_file_accepted(self, tmp_path, capsys):
-        from rmpsc.codes import beta_expansion_reliability
-
-        rel = beta_expansion_reliability(4)
-        path = tmp_path / "rel.txt"
-        path.write_text("".join(f"{i}\n" for i in rel.order))
-        code, out, _ = run_cli(["search", "--n", "4", "--rel", str(path)], capsys)
-        assert code == 0
-        assert out.count("\n") == 8
-
-    def test_reliability_file_wrong_length(self, tmp_path, capsys):
-        path = tmp_path / "rel.txt"
-        path.write_text("".join(f"{i}\n" for i in range(8)))
-        code, _, err = run_cli(["search", "--n", "4", "--rel", str(path)], capsys)
-        assert code == 1
-        assert "error:" in err
+    def test_seed_moves_only_the_absorption_probe(self, tmp_path, capsys):
+        # the search is exact, so every column but the probed one is the
+        # same under any seed
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(["search", "--n", "5", "--seed", "0", "--out", str(a)]) == 0
+        assert main(["search", "--n", "5", "--seed", "7", "--out", str(b)]) == 0
+        capsys.readouterr()
+        rows_a, rows_b = (p.read_text().splitlines() for p in (a, b))
+        assert [r.rsplit(",", 1)[0] for r in rows_a] == [r.rsplit(",", 1)[0] for r in rows_b]
 
 
 class TestSimulate:

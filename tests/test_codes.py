@@ -281,10 +281,9 @@ class TestExtend:
             extend_code({24}, 5)
 
 
-# (t, i_min) of search_max_symmetry(8, k, "heuristic", seed=seed), by (k, seed);
-# at (128, 1..9) the seeded start's climb wins, at (128, 11 / 27 / 36) a
-# random restart's does
-HEURISTIC_N8 = {
+# (t, i_min) that the seeded hill-climb, the n >= 8 search before it was
+# exact, returned for search_max_symmetry(8, k, "heuristic", seed=seed)
+HILL_CLIMB_N8 = {
     (9, 0): (8, (127,)),
     (37, 0): (8, (63,)),
     (64, 0): (2, (95, 117, 205, 211)),
@@ -297,6 +296,18 @@ HEURISTIC_N8 = {
     (128, 11): (2, (55, 79, 89, 102, 195)),
     (128, 27): (3, (31, 99)),
     (128, 36): (5, (31, 57)),
+}
+
+# (t, first i_min, number of maximisers) of the exact search at n = 8
+EXACT_N8 = {
+    9: (8, (127,), 1),
+    37: (8, (63,), 1),
+    64: (3, (62, 121, 229), 3),
+    93: (8, (31,), 1),
+    128: (7, (30,), 1),
+    163: (8, (15,), 1),
+    200: (3, (15, 22, 97), 9),
+    247: (8, (3,), 1),
 }
 
 
@@ -322,7 +333,7 @@ class TestSearch:
             assert codes and all(
                 c.symmetry == t and c.is_rm_polar and c.K == k for c in codes
             ), k
-        assert search_max_symmetry(7, 44, "heuristic", seed=0)[0] == 2
+        assert reference.search_max_symmetry(7, 44, "heuristic", seed=0)[0] == 2
 
     def test_length_one_code(self):
         # n = 0 has no variables, so its one code has symmetry 0
@@ -330,13 +341,16 @@ class TestSearch:
             assert search_max_symmetry(0, 1, mode) == (0, [CodeSpec.from_i_min({0}, 0)])
         assert CodeSpec.from_i_min({0}, 0).symmetry == 0
 
-    @pytest.mark.parametrize("k, seed", list(HEURISTIC_N8))
+    @pytest.mark.parametrize("k, seed", list(HILL_CLIMB_N8))
     def test_heuristic_n8_pinned(self, k, seed):
-        # the order in which the hill-climb visits swaps decides the code it
-        # stops at; these values pin that order at n = 8, where the
-        # reference comparison covers (256,128) at seed 0 only
-        t, codes = search_max_symmetry(8, k, "heuristic", seed=seed)
-        assert (t, codes[0].i_min) == HEURISTIC_N8[k, seed]
+        # the exact maximisers; the heuristic mode is the first of them,
+        # whatever the seed, and never below what the hill-climb found
+        t, first, count = EXACT_N8[k]
+        got_t, codes = search_max_symmetry(8, k)
+        assert (got_t, codes[0].i_min, len(codes)) == (t, first, count)
+        assert all(c.symmetry == t and c.K == k and c.is_rm_polar for c in codes)
+        assert search_max_symmetry(8, k, "heuristic", seed=seed) == (t, codes[:1])
+        assert t >= HILL_CLIMB_N8[k, seed][0]
 
     def test_64_37_contains_19(self):
         t, codes = search_max_symmetry(6, 37)
@@ -384,8 +398,8 @@ class TestSearch:
 
     def test_heuristic_finds_good_codes(self):
         best_t, codes = search_max_symmetry(5, 15, mode="heuristic", seed=1)
-        exhaustive_t, _ = search_max_symmetry(5, 15)
-        assert best_t == exhaustive_t
+        exhaustive_t, every = search_max_symmetry(5, 15)
+        assert (best_t, codes) == (exhaustive_t, every[:1])
         assert codes[0].symmetry == best_t
 
     def test_search_space_complete_at_n4(self):
@@ -407,28 +421,30 @@ class TestSearch:
             assert got_t == expect_t, (k, got_t, expect_t)
             assert all(c.symmetry == expect_t for c in codes)
 
-    def test_exhaustive_rejected_large_n(self):
-        with pytest.raises(ValueError):
-            search_max_symmetry(8, 128, mode="exhaustive")
-        # the default is the hill-climb from n = 8, the exhaustive mode below
-        assert search_max_symmetry(8, 128, seed=3) == search_max_symmetry(
-            8, 128, "heuristic", seed=3
-        )
-        assert search_max_symmetry(7, 44) == search_max_symmetry(7, 44, "exhaustive")
+    def test_modes_agree_beyond_n7(self):
+        # one exact search for every n: the default is the exhaustive mode,
+        # the heuristic mode its first maximiser, and the seed is not read
+        for n, k in ((7, 44), (8, 64), (8, 200), (9, 256)):
+            every = search_max_symmetry(n, k, "exhaustive")
+            assert search_max_symmetry(n, k) == every
+            for seed in (0, 3):
+                assert search_max_symmetry(n, k, "heuristic", seed=seed) == (
+                    every[0], every[1][:1]
+                )
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             search_max_symmetry(5, 10, mode="stochastic")
 
-    @pytest.mark.parametrize("mode", ["exhaustive", "heuristic"])
-    def test_reliability_length_checked(self, mode):
-        # an n=7 order that breaks the index order, so that the construction
-        # does not reject it first
-        order = list(beta_expansion_reliability(7).order)
-        order[0], order[-1] = order[-1], order[0]
-        rel = ReliabilityOrder(7, tuple(order))
-        with pytest.raises(ValueError, match="n=7"):
-            search_max_symmetry(6, 30, mode, rel=rel)
+    def test_milp_oracle_n8(self):
+        # scipy's MILP solver on the 0/1 program of the search: symmetry t
+        # is feasible and t + 1 is not, at the two dimensions without an
+        # RM-PSC and at three with one
+        for k, expect_t in ((33, 1), (35, 1), (58, 7), (128, 7), (198, 7)):
+            t, _ = search_max_symmetry(8, k)
+            assert t == expect_t, k
+            assert reference.milp_symmetry_feasible(8, k, t), k
+            assert not reference.milp_symmetry_feasible(8, k, t + 1), k
 
 
 class TestMatchesReference:
@@ -446,6 +462,23 @@ class TestMatchesReference:
             expect = sorted(sorted(plain.info_indices(s)) for s in plain.ideals_of_size(size))
             got = sorted(_members(w) for w in _upward_closed_words(n, r, size))
             assert got == expect, (n, r, size)
+
+    def test_invariant_words_are_the_invariant_ideals(self):
+        # with s > 1 the enumerator walks orbit representatives only: it
+        # must list exactly the ideals that permutations of the top s
+        # index bits map onto themselves
+        for n in range(1, 6):
+            for r in range(n + 1):
+                plain = reference.MonomialPoset(n, r)
+                for size in range(plain.size + 1):
+                    ideals = [plain.info_indices(p) for p in plain.ideals_of_size(size)]
+                    for s in range(1, n + 1):
+                        expect = sorted(
+                            sorted(info) for info in ideals
+                            if reference.invariant_under_top_bits(info, n, s)
+                        )
+                        got = sorted(_members(w) for w in _upward_closed_words(n, r, size, s))
+                        assert got == expect, (n, r, size, s)
 
     def test_consistency_verdict(self):
         verdicts = []
@@ -472,24 +505,29 @@ class TestMatchesReference:
     @pytest.mark.parametrize("mode", ["exhaustive", "heuristic"])
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_search_every_dimension(self, n, mode):
+        # the heuristic mode returns the first of the exhaustive maximisers
         for k in range(1, (1 << n) + 1):
-            assert search_max_symmetry(n, k, mode) == reference.search_max_symmetry(
-                n, k, mode
-            ), k
+            t, codes = reference.search_max_symmetry(n, k)
+            want = (t, codes[:1]) if mode == "heuristic" else (t, codes)
+            assert search_max_symmetry(n, k, mode) == want, k
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_search_n7(self, seed):
+        # the exact search is never below the reference hill-climb, under
+        # either reliability order that steers the climb
         rels = (None, random_linear_extension(7, 11))
         assert rels[1].upo_consistent and rels[1] != beta_expansion_reliability(7)
-        for rel in rels:
-            for k in (8, 20, 34, 44, 64, 84, 99, 114):
-                got = search_max_symmetry(7, k, "heuristic", seed=seed, rel=rel)
-                want = reference.search_max_symmetry(7, k, "heuristic", seed=seed, rel=rel)
-                assert got == want, (k, rel is None)
+        for k in (8, 20, 34, 44, 64, 84, 99, 114):
+            t, codes = search_max_symmetry(7, k)
+            assert all(c.symmetry == t for c in codes), k
+            for rel in rels:
+                climbed, _ = reference.search_max_symmetry(7, k, "heuristic", seed=seed, rel=rel)
+                assert t >= climbed, (k, rel is None)
 
     def test_search_256_128(self):
-        got = search_max_symmetry(8, 128, "heuristic", seed=0)
-        assert got == reference.search_max_symmetry(8, 128, "heuristic", seed=0)
+        # one maximiser with t = 7, where the reference hill-climb stops at 2
+        assert search_max_symmetry(8, 128) == (7, [CodeSpec.from_i_min({30}, 8)])
+        assert reference.search_max_symmetry(8, 128, "heuristic", seed=0)[0] == 2
 
 
 def _dominated(p, m):
@@ -564,6 +602,14 @@ class TestMinWeightCounts:
         # dual words are packed into 64 bits
         with pytest.raises(ValueError, match="requires N <= 64"):
             weight_distribution_via_dual(CodeSpec.from_i_min({27}, 7))
+
+    def test_63_row_dual_refused_by_split_cost(self):
+        # (64,1): its dual has 63 rows, more than the counts could hold, but
+        # the popcount budget refuses it first, as the docstring says
+        rep64 = CodeSpec.from_i_min({63}, 6)
+        assert rep64.K == 1
+        with pytest.raises(ValueError, match="rank 63 needs .* more than 2\\^30"):
+            weight_distribution_via_dual(rep64)
 
     def test_reed_muller_multiplicities(self):
         # beyond both walks: the classical count of minimum-weight words of
