@@ -43,10 +43,12 @@ _TILE = 1 << 14
 # shifts a uint8 sign bit into a uint64 mask: numpy 2's promotion (NEP 50)
 # picks the uint64 loop, hence the numpy >= 2.0 floor
 _U63 = np.uint64(63)
-# a bound on what the exact rule's f can take off the smaller input
-# magnitude: its correction log1p(exp(-||a|-|b||)) is at most ln 2 up to
-# rounding, below 0.694 (the Rate-1 guard of sc_decode_batch rests on it)
-_F_LOSS = 0.7
+# _RATE1_GUARD[l]: t_l, the exact rule's Rate-1 guard at tree level l <= 14
+# (see the comment above sc_decode_batch's plan), t_0 = 0
+_RATE1_GUARD = (
+    0.0, 1.37e-6, 1.68e-3, 0.0586, 0.35, 0.896, 1.57, 2.28,
+    3.01, 3.74, 4.48, 5.23, 5.99, 6.75, 7.52,
+)
 
 
 def _scratch(width: int):
@@ -155,23 +157,32 @@ def _g(tiles, bits):
 #   folding the halves with + reproduces SC's additions exactly.  The leaf's
 #   decision is the whole sub-codeword.
 # - Rate-1 (no frozen bit) at tree level l, when every node LLR of every
-#   frame has magnitude above l * _F_LOSS under the exact rule, or above 0
-#   under min-sum: SC's codeword is then the hard decision x = (v < 0).
-#   Proof, for finite LLRs: take f of inputs of magnitude at least m.  Its
-#   sign is the product of the input signs (strict a < 0, b < 0).  Min-sum's
-#   magnitude is min(|a|, |b|) >= m.  The exact rule's is
-#   fl(fl(min + L0) - L1) >= fl(m - L1), with L0 >= 0 and
-#   L1 = log1p(exp(-||a|-|b||)) at most ln 2 up to rounding, below 0.694.
-#   An IEEE subtraction of distinct values is never 0, so for m > L1 the
-#   magnitude is positive, and above m - 0.694 up to an ulp of m: it drops
-#   by less than _F_LOSS.  The left child, one level down, thus meets the
-#   guard and (by induction) decides x_left = (a < 0) ^ (b < 0).  g then adds
-#   two values of b's sign, of magnitude at least |b|, so the right child
-#   decides (b < 0), and the node's codeword (x_left ^ x_right, x_right) is
-#   (a < 0, b < 0).  A leaf decides (v < 0).  The guard reads the whole
-#   batch, so a node with one weak frame is split for every frame.  The
-#   rounding it guards against is real: the exact rule decides the
-#   all-information row (1e-9, 1e-9, 1e-9, -1e-9) as (0, 0, 0, 0).
+#   frame has magnitude above t_l = _RATE1_GUARD[l] under the exact rule, or
+#   above 0 under min-sum: SC's codeword is then the hard decision
+#   x = (v < 0).  Proof, for finite LLRs: take f of inputs a, b of
+#   magnitudes m = min(|a|, |b|) <= M, with m above the guard.  Its sign is
+#   the product of the input signs (strict a < 0, b < 0).  Min-sum's
+#   magnitude is m.  The exact rule's is r = fl(fl(m + L0) - L1), with L0
+#   and L1 the computed log1p(exp(-(M+m))) and log1p(exp(-(M-m))), both
+#   within [0, ln 2] up to rounding.  Exactly, m + L0 - L1 is
+#   2 atanh(tanh(m/2) tanh(M/2)) >= F(m) = 2 atanh(tanh^2(m/2)).  The two
+#   roundings each err by at most u(m + 1), u = 2^-53, and exp and log1p,
+#   with the rounding of their arguments, by a few u on any SIMD target, so
+#   r >= F(m) - d(m) with d(m) = 2u(m + 1) + 2^13 u.  F' = tanh > 2u above
+#   t_1, so F - d grows with m there.  t_l, from t_0 = 0, is 1% above the
+#   least m with F(m) - d(m) >= t_(l-1) (tests/test_scdec.py recomputes
+#   each at 50 digits), so every f output is above t_(l-1): the left child,
+#   one level down, meets its guard, and (by induction; a leaf decides
+#   (v < 0)) decides x_left = (a < 0) ^ (b < 0).  g then adds two values of
+#   b's sign, of magnitude at least |b|, so the right child decides
+#   (b < 0), and the node's codeword (x_left ^ x_right, x_right) is
+#   (a < 0, b < 0).  t_l grows by about ln 2 per level, the most f takes
+#   off m, but far less at low levels: t_1 is 1.37e-6.  Above level 14,
+#   the library's length bound, the exact rule's guard is infinite.  The
+#   guard reads the whole batch, so a node with one weak frame is split for
+#   every frame.  The rounding it guards against is real: the exact rule
+#   decides the all-information row (1e-9, 1e-9, 1e-9, -1e-9) as
+#   (0, 0, 0, 0), and the guard splits it (t_2 is 1.68e-3).
 #
 # Below a node that splits, a Rate-0 left child is not visited and f is not
 # computed for it: the child needs no LLR, and g is then a + b.  Signs are
@@ -359,6 +370,8 @@ def sc_decode_batch(llrs: np.ndarray, frozen: np.ndarray, minsum: bool = False):
     plan = _plan(frozen.tobytes())
     n = N.bit_length() - 1
     X = np.zeros((N, B), dtype=np.uint8)
+    # the Rate-1 guard of each level (see the comment above)
+    guards = (0.0,) * (n + 1) if minsum else _RATE1_GUARD + (np.inf,) * (n + 1 - len(_RATE1_GUARD))
     width = max(1, min(N // 2, _TILE // max(B, 1))) * B
     ws = _RETAINED.pop(None, None) or _Workspace()
     rows, halves, tiles, scratch = ws.level_views(N, B, width)
@@ -389,7 +402,7 @@ def sc_decode_batch(llrs: np.ndarray, frozen: np.ndarray, minsum: bool = False):
             np.less(rows[0], 0.0, out=X[start:end].view(bool))
         elif kind == "rate1":
             v = rows[level]
-            if np.abs(v).min(initial=np.inf) > (0.0 if minsum else level * _F_LOSS):
+            if np.abs(v).min(initial=np.inf) > guards[level]:
                 np.less(v, 0.0, out=X[start:end].view(bool))
                 i = after
     rows[n] = halves[n] = tiles[n] = None

@@ -3,6 +3,7 @@ symmetry-maximising search, and minimum-weight counting."""
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -274,6 +275,51 @@ def extend_code(i_min, n: int) -> CodeSpec:
 # --------------------------------------------------------------------- search
 
 
+@functools.lru_cache
+def _orbit_tables(n: int, r: int, s: int):
+    """The tables that ``_upward_closed_words(n, r, size, s)`` enumerates
+    with, which depend on (n, r, s) alone, for 0 <= s <= n:
+    ``(layers, universe, total, below, above)``.
+
+    ``layers`` pairs each orbit size c with the word of the representatives
+    of the orbits of that size, to weigh a word; ``universe`` is the word
+    of every representative and ``total`` its weight.  ``below[e]`` is the
+    word of e and every representative below it in the index order, which
+    must follow it out of a set, and ``above[e]`` of e and every one above
+    it, which must follow it out of a complement.  Cached (the default 128
+    keys), so the tables are shared: nothing may change them.
+    """
+    low, mask = n - s, (1 << (n - s)) - 1
+    # ascending, since the packed top bits outweigh the low ones
+    reps: list[int] = []
+    by_size: dict[int, int] = {}
+    for w in range(s + 1):
+        top = ((1 << w) - 1) << low
+        rows = [lo | top for lo in range(1 << low) if lo.bit_count() + w >= n - r]
+        reps += rows
+        c = math.comb(s, w)
+        by_size[c] = by_size.get(c, 0) | sum(1 << e for e in rows)
+    universe = sum(by_size.values())
+    layers = tuple(by_size.items())
+    total = sum(c * (universe & layer).bit_count() for c, layer in layers)
+    # (e, j): j is the representative of an index one step below e, the
+    # top bits packed low; these pairs generate the order among
+    # representatives, and come with e ascending
+    pairs = [
+        (e, j & mask | ((1 << (j >> low).bit_count()) - 1) << low)
+        for e in reps
+        for j in _steps_below(e)
+        if j.bit_count() >= n - r
+    ]
+    below = {e: 1 << e for e in reps}
+    above = dict(below)
+    for e, j in pairs:
+        below[e] |= below[j]
+    for e, j in reversed(pairs):
+        above[j] |= above[e]
+    return layers, universe, total, below, above
+
+
 def _upward_closed_words(n: int, r: int, size: int, s: int = 1):
     """Every upward-closed set of ``size`` indices among those of popcount
     >= n - r that permutations of the top ``s`` index bits map onto
@@ -291,46 +337,21 @@ def _upward_closed_words(n: int, r: int, size: int, s: int = 1):
     The representatives are taken in descending order and each is either
     included or left out; leaving one out leaves out everything below it
     in the index order too.  When the complement is the smaller side, the
-    complements are enumerated the same way from the bottom up.
+    complements are enumerated the same way from the bottom up.  The
+    representatives' tables come from ``_orbit_tables``.
     """
     s = min(s, n)  # n = 0 has no bit to permute
-    low, mask = n - s, (1 << (n - s)) - 1
-    # ascending, since the packed top bits outweigh the low ones; layers[c]
-    # holds the representatives of the orbits of size c, to weigh a word
-    reps: list[int] = []
-    layers: dict[int, int] = {}
-    for w in range(s + 1):
-        top = ((1 << w) - 1) << low
-        rows = [lo | top for lo in range(1 << low) if lo.bit_count() + w >= n - r]
-        reps += rows
-        c = math.comb(s, w)
-        layers[c] = layers.get(c, 0) | sum(1 << e for e in rows)
+    low = n - s
+    layers, universe, total, below, above = _orbit_tables(n, r, s)
 
     def weigh(word):
-        return sum(c * (word & layer).bit_count() for c, layer in layers.items())
+        return sum(c * (word & layer).bit_count() for c, layer in layers)
 
-    universe = sum(layers.values())
-    total = weigh(universe)
     flip = size > total - size
     target = total - size if flip else size
-    # (e, j): j is the representative of an index one step below e, the
-    # top bits packed low; these pairs generate the order among
-    # representatives, and come with e ascending.  cone[e]: e and every
-    # representative that must follow it out of the set (below it), or out
-    # of the complement (above it) on the flipped side
-    pairs = [
-        (e, j & mask | ((1 << (j >> low).bit_count()) - 1) << low)
-        for e in reps
-        for j in _steps_below(e)
-        if j.bit_count() >= n - r
-    ]
-    cone = {e: 1 << e for e in reps}
-    if flip:
-        for e, j in reversed(pairs):
-            cone[j] |= cone[e]
-    else:
-        for e, j in pairs:
-            cone[e] |= cone[j]
+    # cone[e]: e and every representative that must follow it out of the
+    # set (below it), or out of the complement (above it) on the flipped side
+    cone = above if flip else below
     # depth-first over (undecided representatives still allowed in, chosen,
     # weight still needed, weight still allowed in)
     stack = [(universe, 0, target, total)] if 0 <= size <= total else []

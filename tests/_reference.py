@@ -38,7 +38,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from rmpsc._kernels import _F_LOSS, _TILE, _batch_rows, _f, _g, _popcount_u64, _scratch, _tiles
+from rmpsc._kernels import (
+    _RATE1_GUARD, _TILE, _batch_rows, _f, _g, _popcount_u64, _scratch, _tiles,
+)
 from rmpsc._gf2 import _pivots, pack_row
 from rmpsc.autgroup import (
     PROBE_MINSUM,
@@ -610,7 +612,7 @@ def sc_decode_recursive(llrs: np.ndarray, frozen: np.ndarray, minsum: bool = Fal
             np.less(rows[0], 0.0, out=X[start:end].view(bool))
             return
         if info == size and np.abs(v).min(initial=np.inf) > (
-            0.0 if minsum else level * _F_LOSS
+            0.0 if minsum else _RATE1_GUARD[level] if level < len(_RATE1_GUARD) else np.inf
         ):
             np.less(v, 0.0, out=X[start:end].view(bool))
             return

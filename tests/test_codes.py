@@ -1,3 +1,4 @@
+import copy
 import itertools
 import json
 import math
@@ -22,6 +23,7 @@ from rmpsc.codes import (
     rm_polar_construct,
     search_max_symmetry,
     weight_distribution_via_dual,
+    _orbit_tables,
     _upward_closed_words,
 )
 from rmpsc.monomials import _members, derivative_dimensions, symmetry, upward_closure
@@ -479,6 +481,19 @@ class TestMatchesReference:
                         )
                         got = sorted(_members(w) for w in _upward_closed_words(n, r, size, s))
                         assert got == expect, (n, r, size, s)
+
+    def test_cached_tables_stay_unchanged(self):
+        # every call of one (n, r, s) shares one cached table, which no
+        # enumeration, on either side of the complement switch, changes
+        for n in range(1, 6):
+            for r in range(n + 1):
+                for s in range(1, n + 1):
+                    tables = _orbit_tables(n, r, s)
+                    kept = copy.deepcopy(tables)
+                    for size in range(tables[2] + 1):
+                        list(_upward_closed_words(n, r, size, s))
+                    assert _orbit_tables(n, r, s) is tables
+                    assert tables == kept, (n, r, s)
 
     def test_consistency_verdict(self):
         verdicts = []

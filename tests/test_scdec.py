@@ -5,6 +5,7 @@ import threading
 from functools import reduce
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, seed, settings
@@ -16,7 +17,7 @@ from _reference import boxplus_reference, rank, sc_decode_recursive, sc_referenc
 from rmpsc._gf2 import pack_row
 import rmpsc._kernels
 from rmpsc._kernels import (
-    _F_LOSS,
+    _RATE1_GUARD,
     _TILE,
     _f,
     _g,
@@ -26,7 +27,7 @@ from rmpsc._kernels import (
     sc_decode_batch,
 )
 from rmpsc.autgroup import compute_blta_structure, permutation_from_affine, sample_blta
-from rmpsc.codes import CodeSpec
+from rmpsc.codes import MAX_N, CodeSpec
 from rmpsc.scdec import ae_sc_decode_frames, encode_batch, sc_decode_frames
 
 T2 = np.array([[1, 0], [1, 1]], dtype=np.uint8)
@@ -226,10 +227,11 @@ class TestScDecode:
         # f and g run only at the nodes that split: the root (4 + 4 LLRs out)
         # and the node u4-u7 (2 + 2).  The Rep nodes u0-u3 and u4-u5 fold, and
         # the Rate-1 node u6-u7 is decided by hard decision: its LLRs are
-        # nonzero and above 1 * _F_LOSS in magnitude.  Scaled by 1e-5 they are
-        # not, so the exact rule then also splits that node (1 + 1)
+        # nonzero and above the level-1 guard t_1 in magnitude.  Scaled by
+        # 1e-12 they are not, so the exact rule then also splits that node
+        # (1 + 1)
         for scale, minsum, split in (
-            (1.0, False, 0), (1.0, True, 0), (1e-5, False, 1), (1e-5, True, 0)
+            (1.0, False, 0), (1.0, True, 0), (1e-12, False, 1), (1e-12, True, 0)
         ):
             calls.clear()
             X = sc_decode_batch(scale * llrs, frozen, minsum)
@@ -243,18 +245,19 @@ class TestScDecode:
 class TestBatchDecode:
     # f LLRs per frame, exact rule: skipping the Rate-0 left children saves
     # (128,60) 40 and (64,37) 16 of them; (1024,512) has none.
-    # At LLR scale 1e-5 no node LLR reaches _F_LOSS, so no Rate-1 node is
-    # decided by hard decision and the counts measure the Rate-0 skip alone
+    # At LLR scale 1e-12 no node LLR reaches t_1, the lowest guard, so no
+    # Rate-1 node is decided by hard decision and the counts measure the
+    # Rate-0 skip alone
     @pytest.mark.parametrize(
         "i_min, n, f_llrs", [({27}, 7, 306), ({19}, 6, 131), ({63, 121}, 10, 4013)]
     )
     def test_rate0_left_child_skips_f(self, monkeypatch, i_min, n, f_llrs):
-        self._check_f_llrs(monkeypatch, i_min, n, 1e-5, f_llrs)
+        self._check_f_llrs(monkeypatch, i_min, n, 1e-12, f_llrs)
 
     # the same frames at scale 1: the Rate-1 nodes whose LLRs clear the guard
-    # compute no f below them
+    # compute no f below them (counts from _reference.sc_decode_recursive)
     @pytest.mark.parametrize(
-        "i_min, n, f_llrs", [({27}, 7, 273), ({19}, 6, 104), ({63, 121}, 10, 3489)]
+        "i_min, n, f_llrs", [({27}, 7, 268), ({19}, 6, 102), ({63, 121}, 10, 3418)]
     )
     def test_rate_one_guard_skips_f(self, monkeypatch, i_min, n, f_llrs):
         self._check_f_llrs(monkeypatch, i_min, n, 1.0, f_llrs)
@@ -631,8 +634,8 @@ class TestFlatPlan:
                 f_min += plan[i][0] == "f"
                 i = plan[i][-1] if plan[i][0] == "rate1" else i + 1
             for kind in GOLDEN_KINDS:
-                # scaled by 1e-5 no node LLR clears the exact rule's guard
-                for scale in (1.0, 1e-5):
+                # scaled by 1e-12 no node LLR clears the exact rule's guard
+                for scale in (1.0, 1e-12):
                     llrs = scale * g[f"llrs_{name}_{kind}"]
                     X = sc_decode_batch(llrs, frozen, minsum)
                     kernel = calls[:]
@@ -791,28 +794,66 @@ def edge_rows(n, mag, batch=4):
 
 
 def guard_edges(n):
-    """Magnitudes at, one ulp above and 1% above the exact rule's guard at
-    the root of a Rate-1 node of level n."""
-    at = n * _F_LOSS
+    """Magnitudes at, one ulp above and 1% above the exact rule's guard t_n
+    at the root of a Rate-1 node of level n."""
+    at = _RATE1_GUARD[n]
     return at, np.nextafter(at, np.inf), 1.01 * at
+
+
+# magnitudes below t_2, down to where the exact rule's f of two of them
+# rounds to 0
+TINY = [1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3]
 
 
 @st.composite
 def rate_one_rows(draw):
-    """Rate-1 rows of 2^n LLRs, n = 1..6, around the guard of their level."""
-    n = draw(st.integers(1, 6))
-    at, above, far = guard_edges(n)
-    near = [at, above, far, np.nextafter(at, 0.0), 0.99 * at, 1e-8, 1e-4]
+    """Rate-1 rows of 2^n LLRs, n = 1..10, around the guard of each level up
+    to n and at magnitudes 1e-9..1e-3."""
+    n = draw(st.integers(1, 10))
+    near = list(TINY)
+    for level in range(1, n + 1):
+        at, above, far = guard_edges(level)
+        near += [at, above, far, np.nextafter(at, 0.0), 0.99 * at]
+    top = 2.0 * _RATE1_GUARD[n]
     values = st.one_of(
         st.sampled_from(near + [-m for m in near]),
-        st.floats(-2.0 * at, 2.0 * at, allow_nan=False),
+        st.floats(-top, top, allow_nan=False),
     )
     return draw(hnp.arrays(np.float64, (draw(st.integers(1, 4)), 1 << n), elements=values))
 
 
+def boxplus_floor(m):
+    """F(m) = 2 atanh(tanh^2(m/2)), the least exact-rule f magnitude of two
+    inputs of magnitude at least m, in mpmath."""
+    return 2 * mpmath.atanh(mpmath.tanh(m / 2) ** 2)
+
+
+def rounding_bound(m):
+    """d(m) = 2u(m + 1) + 2^13 u, u = 2^-53: what rounding, exp and log1p
+    may take off the computed f magnitude of inputs of magnitude m (see the
+    comment in rmpsc._kernels)."""
+    u = mpmath.mpf(2) ** -53
+    return 2 * u * (m + 1) + 2**13 * u
+
+
 class TestRateOneGuard:
+    def test_table_is_a_rounding_bound(self):
+        # one entry per level up to the library's length bound; each t_l
+        # keeps every f output above t_(l-1) (above 0 at level 1), and lies
+        # within 2% of the least value that does
+        assert len(_RATE1_GUARD) == MAX_N + 1 and _RATE1_GUARD[0] == 0.0
+        with mpmath.workdps(50):
+            for level in range(1, MAX_N + 1):
+                t, below = mpmath.mpf(_RATE1_GUARD[level]), mpmath.mpf(_RATE1_GUARD[level - 1])
+                assert boxplus_floor(t) - rounding_bound(t) >= below, level
+                assert boxplus_floor(t / 1.02) - rounding_bound(t / 1.02) < below, level
+                # F - d grows from t_1 on: F' = tanh(m) is far above 2u there
+                assert mpmath.tanh(t) > 4 * mpmath.mpf(2) ** -53
+            t1 = mpmath.mpf(_RATE1_GUARD[1])
+            assert boxplus_floor(t1) - rounding_bound(t1) > 0
+
     @pytest.mark.parametrize("minsum", [False, True])
-    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("n", range(1, 11))
     def test_guard_edges_match_reference(self, monkeypatch, n, minsum):
         info_only = np.zeros(1 << n, dtype=np.uint8)
         at, above, far = guard_edges(n)
@@ -825,6 +866,20 @@ class TestRateOneGuard:
             assert (not calls) == shortcut
             assert np.array_equal(X, sc_reference(llrs, info_only, minsum))
 
+    def test_no_exact_rule_guard_above_the_table(self, monkeypatch):
+        # at level 15, one above the library's length bound, the exact rule
+        # splits the root whatever its LLRs; its children, of magnitude
+        # about 10 - ln 2 > t_14, are decided by hard decision
+        llrs = edge_rows(15, 10.0, batch=2)
+        info_only = np.zeros(1 << 15, dtype=np.uint8)
+        calls = record_f_and_g(monkeypatch)
+        X = sc_decode_batch(llrs, info_only)
+        assert [kind for kind, _ in calls] == ["f", "g"]
+        assert np.array_equal(X, (llrs < 0).astype(np.uint8))
+        calls.clear()
+        assert np.array_equal(sc_decode_batch(llrs, info_only, True), X)
+        assert not calls
+
     @seed(7)
     @settings(max_examples=300, deadline=None, derandomize=False, database=None)
     @given(rate_one_rows(), st.booleans())
@@ -833,6 +888,7 @@ class TestRateOneGuard:
     @example(edge_rows(6, guard_edges(6)[0]), False)
     @example(edge_rows(6, guard_edges(6)[1]), False)
     @example(edge_rows(6, guard_edges(6)[2]), False)
+    @example(edge_rows(10, guard_edges(10)[1]), False)
     @example(np.array([[1e-9, 1e-9, 1e-9, -1e-9]]), False)
     def test_rate_one_matches_reference(self, llrs, minsum):
         info_only = np.zeros(llrs.shape[1], dtype=np.uint8)
