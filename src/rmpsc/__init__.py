@@ -10,10 +10,7 @@ from .codes import (
     CodeSpec,
     ReliabilityOrder,
     beta_expansion_reliability,
-    extend_code,
-    load_reliability,
     min_weight_count,
-    rm_polar_construct,
 )
 from .autgroup import (
     AffineMap,

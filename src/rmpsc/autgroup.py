@@ -107,8 +107,7 @@ class AffineMap:
     def __post_init__(self):
         A = np.asarray(self.A, dtype=np.uint8) & 1
         b = np.asarray(self.b, dtype=np.uint8) & 1
-        n = b.shape[0]
-        if A.shape != (n, n):
+        if b.ndim != 1 or A.shape != (b.size, b.size):
             raise ValueError(f"shape mismatch: A {A.shape}, b {b.shape}")
         if not _gf2.is_invertible(A):
             raise ValueError("matrix is singular over GF(2)")

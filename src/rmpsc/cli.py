@@ -1,5 +1,5 @@
 """Command-line front end: code analysis, symmetry atlas search, FER
-simulation, length doubling, and permutation sampling."""
+simulation, and permutation sampling."""
 
 from __future__ import annotations
 
@@ -30,7 +30,6 @@ from .codes import (
     MAX_N,
     CodeSpec,
     dim_rm,
-    extend_code,
     min_weight_count,
     search_max_symmetry,
 )
@@ -239,26 +238,6 @@ def cmd_simulate(ns) -> int:
     return 0
 
 
-# ------------------------------------------------------------------- extend
-
-
-def cmd_extend(ns) -> int:
-    base = CodeSpec.from_i_min(ns.imin, ns.n)
-    base_structure = compute_blta_structure(base)
-    extended = extend_code(ns.imin, ns.n)
-    predicted = (*base_structure.blocks[:-1], sum(base_structure.blocks[-1:]) + 1)
-    computed = compute_blta_structure(extended).blocks
-    print(f"base: N={base.N} K={base.K} blta={';'.join(map(str, base_structure.blocks))}")
-    print(f"extended: N={extended.N} K={extended.K}")
-    print(f"predicted_blta: {';'.join(map(str, predicted))}")
-    print(f"computed_blta: {';'.join(map(str, computed))}")
-    print(f"match: {predicted == computed}")
-    if ns.out:
-        extended.save(ns.out)
-        print(f"# extended code written to {ns.out}", file=sys.stderr)
-    return 0
-
-
 # -------------------------------------------------------------- sample-perms
 
 
@@ -322,12 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=_parse_count, default=1)
     p.add_argument("--out")
     p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("extend", help="double the length, reusing the generators")
-    p.add_argument("--n", type=_parse_n, required=True)
-    p.add_argument("--imin", type=_parse_imin, required=True)
-    p.add_argument("--out", help="write the extended code JSON here")
-    p.set_defaults(func=cmd_extend)
 
     p = sub.add_parser("sample-perms", help="draw class-distinct automorphisms")
     add_code_args(p)

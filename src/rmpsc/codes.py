@@ -1,4 +1,4 @@
-"""Code construction: reliability orders, RM-polar codes, length doubling,
+"""Code construction: decreasing monomial codes, reliability orders,
 symmetry-maximising search, and minimum-weight counting."""
 
 from __future__ import annotations
@@ -20,9 +20,6 @@ __all__ = [
     "dim_rm",
     "rm_order",
     "beta_expansion_reliability",
-    "load_reliability",
-    "rm_polar_construct",
-    "extend_code",
     "min_weight_count",
     "weight_distribution_via_dual",
 ]
@@ -221,55 +218,6 @@ def beta_expansion_reliability(n: int, beta: float = 2.0 ** 0.25) -> Reliability
     scores = bits @ weights
     order = tuple(int(i) for i in np.argsort(scores, kind="stable"))
     return ReliabilityOrder(n, order)
-
-
-def load_reliability(path) -> ReliabilityOrder:
-    """Read a reliability sequence file: one index per line, least reliable first."""
-    with open(path, "r", encoding="utf-8") as fh:
-        entries = [int(line) for line in fh if line.strip()]
-    n = len(entries).bit_length() - 1
-    if not entries or (1 << n) != len(entries):
-        raise ValueError(f"sequence length {len(entries)} is not a power of two")
-    return ReliabilityOrder(n, tuple(entries))
-
-
-# --------------------------------------------------------------- construction
-
-
-def rm_polar_construct(n: int, k: int, rel: ReliabilityOrder | None = None) -> CodeSpec:
-    """Pick the dimension-k code of best minimum distance: all monomial rows
-    of degree below r, filled up from the degree-r layer in descending
-    reliability.  The reliability order must respect the index partial order."""
-    r = rm_order(k, n)
-    if rel is None:
-        rel = beta_expansion_reliability(n)
-    if rel.n != n:
-        raise ValueError(f"reliability order is for n={rel.n}, expected {n}")
-    if not rel.upo_consistent:
-        raise ValueError("reliability order violates the index partial order")
-    N = 1 << n
-    full = N - 1
-    base = [i for i in range(N) if (~i & full).bit_count() < r]
-    need = k - len(base)
-    layer = [i for i in range(N) if (~i & full).bit_count() == r]
-    rank = rel.ranks()
-    layer.sort(key=lambda i: (int(rank[i]), i), reverse=True)
-    # a consistent order ranks every layer member below a chosen one higher,
-    # so the pick is already closed downward
-    return CodeSpec.from_info_set(frozenset(base + layer[:need]), n)
-
-
-def extend_code(i_min, n: int) -> CodeSpec:
-    """Length-doubling: reuse the same generator indices at exponent n+1.
-
-    Each generator monomial gains the new top variable, so the doubled code
-    keeps the structure of the original with the last symmetry block grown
-    by one.  The base code must be RM-polar.
-    """
-    base = CodeSpec.from_i_min(i_min, n)
-    if not base.is_rm_polar:
-        raise ValueError("generator indices do not give an RM-polar code at length 2^n")
-    return CodeSpec.from_i_min(base.i_min, n + 1)
 
 
 # --------------------------------------------------------------------- search

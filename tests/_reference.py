@@ -29,7 +29,8 @@ up to its first differing frame).
 
 Beside them are helpers that only the tests use: the seeded hill-climb over
 one-monomial swaps that searched n >= 8 before the search was exact (a
-baseline the exact search must never fall below), affine-map composition, the
+baseline the exact search must never fall below) with the degree-r fill by
+reliability that seeds it, affine-map composition, the
 probe batch with its plain SC reference, the single-permutation absorption
 probe and the brute-force minimum-weight count.
 """
@@ -58,7 +59,6 @@ from rmpsc.codes import (
     ReliabilityOrder,
     beta_expansion_reliability,
     rm_order,
-    rm_polar_construct,
 )
 from rmpsc.monomials import _steps_below, derivative_dimensions
 from rmpsc.scdec import sc_decode_frames
@@ -208,6 +208,29 @@ class MonomialPoset:
 
     def removable(self, positions: set) -> list[int]:
         return [i for i in positions if not (self.above[i] & positions)]
+
+
+def rm_polar_construct(n: int, k: int, rel: ReliabilityOrder | None = None) -> CodeSpec:
+    """Pick the dimension-k code of best minimum distance: all monomial rows
+    of degree below r, filled up from the degree-r layer in descending
+    reliability.  The reliability order must respect the index partial order."""
+    r = rm_order(k, n)
+    if rel is None:
+        rel = beta_expansion_reliability(n)
+    if rel.n != n:
+        raise ValueError(f"reliability order is for n={rel.n}, expected {n}")
+    if not rel.upo_consistent:
+        raise ValueError("reliability order violates the index partial order")
+    N = 1 << n
+    full = N - 1
+    base = [i for i in range(N) if (~i & full).bit_count() < r]
+    need = k - len(base)
+    layer = [i for i in range(N) if (~i & full).bit_count() == r]
+    rank = rel.ranks()
+    layer.sort(key=lambda i: (int(rank[i]), i), reverse=True)
+    # a consistent order ranks every layer member below a chosen one higher,
+    # so the pick is already closed downward
+    return CodeSpec.from_info_set(frozenset(base + layer[:need]), n)
 
 
 def search_max_symmetry(

@@ -30,7 +30,6 @@ from rmpsc.channel import SimConfig, run_fer, tub_ml_bound
 from rmpsc.codes import (
     CodeSpec,
     dim_rm,
-    extend_code,
     min_weight_count,
     rm_order,
     search_max_symmetry,
@@ -197,7 +196,8 @@ class TestCriterion4LengthDoubling:
             k = int(rng.integers(1, 33))
             base = random_ideal_code(5, k, rng)
             s_base = compute_blta_structure(base)
-            ext = extend_code(base.i_min, 5)
+            # the doubled code: the same generator indices at n = 6
+            ext = CodeSpec.from_i_min(base.i_min, 6)
             s_ext = compute_blta_structure(ext)
             predicted = s_base.blocks[:-1] + (s_base.blocks[-1] + 1,)
             if s_ext.blocks != predicted:

@@ -27,16 +27,13 @@ TOP_LEVEL = {
     "compute_blta_structure",
     "encode_batch",
     "equivalent_class_count",
-    "extend_code",
     "is_code_automorphism",
-    "load_reliability",
     "min_distance",
     "min_weight_count",
     "minimal_generators",
     "noisy_frames",
     "permutation_from_affine",
     "polar_transform",
-    "rm_polar_construct",
     "run_fer",
     "sample_blta",
     "sample_distinct_class_automorphisms",

@@ -144,6 +144,10 @@ class TestAffine:
             AffineMap(A, np.zeros(3, dtype=np.uint8))
         with pytest.raises(ValueError, match="shape mismatch"):
             AffineMap(np.eye(3, dtype=np.uint8), np.zeros(2, dtype=np.uint8))
+        # the offset is a vector of n bits: a column or a scalar is refused
+        for b in (np.zeros((2, 1), dtype=np.uint8), np.zeros((), dtype=np.uint8)):
+            with pytest.raises(ValueError, match="shape mismatch"):
+                AffineMap(np.eye(2, dtype=np.uint8), b)
         with pytest.raises(ValueError, match="matrix must be square"):
             is_invertible(np.zeros((2, 3), dtype=np.uint8))
 

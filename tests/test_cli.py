@@ -1,11 +1,13 @@
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rmpsc.cli import main
+from rmpsc.cli import build_parser, main
 
 
 def run_cli(args, capsys):
@@ -450,35 +452,6 @@ class TestSimulate:
         assert a.read_bytes() == b.read_bytes()
 
 
-class TestExtend:
-    def test_prediction_matches(self, tmp_path, capsys):
-        out = tmp_path / "ext.json"
-        code, stdout, _ = run_cli(
-            ["extend", "--imin", "19", "--n", "6", "--out", str(out)], capsys
-        )
-        assert code == 0
-        assert "predicted_blta: 4;3" in stdout
-        assert "computed_blta: 4;3" in stdout
-        assert "match: True" in stdout
-        from rmpsc.codes import CodeSpec
-
-        ext = CodeSpec.load(out)
-        assert ext.N == 128 and ext.i_min == (19,)
-
-    def test_length_one_code(self, capsys):
-        code, stdout, _ = run_cli(["extend", "--imin", "0", "--n", "0"], capsys)
-        assert code == 0
-        assert "base: N=1 K=1 blta=\n" in stdout
-        assert "predicted_blta: 1\n" in stdout
-        assert "computed_blta: 1\n" in stdout
-        assert "match: True" in stdout
-
-    def test_non_rm_polar_rejected(self, capsys):
-        code, _, err = run_cli(["extend", "--imin", "24", "--n", "5"], capsys)
-        assert code == 1
-        assert "error:" in err
-
-
 class TestSamplePerms:
     def test_negative_seed_is_usage_error(self, capsys):
         argv = ["sample-perms", "--imin", "19", "--n", "6", "--m", "2", "--seed", "-1"]
@@ -522,7 +495,6 @@ class TestSamplePerms:
     [
         ["analyze", "--imin", "0"],
         ["simulate", "--imin", "0"],
-        ["extend", "--imin", "0"],
         ["sample-perms", "--imin", "0", "--m", "1"],
     ],
     ids=lambda argv: argv[0],
@@ -530,6 +502,19 @@ class TestSamplePerms:
 def test_negative_n_is_usage_error(capsys, argv):
     # the code-taking subcommands; search has its own cases in TestSearch
     assert_usage_error(argv + ["--n", "-1"], "argument --n: n must be non-negative, got -1", capsys)
+
+
+def test_readme_commands_parse():
+    # every `rmpsc` line of the README's shell blocks, joined at a trailing
+    # backslash and less its comment, is parsed, not run: a documented
+    # subcommand or flag that no longer exists makes argparse exit 2
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = "\n".join(text.split("```")[1::2]).replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line, comments=True) for line in lines if line.startswith("rmpsc ")]
+    assert len(commands) >= 7
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv[1:])
 
 
 class TestEntryPoint:
@@ -544,13 +529,16 @@ class TestEntryPoint:
         assert json.loads(proc.stdout)["K"] == 1
 
     def test_usage_error_is_2(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "rmpsc.cli", "frobnicate"],
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
-        assert proc.returncode == 2
+        # an unknown subcommand, and the deleted length-doubling one
+        for argv in (["frobnicate"], ["extend", "--imin", "19", "--n", "6"]):
+            proc = subprocess.run(
+                [sys.executable, "-m", "rmpsc.cli", *argv],
+                capture_output=True,
+                text=True,
+                timeout=120,
+            )
+            assert proc.returncode == 2
+            assert "invalid choice" in proc.stderr
 
 
 class TestPinnedOutputs:

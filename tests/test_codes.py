@@ -16,17 +16,14 @@ from rmpsc.codes import (
     ReliabilityOrder,
     beta_expansion_reliability,
     dim_rm,
-    extend_code,
-    load_reliability,
     min_weight_count,
     rm_order,
-    rm_polar_construct,
     search_max_symmetry,
     weight_distribution_via_dual,
     _orbit_tables,
     _upward_closed_words,
 )
-from rmpsc.monomials import _members, derivative_dimensions, symmetry, upward_closure
+from rmpsc.monomials import _members, symmetry, upward_closure
 
 
 def random_linear_extension(n: int, seed: int) -> ReliabilityOrder:
@@ -162,125 +159,21 @@ class TestReliability:
         bad = tuple(reversed(range(64)))
         with pytest.raises(TypeError):
             ReliabilityOrder(6, bad, [True])
-        with pytest.raises(ValueError, match="violates the index partial order"):
-            rm_polar_construct(6, 22, ReliabilityOrder(6, bad))
-
-    def test_file_round_trip(self, tmp_path):
-        rel = beta_expansion_reliability(4)
-        path = tmp_path / "rel.txt"
-        path.write_text("".join(f"{i}\n" for i in rel.order))
-        loaded = load_reliability(path)
-        assert loaded.order == rel.order
-        assert loaded.upo_consistent
-
-    def test_file_length_validated(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("0\n1\n2\n")
-        with pytest.raises(ValueError):
-            load_reliability(path)
-
-    def test_empty_file_rejected(self, tmp_path):
-        path = tmp_path / "empty.txt"
-        path.write_text("\n")
-        with pytest.raises(ValueError, match="length 0 is not a power of two"):
-            load_reliability(path)
 
 
 class TestRmPolarConstruct:
-    def test_exact_first_order(self):
-        code = rm_polar_construct(3, 4)
-        assert code.info_set == {3, 5, 6, 7}
-
-    def test_rm_dimensions_give_rm_codes(self):
-        for n in (4, 5, 6):
-            for r in range(n + 1):
-                code = rm_polar_construct(n, dim_rm(r, n))
-                expect = {i for i in range(1 << n) if n - i.bit_count() <= r}
-                assert code.info_set == expect
-
-    def test_64_37_distance(self):
-        code = rm_polar_construct(6, 37)
-        assert code.min_distance == 8
-        assert code.K == 37
-
-    def test_outputs_decreasing_and_optimal(self):
-        rng = np.random.default_rng(2)
-        for _ in range(25):
-            n = int(rng.integers(2, 7))
-            k = int(rng.integers(1, (1 << n) + 1))
-            code = rm_polar_construct(n, k)
-            assert code.K == k
-            assert upward_closure(code.info_set, n) == code.info_set
-            assert code.min_distance == 1 << (n - rm_order(k, n))
-
     def test_brute_force_distance_small(self):
         for k in range(1, 9):
-            code = rm_polar_construct(3, k)
-            if code.K <= 8:
+            for code in search_max_symmetry(3, k)[1]:
                 weights = [w for w in enumerate_codeword_weights(code) if w > 0]
                 assert min(weights) == code.min_distance
 
     def test_k_out_of_range(self):
-        with pytest.raises(ValueError):
-            rm_polar_construct(3, 9)
-        with pytest.raises(ValueError):
-            rm_polar_construct(3, 0)
         for k in (0, 9):
             with pytest.raises(ValueError, match=f"dimension {k} out of range for n=3"):
                 rm_order(k, 3)
             with pytest.raises(ValueError, match=f"dimension {k} out of range for n=3"):
                 search_max_symmetry(3, k)
-
-    def test_rejects_inconsistent_reliability(self):
-        rel = ReliabilityOrder(3, tuple(reversed(range(8))))
-        with pytest.raises(ValueError):
-            rm_polar_construct(3, 4, rel)
-        # a consistent order for another length
-        with pytest.raises(ValueError, match="reliability order is for n=4, expected 3"):
-            rm_polar_construct(3, 4, beta_expansion_reliability(4))
-
-    @seed(8)
-    @settings(max_examples=40, deadline=None, derandomize=False, database=None)
-    @given(st.integers(4, 5), st.integers(0, 2**32 - 1))
-    def test_every_linear_extension_gives_dimension_k(self, n, seed):
-        rel = random_linear_extension(n, seed)
-        assert rel.upo_consistent
-        N = 1 << n
-        for k in range(1, N + 1):
-            assert rm_polar_construct(n, k, rel).K == k
-
-
-class TestExtend:
-    def test_extend_3_to_rm24(self):
-        code = extend_code({3}, 3)
-        assert code.N == 16
-        assert code.K == 11
-        expect = {i for i in range(16) if 4 - i.bit_count() <= 2}
-        assert code.info_set == expect
-
-    def test_generators_gain_top_variable(self):
-        base = CodeSpec.from_i_min({19}, 6)
-        ext = extend_code({19}, 6)
-        assert ext.i_min == base.i_min
-        for i in base.i_min:
-            # the monomial of i at n=7 is its n=6 monomial times v6
-            assert derivative_dimensions({i}, 7) == derivative_dimensions({i}, 6) + (1,)
-
-    def test_symmetry_grows_by_one(self):
-        assert extend_code({19}, 6).symmetry == CodeSpec.from_i_min({19}, 6).symmetry + 1
-
-    def test_chain_to_1024(self):
-        ext = extend_code({63, 121}, 9)
-        assert ext.N == 1024
-        assert ext.info_set == upward_closure({63, 121}, 10)
-
-    def test_rejects_non_rm_polar(self):
-        # closure of a single degree-3 monomial at n=5 has dimension 8 but
-        # distance 4; the best dimension-8 code reaches 8
-        code = CodeSpec.from_i_min({24}, 5)
-        assert not code.is_rm_polar
-        with pytest.raises(ValueError):
-            extend_code({24}, 5)
 
 
 # (t, i_min) that the seeded hill-climb, the n >= 8 search before it was
