@@ -200,32 +200,62 @@ def _g(tiles, bits):
 #   subtree, the node's f first;
 # - "f" into the left child's rows, "add" (a + b into the right child's rows
 #   under a Rate-0 left child), "g" into the right child's rows once the
-#   left child is decided, and "xor", the combine after the right child.
+#   left child is decided, and "xor", the combine after the right child;
+# - "keep": a copy of the node's input into rows [start, end) of the
+#   level's kept array, for a call that keeps node inputs.
+#
+# Kept node inputs.  A call can keep the input of every node it computes at
+# the tree levels it is asked for: the LLRs that plain SC feeds the node, as
+# the node is entered.  A level's kept array holds one block of 2^level rows
+# per node of that level with an information bit, in order of the node's
+# u-index: the j-th such node's input is rows [j 2^level, (j+1) 2^level).
+# That input is written by f (left child), g or add (right child) at the
+# level above, by the root (level n), and inside a Rep subtree by its fold,
+# so a plan that keeps a level below a Rep node walks that node as splits
+# of a Rate-0 left child ("add", then the right child, then "xor"): the same
+# additions and the same codeword.  Two kinds of node get no kept input:
+# Rate-0 nodes, which the plan never visits and the array has no rows for,
+# and nodes below a Rate-1 node whose guard held, whose subtree the run
+# skips and whose rows stay as the caller gave them.  Both decode alike
+# whatever their bit order: a Rate-0 node to zeros, and a node below a
+# guarded Rate-1 node to the hard decision of its true input, whose
+# magnitudes all clear the node's own guard (the induction of the proof
+# above); all-zero rows decode to zeros.  Kept inputs are the kernel's own
+# LLRs, so they are never clamped.  A plan that keeps no level has no
+# "keep" step and is the plan above.
 
 
 @functools.lru_cache
-def _plan(frozen: bytes) -> tuple:
+def _plan(frozen: bytes, keep: tuple = ()) -> tuple:
     """The flat step list of the pruned SC tree of a frozen mask, given as
-    the bytes of a bool array (see the comment above)."""
+    the bytes of a bool array, that keeps the node inputs of the levels in
+    ``keep`` (see the comment above)."""
     # info_before[i]: number of information bits among u-indices [0, i)
     info_before = [0]
     for f in frozen:
         info_before.append(info_before[-1] + (not f))
     steps = []
-    _compile(len(frozen).bit_length() - 1, 0, frozen, info_before, steps)
+    # the nodes each kept level has had so far
+    kept = dict.fromkeys(keep, 0)
+    _compile(len(frozen).bit_length() - 1, 0, frozen, info_before, kept, steps)
     return tuple(steps)
 
 
-def _compile(level, start, frozen, info_before, steps):
-    """Append the steps of the node (level, start) to ``steps``: a plain
-    function, so that compiling leaves no reference cycle."""
+def _compile(level, start, frozen, info_before, kept, steps):
+    """Append the steps of the node (level, start) to ``steps``, counting
+    the nodes of each kept level in ``kept``: a plain function, so that
+    compiling leaves no reference cycle."""
     size = 1 << level
     end = start + size
     mid = start + size // 2
     info = info_before[end] - info_before[start]
     if info == 0:
         return
-    if info == 1 and not frozen[end - 1]:
+    if level in kept:
+        row = kept[level] * size
+        kept[level] += 1
+        steps.append(("keep", level, row, row, row + size, 0))
+    if info == 1 and not frozen[end - 1] and not any(lv < level for lv in kept):
         steps.append(("rep", level, start, mid, end, 0))
         return
     rate1 = info == size
@@ -236,9 +266,9 @@ def _compile(level, start, frozen, info_before, steps):
         steps.append(("add", level, start, mid, end, 0))
     else:
         steps.append(("f", level, start, mid, end, 0))
-        _compile(level - 1, start, frozen, info_before, steps)
+        _compile(level - 1, start, frozen, info_before, kept, steps)
         steps.append(("g", level, start, mid, end, 0))
-    _compile(level - 1, mid, frozen, info_before, steps)
+    _compile(level - 1, mid, frozen, info_before, kept, steps)
     steps.append(("xor", level, start, mid, end, 0))
     if rate1:
         steps[at] = ("rate1", level, start, mid, end, len(steps))
@@ -263,6 +293,26 @@ def _batch_rows(N: int) -> int:
     return max(_SC_MIN_ROWS, _SC_CALL_LLRS // N)
 
 
+def _kept_rows(N: int) -> int:
+    """The most rows of a call on N-LLR rows that keeps its workspace."""
+    return max(_SC_MIN_ROWS, 3 * _SC_CALL_LLRS // (2 * N))
+
+
+def _scratch_width(N: int, B: int) -> int:
+    """Elements per operand of the f/g scratch of an (N, B) call: as many
+    whole rows as fit in ``_TILE`` elements, at most N/2, at least one."""
+    return max(1, min(N // 2, _TILE // max(B, 1))) * B
+
+
+def _rows_within(size: int, N: int, B: int) -> int:
+    """A row count r such that every call of at most r rows of ``size``
+    LLRs, size <= N, fits the workspace an (N, B) call leaves and keeps it:
+    no more level-row LLRs and no wider a scratch.  A call of r' rows needs
+    a scratch of at most max(1, size/2) rows of r' elements."""
+    width = _scratch_width(N, B)
+    return max(1, min(N * B // size, _kept_rows(size), 2 * width // max(2, size)))
+
+
 # The workspace a finished call keeps for the next one, under the key None.
 # A call pops it, so that a call made meanwhile, from another thread,
 # allocates its own, and puts it back when it returns, if the call's rows fit
@@ -274,9 +324,10 @@ class _Workspace:
     """LLR memory for calls below the root: ``llrs``, a flat buffer that
     holds an (N, B) call's level rows in its first N * B entries, and
     ``scratch``, the f/g scratch (see ``_scratch``); each grows when a call
-    needs more.  ``views`` maps a call shape (N, B) to the per-level views
-    over both, for the shape of the last call (``shape``) and the one
-    before it, so that calls of two alternating shapes rebuild none."""
+    needs more.  ``views`` maps a call shape
+    (N, B) to the per-level views over both, for the shape of the last call
+    (``shape``) and the one before it, so that calls of two alternating
+    shapes rebuild none."""
 
     __slots__ = ("llrs", "scratch", "shape", "views")
 
@@ -320,7 +371,7 @@ class _Workspace:
         return views
 
 
-def sc_decode_batch(llrs: np.ndarray, frozen: np.ndarray, minsum: bool = False):
+def sc_decode_batch(llrs: np.ndarray, frozen: np.ndarray, minsum: bool = False, keep=None):
     """Decode a batch of LLR rows.
 
     Parameters
@@ -330,30 +381,37 @@ def sc_decode_batch(llrs: np.ndarray, frozen: np.ndarray, minsum: bool = False):
     frozen : (N,) uint8 mask, 1 on frozen u-positions; N must be a power
         of two, or the call raises ValueError.
     minsum : replace the exact check-node rule by min-sum.
+    keep : optional dict from tree levels l to float64 arrays of shape
+        (2^l m, B), m the number of level-l nodes with an information bit.
+        The call writes the input of every node it computes at such a level
+        to the node's rows of that level's array, and leaves the rows of
+        nodes below a Rate-1 node whose guard held as they are (see "Kept
+        node inputs" above).
 
-    The call runs the cached plan of ``frozen`` (see the comment above) in
-    one loop.  The root's rows are the (N, B) node-major input ``llrs.T``,
-    which the call only reads: a node-major batch (a (B, N) view whose
-    transpose is C-contiguous) is read in place, any other is copied.  Below
-    the root the call works in one workspace (the per-layer arrays of Tal &
-    Vardy's SC decoder): (N, B) level rows whose rows [2^l, 2^(l+1)) hold the
-    node being decoded at level l < n, which f and g write in place, and a
-    scratch of whole rows, at most ``_TILE`` elements per operand (or one
-    row), over which f and g run tile by tile on larger nodes.  Its
-    decisions go into a fresh (N, B) uint8 codeword array, written in place.
+    The call runs the cached plan of ``frozen`` and the kept levels (see the
+    comment above) in one loop.  The root's rows are the (N, B) node-major
+    input ``llrs.T``, which the call only reads: a node-major batch (a
+    (B, N) view whose transpose is C-contiguous) is read in place, any other
+    is copied.  Below the root the call works in one workspace (the
+    per-layer arrays of Tal & Vardy's SC decoder): (N, B) level rows whose
+    rows [2^l, 2^(l+1)) hold the node being decoded at level l < n, which f
+    and g write in place, and a scratch of whole rows, at most ``_TILE``
+    elements per operand (or one row), over which f and g run tile by tile
+    on larger nodes.  Its decisions go into a fresh (N, B) uint8 codeword
+    array, written in place.
     f and g apply their signs by flipping the float64 sign bit, with the same
     bits as multiplying by 1.0 - 2.0*bit.
 
     Module state: the plan cache (``functools.lru_cache``, the default 128
-    masks) and at most one workspace, kept between calls.  A call checks
-    the kept workspace out and uses its memory when it is large enough.  On
-    return it keeps its workspace (with the views over it for its (N, B)
-    and the previous call's) if B <= max(``_SC_MIN_ROWS``,
+    masks, or mask and kept-level pairs) and at most one workspace, kept
+    between calls.  A call checks the kept workspace out and uses its
+    memory when it is large enough.  On return it keeps its workspace (with
+    the views over it for its (N, B) and the previous call's) if
+    B <= ``_kept_rows(N)`` = max(``_SC_MIN_ROWS``,
     3 * ``_SC_CALL_LLRS`` // (2 * N)), which covers the AE call budget and
     every default FER batch, and drops it otherwise, so the kept memory is
-    at most max(3 * 2^15, 256 * N) LLRs of level rows plus one scratch.
-    A campaign's calls then neither free the workspace nor fault it in
-    again.
+    at most max(3 * 2^15, 256 * N) LLRs of level rows plus one scratch.  A
+    campaign's calls then neither free the workspace nor fault it in again.
 
     Returns
     -------
@@ -367,12 +425,19 @@ def sc_decode_batch(llrs: np.ndarray, frozen: np.ndarray, minsum: bool = False):
     if frozen.shape != (N,) or N < 1 or N & (N - 1):
         raise ValueError(f"frozen mask of shape {frozen.shape} for {N} LLRs per row; "
                          "it needs shape (N,) with N a power of two")
-    plan = _plan(frozen.tobytes())
     n = N.bit_length() - 1
+    for level, out in (keep or {}).items():
+        if not 0 <= level <= n:
+            raise ValueError(f"kept level {level} is not a tree level 0..{n}")
+        nodes = int((~frozen).reshape(-1, 1 << level).any(axis=1).sum())
+        if np.shape(out) != (nodes << level, B):
+            raise ValueError(f"kept level {level} of shape {np.shape(out)}, "
+                             f"not ({nodes << level}, {B})")
+    plan = _plan(frozen.tobytes(), tuple(sorted(keep)) if keep else ())
     X = np.zeros((N, B), dtype=np.uint8)
     # the Rate-1 guard of each level (see the comment above)
     guards = (0.0,) * (n + 1) if minsum else _RATE1_GUARD + (np.inf,) * (n + 1 - len(_RATE1_GUARD))
-    width = max(1, min(N // 2, _TILE // max(B, 1))) * B
+    width = _scratch_width(N, B)
     ws = _RETAINED.pop(None, None) or _Workspace()
     rows, halves, tiles, scratch = ws.level_views(N, B, width)
     # the root's entries, cleared before the workspace is kept
@@ -405,8 +470,10 @@ def sc_decode_batch(llrs: np.ndarray, frozen: np.ndarray, minsum: bool = False):
             if np.abs(v).min(initial=np.inf) > guards[level]:
                 np.less(v, 0.0, out=X[start:end].view(bool))
                 i = after
+        elif kind == "keep":
+            keep[level][start:end] = rows[level]
     rows[n] = halves[n] = tiles[n] = None
-    if B <= max(_SC_MIN_ROWS, 3 * _SC_CALL_LLRS // (2 * N)):
+    if B <= _kept_rows(N):
         _RETAINED[None] = ws
     return X.T
 

@@ -10,7 +10,7 @@ from itertools import combinations, groupby
 import numpy as np
 
 from . import _gf2
-from ._kernels import _batch_rows
+from ._kernels import LLR_CLAMP, _batch_rows, _rows_within, _scratch_width, sc_decode_batch
 from .codes import CodeSpec, dim_rm
 from .monomials import derivative_dimensions
 # encode_batch is unused here but kept importable: perfbench/spans.py wraps it by name
@@ -257,38 +257,116 @@ def _absorbed_swaps(llrs, swaps, code: CodeSpec, minsum: bool) -> list[tuple[int
     """The swaps whose branch, the SC decode of the swapped LLRs swapped
     back, equals plain SC on every frame of ``llrs``.
 
-    Rounds over the swaps still open: the identity and each open swap get
-    the same window of the next max(1, rows // (open + 1)) frames, rows =
-    ``_batch_rows(N)``, and the windows, permuted, are the rows of one
-    kernel call, at most rows rows (the n(n-1)/2 swaps of n <= 23
-    variables and the identity never outnumber rows).  The identity's
-    rows are plain SC, so each round brings its own reference.  A swap
-    closes at the first window that holds a differing frame.
+    Round 1 decodes a first window of max(1, rows // (len(swaps) + 1))
+    frames, rows = ``_batch_rows(N)``, unswapped (plain SC) and under every
+    swap, as the rows of one ``sc_decode_frames`` call, and closes each swap
+    that differs on one of them.  The swaps still open are checked on the
+    other frames node by node.  A swap of index bits a < b acts only inside
+    the SC nodes of tree level b + 1: above them f, g, the Rep fold and the
+    Rate-1 guard (which reads min |v|) act alike on halves that the swap
+    permutes alike, so the swapped decode feeds each of these nodes the
+    swapped input of plain SC's, up to the first node whose decisions
+    differ, and decisions that differ there stay different in X.  So a frame
+    tells the swap apart iff some node of level b + 1, fed plain SC's own
+    input, decides differently in the two bit orders.  Plain SC decodes the
+    other frames in windows of at most round 1's rows (the last one may
+    overlap frames already checked) and keeps the node inputs of the open
+    swaps' levels (``sc_decode_batch``'s ``keep``, one
+    window at a time); ``_alike_on_nodes`` then decodes them in both orders.
+    The answer is that of decoding every frame under every swap.
     """
     N, trials = code.N, llrs.shape[0]
+    if not swaps:
+        return []
     rows = _batch_rows(N)
     # row 0 is the identity; a coordinate swap is an involution, so
     # branch_in[:, p] = llrs is llrs[:, p]
     perms = np.array([np.arange(N)] + [_swap_permutation(N, a, b) for a, b in swaps])
     frames = llrs.T  # node-major, (N, trials)
-    # one buffer for every round's gather, node-major: frame pos + i of
-    # block j (0 the identity, then the open swaps) on row j * window + i
+    window = min(max(1, rows // len(perms)), trials)
+    first = len(perms) * window  # rows of round 1's call
+    # one buffer for round 1's gather, node-major (frame i of block j, 0 the
+    # identity and then the swaps, on row j * window + i), and then for
+    # plain SC's clamped windows and the node calls' gathers
     work = np.empty(max(rows, len(perms)) * N)
-    open_ = np.arange(len(swaps))
-    pos = 0
-    while open_.size and pos < trials:
-        window = min(max(1, rows // (open_.size + 1)), trials - pos)
-        group = perms[np.concatenate(([0], open_ + 1))].T  # (N, open + 1)
-        stacked = work[: group.size * window].reshape(N, open_.size + 1, window)
-        # the indices are valid; take would buffer its output under "raise"
-        np.take(frames[:, pos : pos + window], group, axis=0, out=stacked, mode="clip")
-        X = sc_decode_frames(stacked.reshape(N, -1).T, code, minsum=minsum)
-        X = X.T.reshape(stacked.shape)
-        # each swap's decisions against plain SC's, gathered by the same swap
-        differ = (X[:, 1:] != np.take(X[:, 0], group[:, 1:], axis=0)).any(axis=(0, 2))
-        open_ = open_[~differ]
-        pos += window
-    return [swaps[j] for j in open_.tolist()]
+    stacked = work[: first * N].reshape(N, len(perms), window)
+    # the indices are valid; take would buffer its output under "raise"
+    np.take(frames[:, :window], perms.T, axis=0, out=stacked, mode="clip")
+    X = sc_decode_frames(stacked.reshape(N, -1).T, code, minsum=minsum)
+    X = X.T.reshape(stacked.shape)
+    # each swap's decisions against plain SC's, gathered by the same swap
+    differ = (X[:, 1:] != np.take(X[:, 0], perms[1:].T, axis=0)).any(axis=(0, 2))
+    open_ = [swap for swap, d in zip(swaps, differ.tolist()) if not d]
+    frozen = code.frozen_mask()
+    # plain SC's windows: w frames each, the last one ending at the last
+    # frame; at most round 1's rows, and no wider a kernel scratch (whose
+    # width does not grow with the rows everywhere)
+    w = min(first, trials - window)
+    while w > 1 and _scratch_width(N, w) > _scratch_width(N, first):
+        w -= 1
+    for lo in range(window, trials, max(w, 1)):
+        if not open_:
+            break
+        lo = min(lo, trials - w)
+        kept = {}
+        for level in {b + 1 for _, b in open_}:
+            # 2^level rows for each node of the level with an information bit
+            nodes = (~frozen.reshape(-1, 1 << level).all(axis=1)).sum()
+            kept[level] = np.zeros((nodes << level, w))
+        clamped = work[: N * w].reshape(N, w)
+        np.clip(frames[:, lo : lo + w], -LLR_CLAMP, LLR_CLAMP, out=clamped)
+        sc_decode_batch(clamped.T, frozen, minsum, keep=kept)
+        for level in sorted(kept):
+            at = [swap for swap in open_ if swap[1] + 1 == level]
+            alike = _alike_on_nodes(kept.pop(level), at, frozen, minsum, first, work)
+            open_ = [swap for swap in open_ if swap[1] + 1 != level or swap in alike]
+    return open_
+
+
+def _alike_on_nodes(inputs, swaps, frozen, minsum, rows, work) -> list:
+    """The swaps among ``swaps``, all of index bits a < b with the same
+    level b + 1, that decide every node of that level alike in both bit
+    orders, given the nodes' inputs: ``inputs``, the array that
+    ``sc_decode_batch`` kept for the level, rows [j 2^(b+1), (j+1) 2^(b+1))
+    for the j-th node with an information bit (a Rate-0 node decides zeros
+    in any order).
+
+    The nodes are taken one distinct frozen pattern at a time.  The inputs
+    of a pattern's nodes are gathered into ``work``, unswapped and under
+    each open swap, and decoded as the rows of kernel calls that each need
+    no more workspace than a call of ``rows`` whole frames (``_rows_within``).
+    A swap closes at the first call that decides one of its nodes
+    differently.
+    """
+    size = 2 << swaps[0][1]
+    w = inputs.shape[1]
+    blocks = frozen.reshape(-1, size)
+    patterns, which = np.unique(blocks[~blocks.all(axis=1)], axis=0, return_inverse=True)
+    budget = _rows_within(size, frozen.size, rows)
+    open_ = list(swaps)
+    for u, pattern in enumerate(patterns):
+        nodes = np.flatnonzero(which == u)
+        # a call's nodes and frames, per order: all w frames of cj nodes, or
+        # wc frames of one node
+        per = max(1, budget // (len(open_) + 1))
+        cj, wc = (per // w, w) if per >= w else (1, per)
+        for j0 in range(0, nodes.size, cj):
+            for c0 in range(0, w, wc):
+                perms = np.array(
+                    [np.arange(size)] + [_swap_permutation(size, a, b) for a, b in open_]
+                )
+                # take[k, o, j]: the row of input k of node j in order o
+                take = nodes[j0 : j0 + cj] * size + perms.T[:, :, None]
+                cols = inputs[:, c0 : c0 + wc]
+                stacked = work[: take.size * cols.shape[1]].reshape(take.shape + cols.shape[1:])
+                np.take(cols, take, axis=0, out=stacked, mode="clip")
+                X = sc_decode_batch(stacked.reshape(size, -1).T, pattern, minsum)
+                X = X.T.reshape(stacked.shape)
+                differ = (X[:, 1:] != np.take(X[:, 0], perms[1:].T, axis=0)).any(axis=(0, 2, 3))
+                open_ = [swap for swap, d in zip(open_, differ.tolist()) if not d]
+                if not open_:
+                    return []
+    return open_
 
 
 def absorption_structure_empirical(
@@ -302,16 +380,18 @@ def absorption_structure_empirical(
     Every coordinate swap admissible for the full automorphism group (a
     pair of equal derivative dimensions) is probed on a shared batch of
     ``trials`` noisy codewords: it is absorbed iff SC on the swapped frames,
-    swapped back, equals SC on every frame.  The frames are checked in
-    rounds over the swaps still open, each round decoding a window of
-    frames unswapped (plain SC) and under every open swap in one call, and
-    each swap stopping at its first differing frame (``_absorbed_swaps``);
-    the order in which frames are checked does not change whether any of
-    them differs, so the answer is that of checking every frame of every
-    swap.  Absorbed swaps must tile into consecutive blocks.  For a
-    partially symmetric code of best distance whose dimension is not
-    extreme, the last block is known to be one, and a probe result
-    contradicting that raises.
+    swapped back, equals SC on every frame (``_absorbed_swaps``).  A first
+    window of frames is decoded whole, unswapped (plain SC) and under every
+    swap in one call.  A swap of index bits a < b acts only inside the SC
+    nodes of size 2^(b+1), so on the other frames each swap still open is
+    checked on those nodes alone: plain SC decodes the frames once and keeps
+    the nodes' inputs, and each node is decoded in both bit orders.  A swap
+    stops at its first differing window or node; the order in which frames
+    are checked does not change whether any of them differs, so the answer
+    is that of checking every frame of every swap.  Absorbed swaps must tile
+    into consecutive blocks.  For a partially symmetric code of best
+    distance whose dimension is not extreme, the last block is known to be
+    one, and a probe result contradicting that raises.
     """
     if trials < 100:
         raise ValueError("need at least 100 probe trials")

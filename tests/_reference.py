@@ -17,15 +17,17 @@ transform: a word is a codeword iff its input bits are zero on the frozen
 set, and the dual has the reversed frozen set as its information set), and
 successive
 cancellation decoding that visits every leaf, with the textbook f and g,
-and the SC kernel's pruned walk as a recursion (the library runs it as a
-flat plan).  Results must be equal, not just close.
+with the input of every node recorded (the kernel keeps the inputs of the
+nodes it computes), and the SC kernel's pruned walk as a recursion (the
+library runs it as a flat plan).  Results must be equal, not just close.
 
 The weight spectrum of a span of packed words is the walk over every XOR
 combination (the library counts it by a split of the coordinates), and the
 absorption probe decodes every frame of every swap, one swap at a time,
-against a plain SC reference decoded up front (the library probes the open
-swaps together with the identity, whose rows are that reference, each swap
-up to its first differing frame).
+against a plain SC reference decoded up front, or in windows of whole
+frames shared by the identity and the open swaps, each swap up to its first
+differing window (the library decodes whole frames for its first window
+only, and then each open swap's own SC nodes).
 
 Beside them are helpers that only the tests use: the seeded hill-climb over
 one-monomial swaps that searched n >= 8 before the search was exact (a
@@ -50,6 +52,7 @@ from rmpsc.autgroup import (
     BlockStructure,
     Permutation,
     _blocks_from_pairs,
+    _swap_permutation,
     permutation_from_affine,
     variable_swap,
 )
@@ -465,6 +468,44 @@ def _branch_matches_sc(
     return True
 
 
+def _absorbed_swaps(llrs, swaps, code: CodeSpec, minsum: bool) -> list[tuple[int, int]]:
+    """The swaps whose branch, the SC decode of the swapped LLRs swapped
+    back, equals plain SC on every frame of ``llrs``.
+
+    Rounds over the swaps still open: the identity and each open swap get
+    the same window of the next max(1, rows // (open + 1)) frames, rows =
+    ``_batch_rows(N)``, and the windows, permuted, are the rows of one
+    kernel call, at most rows rows (the n(n-1)/2 swaps of n <= 23
+    variables and the identity never outnumber rows).  The identity's
+    rows are plain SC, so each round brings its own reference.  A swap
+    closes at the first window that holds a differing frame.
+    """
+    N, trials = code.N, llrs.shape[0]
+    rows = _batch_rows(N)
+    # row 0 is the identity; a coordinate swap is an involution, so
+    # branch_in[:, p] = llrs is llrs[:, p]
+    perms = np.array([np.arange(N)] + [_swap_permutation(N, a, b) for a, b in swaps])
+    frames = llrs.T  # node-major, (N, trials)
+    # one buffer for every round's gather, node-major: frame pos + i of
+    # block j (0 the identity, then the open swaps) on row j * window + i
+    work = np.empty(max(rows, len(perms)) * N)
+    open_ = np.arange(len(swaps))
+    pos = 0
+    while open_.size and pos < trials:
+        window = min(max(1, rows // (open_.size + 1)), trials - pos)
+        group = perms[np.concatenate(([0], open_ + 1))].T  # (N, open + 1)
+        stacked = work[: group.size * window].reshape(N, open_.size + 1, window)
+        # the indices are valid; take would buffer its output under "raise"
+        np.take(frames[:, pos : pos + window], group, axis=0, out=stacked, mode="clip")
+        X = sc_decode_frames(stacked.reshape(N, -1).T, code, minsum=minsum)
+        X = X.T.reshape(stacked.shape)
+        # each swap's decisions against plain SC's, gathered by the same swap
+        differ = (X[:, 1:] != np.take(X[:, 0], group[:, 1:], axis=0)).any(axis=(0, 2))
+        open_ = open_[~differ]
+        pos += window
+    return [swaps[j] for j in open_.tolist()]
+
+
 def absorption_structure_per_swap(
     code: CodeSpec, trials: int = 500, snr_db: float = 2.0, seed: int = 0
 ) -> BlockStructure:
@@ -567,6 +608,28 @@ def sc_reference(llrs, frozen, minsum):
         return np.concatenate((left ^ right, right), axis=1)
 
     return decode(np.asarray(llrs, dtype=np.float64), np.asarray(frozen, dtype=np.uint8))
+
+
+def sc_node_inputs(llrs, frozen, minsum):
+    """The input of every node of ``sc_reference``'s recursion on (B, N) LLR
+    rows, Rate-0 nodes included: entry l is an (N, B) float64 array whose
+    rows [s, s + 2^l) hold the LLRs fed to the node at tree level l that
+    starts at u-index s."""
+    llrs = np.asarray(llrs, dtype=np.float64)
+    inputs = [np.empty((llrs.shape[1], llrs.shape[0])) for _ in range(llrs.shape[1].bit_length())]
+
+    def decode(v, frozen, start):
+        inputs[v.shape[1].bit_length() - 1][start : start + v.shape[1]] = v.T
+        if v.shape[1] == 1:
+            return ((v < 0) & (frozen[0] == 0)).astype(np.uint8)
+        h = v.shape[1] // 2
+        a, b = v[:, :h], v[:, h:]
+        left = decode(boxplus_reference(a, b, minsum), frozen[:h], start)
+        right = decode((1.0 - 2.0 * left) * a + b, frozen[h:], start + h)
+        return np.concatenate((left ^ right, right), axis=1)
+
+    decode(llrs, np.asarray(frozen, dtype=np.uint8), 0)
+    return inputs
 
 
 def sc_decode_recursive(llrs: np.ndarray, frozen: np.ndarray, minsum: bool = False):

@@ -9,7 +9,6 @@ import time
 from collections import Counter
 
 import numpy as np
-import pytest
 
 from _reference import _branch_matches_sc, _probe_batch
 from rmpsc._gf2 import is_invertible

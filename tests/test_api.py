@@ -1,7 +1,7 @@
 """The public surface: every module's star import resolves, the package's
 top-level names are exactly the ones listed here, so that adding or
-removing one is a deliberate edit of this list, and no module imports a
-name it does not use."""
+removing one is a deliberate edit of this list, and no module or test file
+imports a name it does not use."""
 
 import ast
 import pkgutil
@@ -92,11 +92,14 @@ def unused_imports(source: str) -> set[str]:
 
 
 # every source file but __init__.py, which imports only to re-export (the
-# names TOP_LEVEL pins)
+# names TOP_LEVEL pins), and every test file
 SOURCES = sorted(p for p in Path(rmpsc.__file__).parent.glob("*.py") if p.stem != "__init__")
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", SOURCES + TESTS, ids=lambda p: p.name if p in SOURCES else f"tests/{p.name}"
+)
 def test_no_unused_imports(path):
     allowed = {attr for module, attr in PERFBENCH_ONLY if module == path.stem}
     assert unused_imports(path.read_text(encoding="utf-8")) == allowed

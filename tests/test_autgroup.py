@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 
 import _reference as reference
 from _reference import compose_affine, is_absorbed_empirical
-from rmpsc import autgroup
+from rmpsc import _kernels, autgroup
+from rmpsc._kernels import _batch_rows
 from rmpsc._gf2 import is_invertible
 from rmpsc.channel import noisy_frames
 from rmpsc.codes import CodeSpec, _upward_closed_words, dim_rm, search_max_symmetry
 from rmpsc.autgroup import (
-    AbsorptionProbeError,
     AffineMap,
     BlockStructure,
     Permutation,
@@ -28,7 +28,7 @@ from rmpsc.autgroup import (
     save_permutations,
     variable_swap,
 )
-from rmpsc.monomials import _members
+from rmpsc.monomials import _members, derivative_dimensions
 from rmpsc.scdec import sc_decode_frames
 from test_codes import small_codes
 
@@ -446,36 +446,115 @@ class TestAbsorption:
             want = reference.absorption_structure_per_swap(code, seed=seed)
             assert absorption_structure_empirical(code, seed=seed) == want, seed
 
+    @pytest.mark.parametrize("rule, snr_db", [("minsum", 2.0), ("exact", 0.0), ("exact", 2.0),
+                                              ("exact", 5.0)])
+    @pytest.mark.parametrize("codes", ["n<=6", "n=7,8", "workload"])
+    def test_matches_windowed_probe(self, codes, rule, snr_db):
+        # the node test answers as the windowed probe that decoded whole
+        # frames under every open swap (tests/_reference.py), on the same
+        # frames, seeds 0-3; the exact rule also at 0 and 5 dB
+        minsum = rule == "minsum"
+        if codes == "n<=6":
+            group = [c for n in range(1, 7) for k in range(1, (1 << n) + 1)
+                     for c in search_max_symmetry(n, k)[1]]
+        elif codes == "n=7,8":
+            group = [search_max_symmetry(n, k)[1][0]
+                     for n, ks in ((7, (3, 10, 29, 35, 64, 93, 99, 120)),
+                                   (8, (9, 37, 93, 128, 163, 219, 247)))
+                     for k in ks]
+        else:
+            group = [CodeSpec.from_i_min(i_min, n)
+                     for i_min, n in (((19,), 6), ((27,), 7), ((63, 121), 10))]
+        for code in group:
+            dims = derivative_dimensions(code.info_set, code.n)
+            swaps = [(a, b) for a, b in itertools.combinations(range(code.n), 2)
+                     if dims[a] == dims[b]]
+            for seed in range(4):
+                _, llrs = noisy_frames(code, snr_db, seed, (0xAB5,), 0, autgroup.PROBE_TRIALS)
+                want = reference._absorbed_swaps(llrs, swaps, code, minsum)
+                got = autgroup._absorbed_swaps(llrs, swaps, code, minsum)
+                assert got == want, (code.i_min, code.n, seed)
+
+    @pytest.mark.parametrize("minsum", [True, False])
+    def test_frames_beyond_the_clamp(self, minsum):
+        # plain SC's windows are clamped as sc_decode_frames clamps the whole
+        # frames: on frames scaled far past LLR_CLAMP, where the clamp's ties
+        # tell swaps apart that min-sum alone would not, the node test still
+        # answers as the windowed probe
+        for i_min, n in (((19,), 6), ((27,), 7), ((63, 121), 10)):
+            code = CodeSpec.from_i_min(i_min, n)
+            dims = derivative_dimensions(code.info_set, code.n)
+            swaps = [(a, b) for a, b in itertools.combinations(range(code.n), 2)
+                     if dims[a] == dims[b]]
+            for scale in (30.0, 100.0):
+                _, llrs = noisy_frames(code, 2.0, 0, (0xAB5,), 0, autgroup.PROBE_TRIALS)
+                llrs *= scale
+                want = reference._absorbed_swaps(llrs, swaps, code, minsum)
+                assert autgroup._absorbed_swaps(llrs, swaps, code, minsum) == want, (n, scale)
+
     def test_probe_calls_are_bounded(self, monkeypatch):
-        rows = []
-        decode = autgroup.sc_decode_frames
+        # the kernel calls of both paths: round 1's whole frames
+        # (sc_decode_frames), plain SC's windows that keep node inputs, and
+        # the node calls.  Each fits the workspace that round 1's call
+        # leaves, which every later call keeps and none grows
+        whole, calls = [], []
+        frames, batch = autgroup.sc_decode_frames, autgroup.sc_decode_batch
 
-        def counting(llrs, code, **kwargs):
-            rows.append(len(llrs))
-            return decode(llrs, code, **kwargs)
+        def counting_frames(llrs, code, **kwargs):
+            X = frames(llrs, code, **kwargs)
+            ws = _kernels._RETAINED[None]
+            whole.append((len(llrs), ws, ws.llrs.size, ws.scratch[3].size))
+            return X
 
-        monkeypatch.setattr(autgroup, "sc_decode_frames", counting)
+        def counting_batch(llrs, frozen, minsum=False, keep=None):
+            X = batch(llrs, frozen, minsum, keep=keep)
+            calls.append((llrs.shape, keep is not None, _kernels._RETAINED.get(None)))
+            return X
+
+        monkeypatch.setattr(autgroup, "sc_decode_frames", counting_frames)
+        monkeypatch.setattr(autgroup, "sc_decode_batch", counting_batch)
         for i_min, n in [((27,), 7), ((19,), 6), ((63, 121), 10)]:
             code = CodeSpec.from_i_min(i_min, n)
-            rows.clear()
+            monkeypatch.setattr(_kernels, "_RETAINED", {})
+            whole.clear()
+            calls.clear()
             absorption_structure_empirical(code, seed=1000)
-            assert max(rows) <= max(256, 2**16 // code.N), (n, rows)
-        # one round that closes the 21 non-absorbed swaps of (1024,512) on
-        # 10 frames, and eight that run the 3 absorbed ones and the identity
-        # through the 490 remaining frames
-        assert len(rows) <= 9, rows
-        # no reference pass before the rounds: (32,12) has one admissible
-        # swap, which the first window tells apart, so SC and the swap
-        # decode all 500 frames in one call
-        rows.clear()
+            ((rows, ws, size, width),) = whole
+            assert rows <= _batch_rows(code.N)
+            for shape, keeps, kept in calls:
+                assert kept is ws and ws.llrs.size == size and ws.scratch[3].size == width
+                # no more LLRs than a whole-frame call, and plain SC's windows
+                # no more rows than round 1's
+                assert shape[0] * shape[1] <= code.N * _batch_rows(code.N), (n, shape)
+                assert keeps == (shape[1] == code.N) and (not keeps or shape[0] <= rows)
+        # (1024,512): round 1 closes the 21 non-absorbed swaps on 10 frames
+        # (250 rows).  Plain SC decodes the other 490 in two windows of 250
+        # (the second overlaps the first by 10 frames), keeping the nodes of
+        # level 2 (swap (0, 1)) and 3 (swaps (0, 2) and (1, 2)).  Per window
+        # the 163 level-2 nodes with an information bit (three patterns) are
+        # decoded in two orders, and the 99 of level 3 in three, in calls
+        # whose scratch is no wider than round 1's 16250 elements: at most
+        # 8125 rows of 4 LLRs (two f/g scratch rows each) and 4062 of 8
+        assert rows == 250
+        assert [shape for shape, keeps, _ in calls if keeps] == [(250, 1024)] * 2
+        window = [(8000, 4)] * 5 + [(6500, 4), (8000, 4), (8000, 4), (1500, 4)]
+        window += [(8000, 4), (8000, 4), (1500, 4)] + [(3750, 8)] * 5 + [(3000, 8)]
+        window += [(3750, 8)] * 14
+        assert [shape for shape, keeps, _ in calls if not keeps] == window * 2
+        # (32,12) has one admissible swap, which the first window tells
+        # apart: SC and the swap decode all 500 frames in one call
+        whole.clear()
+        calls.clear()
         absorption_structure_empirical(CodeSpec.from_i_min((14, 21), 5), seed=0)
-        assert rows == [1000]
+        assert [r for r, *_ in whole] == [1000] and not calls
 
     def test_every_frame_is_checked(self, monkeypatch):
         # one frame that tells swap (2, 3) of (64,37) apart from SC, planted
-        # in a quiet batch, closes that swap wherever it falls in the rounds,
-        # and the absorbed (0, 1) stays open: 64 rows give windows of 21
-        # frames (the identity and two swaps), then 32
+        # in a quiet batch, closes that swap wherever it falls, and the
+        # absorbed (0, 1) stays open: 64 rows give round 1 a window of 21
+        # frames (the identity and two swaps); the other 179 are decoded in
+        # three windows of plain SC, and the swap's own nodes, of level 4
+        # (below the root, level 6), tell it apart there
         code = CodeSpec.from_i_min({19}, 6)
         swaps = [(0, 1), (2, 3)]
         _, quiet = noisy_frames(code, 8.0, 0, (0xAB5,), 0, 200)
@@ -483,12 +562,20 @@ class TestAbsorption:
         p = autgroup._swap_permutation(code.N, 2, 3)
         differ = (sc_decode_frames(loud[:, p], code, minsum=True)[:, p] != sc_ref).any(axis=1)
         tell = loud[np.flatnonzero(differ)[0]]
+        whole, decode = [], autgroup.sc_decode_frames
+
+        def counting(llrs, code, **kwargs):
+            whole.append(len(llrs))
+            return decode(llrs, code, **kwargs)
+
         monkeypatch.setattr(autgroup, "_batch_rows", lambda N: 64)
+        monkeypatch.setattr(autgroup, "sc_decode_frames", counting)
         assert autgroup._absorbed_swaps(quiet, swaps, code, True) == swaps
         for frame in range(200):
             llrs = quiet.copy()
             llrs[frame] = tell
             assert autgroup._absorbed_swaps(llrs, swaps, code, True) == [(0, 1)], frame
+        assert whole == [63] * 201
 
     @seed(13)
     @settings(max_examples=30, deadline=None, derandomize=False, database=None)
@@ -523,8 +610,6 @@ class TestClassCount:
     def test_counts_are_odd(self):
         # the power-of-two part of the group order is structure independent,
         # so every class count is a ratio of odd numbers
-        import itertools as it
-
         def comps(k):
             if k == 0:
                 yield ()

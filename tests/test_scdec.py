@@ -13,10 +13,13 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import _reference
-from _reference import boxplus_reference, rank, sc_decode_recursive, sc_reference
+from _reference import (
+    boxplus_reference, rank, sc_decode_recursive, sc_node_inputs, sc_reference,
+)
 from rmpsc._gf2 import pack_row
 import rmpsc._kernels
 from rmpsc._kernels import (
+    LLR_CLAMP,
     _RATE1_GUARD,
     _TILE,
     _f,
@@ -26,7 +29,9 @@ from rmpsc._kernels import (
     polar_transform,
     sc_decode_batch,
 )
-from rmpsc.autgroup import compute_blta_structure, permutation_from_affine, sample_blta
+from rmpsc.autgroup import (
+    _swap_permutation, compute_blta_structure, permutation_from_affine, sample_blta,
+)
 from rmpsc.codes import MAX_N, CodeSpec
 from rmpsc.scdec import ae_sc_decode_frames, encode_batch, sc_decode_frames
 
@@ -717,6 +722,26 @@ class TestFlatPlan:
         assert not rmpsc._kernels._RETAINED
         assert np.array_equal(X, sc_decode_recursive(llrs, large.frozen_mask()))
 
+    @pytest.mark.parametrize("N, B", [(1024, 250), (1024, 200), (128, 300), (64, 1023)])
+    def test_calls_within_a_workspace_keep_it(self, monkeypatch, N, B):
+        # every call of at most _rows_within(size, N, B) rows of a node of
+        # any size needs no more workspace than an (N, B) call and keeps it;
+        # the scratch width is not monotone in the rows (82 * 199 > 81 * 200
+        # at N = 1024), so the bound holds for fewer rows too
+        monkeypatch.setattr(rmpsc._kernels, "_RETAINED", {})
+        rng = np.random.default_rng(26)
+        sc_decode_batch(rng.normal(0.5, 2, (B, N)), np.zeros(N, dtype=np.uint8), True)
+        (ws,) = rmpsc._kernels._RETAINED.values()
+        sizes = ws.llrs.size, ws.scratch[3].size
+        for size in (1 << lv for lv in range(N.bit_length())):
+            rows = rmpsc._kernels._rows_within(size, N, B)
+            assert size * rows <= N * B
+            for r in {rows, max(1, rows - 1), max(1, rows // 2), max(1, rows // 3), 1}:
+                llrs = rng.normal(0.5, 2, (r, size))
+                sc_decode_batch(llrs, np.zeros(size, dtype=np.uint8), True)
+                assert rmpsc._kernels._RETAINED.get(None) is ws, (size, r)
+                assert (ws.llrs.size, ws.scratch[3].size) == sizes, (size, r)
+
     def test_alternating_row_counts_share_one_workspace(self):
         # fer-ae-128's calls: 768 and 512 rows at N = 128, the largest of
         # which fills the budget
@@ -738,6 +763,158 @@ class TestFlatPlan:
             # the level views of both shapes are kept, not rebuilt
             assert views.setdefault(len(llrs), ws.views[128, len(llrs)]) is ws.views[128, len(llrs)]
         assert set(ws.views) == {(128, 512), (128, 768)}
+
+
+def kept_by_kernel(reference, frozen, minsum, level):
+    """What ``sc_decode_batch`` keeps for ``level`` when its kept array is
+    given filled with NaN, from the inputs of every node (``reference``,
+    ``sc_node_inputs``'s): one block per node with an information bit, the
+    node's input, or NaN where an ancestor is a Rate-1 node whose guard
+    held over the batch.  Also returns the number of such NaN blocks."""
+    n = len(frozen).bit_length() - 1
+    guards = [0.0 if minsum else _RATE1_GUARD[lv] if lv < len(_RATE1_GUARD) else np.inf
+              for lv in range(n + 1)]
+
+    def held(lv, start):
+        """Whether the node (lv, start) is Rate-1 and its guard holds."""
+        v = reference[lv][start : start + (1 << lv)]
+        return not frozen[start : start + (1 << lv)].any() and np.abs(v).min() > guards[lv]
+
+    blocks, skipped = [], 0
+    size = 1 << level
+    for start in range(0, len(frozen), size):
+        if frozen[start : start + size].all():
+            continue
+        if any(held(lv, start >> lv << lv) for lv in range(level + 1, n + 1)):
+            blocks.append(np.full((size, reference[level].shape[1]), np.nan))
+            skipped += 1
+        else:
+            blocks.append(reference[level][start : start + size])
+    return np.concatenate(blocks), skipped
+
+
+class TestKeptNodeInputs:
+    """A call that keeps the inputs of the nodes of some tree levels (the
+    absorption probe's node test) keeps plain SC's own node inputs, bit for
+    bit, and decides as a call that keeps none."""
+
+    @pytest.mark.parametrize("rule", ["exact", "minsum"])
+    @pytest.mark.parametrize("name", GOLDEN_CODES)
+    def test_kept_inputs_are_plain_sc_inputs(self, name, rule):
+        minsum = rule == "minsum"
+        skipped = ties = 0
+        with np.load(GOLDEN) as g:
+            frozen = g[f"frozen_{name}"]
+            n = len(frozen).bit_length() - 1
+            for kind in GOLDEN_KINDS:
+                llrs = g[f"llrs_{name}_{kind}"]
+                reference = sc_node_inputs(llrs, frozen, minsum)
+                # one level at a time (the Rep shortcut stays above it) and
+                # every level at once (no Rep shortcut is left)
+                for levels in [(lv,) for lv in range(n + 1)] + [tuple(range(n + 1))]:
+                    want = {lv: kept_by_kernel(reference, frozen, minsum, lv) for lv in levels}
+                    keep = {lv: np.full(w.shape, np.nan) for lv, (w, _) in want.items()}
+                    X = sc_decode_batch(llrs, frozen, minsum, keep=keep)
+                    key = f"{name}_{kind}_{rule}"
+                    assert np.array_equal(np.packbits(X, axis=1), g[f"X_{key}"]), (key, levels)
+                    for lv, (w, s) in want.items():
+                        # bits, so that -0.0 and +0.0 differ
+                        assert np.array_equal(keep[lv].view(np.uint64), w.view(np.uint64)), (
+                            key, levels, lv)
+                        skipped += s
+                        ties += np.signbit(w[w == 0]).sum()
+        # some rows are left as given below a guarded Rate-1 node, and some
+        # kept inputs are -0.0
+        assert skipped
+        assert ties
+
+    @pytest.mark.parametrize("rule", ["exact", "minsum"])
+    def test_inputs_below_a_held_guard_decode_alike(self, rule):
+        # the rows a call leaves as given: the true inputs of those nodes
+        # decide alike in both orders of every swap of the node's index
+        # bits, and so do zeros
+        minsum = rule == "minsum"
+        checked = 0
+        with np.load(GOLDEN) as g:
+            for name in GOLDEN_CODES:
+                frozen = g[f"frozen_{name}"]
+                n = len(frozen).bit_length() - 1
+                for kind in GOLDEN_KINDS:
+                    reference = sc_node_inputs(g[f"llrs_{name}_{kind}"], frozen, minsum)
+                    for level in range(2, n):
+                        kept, _ = kept_by_kernel(reference, frozen, minsum, level)
+                        size = 1 << level
+                        blocks = kept.reshape(-1, size, kept.shape[1])
+                        nodes = np.flatnonzero(np.isnan(blocks[:, 0, 0]))
+                        if not nodes.size:
+                            continue
+                        starts = [s for s in range(0, len(frozen), size)
+                                  if not frozen[s : s + size].all()]
+                        rows = np.concatenate(
+                            [reference[level][starts[j] : starts[j] + size].T for j in nodes]
+                        )
+                        rate1 = np.zeros(size, dtype=np.uint8)
+                        for b in range(1, level):
+                            for a in range(b):
+                                p = _swap_permutation(size, a, b)
+                                for v in (rows, np.zeros_like(rows)):
+                                    X = sc_decode_batch(v, rate1, minsum)
+                                    assert np.array_equal(
+                                        sc_decode_batch(v[:, p], rate1, minsum)[:, p], X
+                                    ), (name, kind, level, a, b)
+                                checked += 1
+        assert checked
+
+    def test_kept_inputs_are_not_clamped(self):
+        # the kernel called directly, on LLRs beyond the clamp: the root's
+        # kept input is the input, and g sums past it below
+        code = CodeSpec.from_i_min({19}, 6)
+        frozen = code.frozen_mask()
+        with np.load(GOLDEN) as g:
+            llrs = 2.0 * g["llrs_64_37_clamped"]
+        keep = {lv: np.zeros(kept_by_kernel(sc_node_inputs(llrs, frozen, True), frozen, True,
+                                             lv)[0].shape) for lv in range(7)}
+        sc_decode_batch(llrs, frozen, True, keep=keep)
+        assert np.array_equal(keep[6], llrs.T)
+        assert np.abs(keep[6]).max() == 2 * LLR_CLAMP
+        assert max(np.abs(keep[lv]).max() for lv in range(6)) > 2 * LLR_CLAMP
+
+    def test_plan_that_keeps_nothing_is_the_plain_plan(self, monkeypatch):
+        # keeping a level adds "keep" steps and walks the Rep nodes above it
+        # as splits; a call that keeps nothing runs the plan of no level,
+        # which has neither, and keeping the root adds its one step
+        plans = []
+        plan_of = rmpsc._kernels._plan
+
+        def recording(*args):
+            plans.append(args)
+            return plan_of(*args)
+
+        monkeypatch.setattr(rmpsc._kernels, "_plan", recording)
+        with np.load(GOLDEN) as g:
+            for name in GOLDEN_CODES:
+                frozen = g[f"frozen_{name}"]
+                N = len(frozen)
+                plans.clear()
+                sc_decode_batch(g[f"llrs_{name}_noisy"], frozen)
+                mask = frozen.astype(bool).tobytes()
+                assert plans == [(mask, ())]
+                plan = plan_of(mask, ())
+                assert not any(step[0] == "keep" for step in plan)
+                root = ("keep", N.bit_length() - 1, 0, 0, N, 0)
+                # the same steps after it, each Rate-1 jump one step later
+                later = tuple(step[:5] + (step[5] + (step[0] == "rate1"),) for step in plan)
+                assert plan_of(mask, (N.bit_length() - 1,)) == (root,) + later
+
+    def test_kept_arrays_are_checked(self):
+        code = CodeSpec.from_i_min({19}, 6)
+        llrs = np.ones((3, 64))
+        # level 2 of (64,37): 12 nodes with an information bit
+        sc_decode_batch(llrs, code.frozen_mask(), keep={2: np.zeros((48, 3))})
+        for keep in ({2: np.zeros((64, 3))}, {2: np.zeros((48, 2))}, {7: np.zeros((0, 3))},
+                     {-1: np.zeros((48, 3))}):
+            with pytest.raises(ValueError, match="kept level"):
+                sc_decode_batch(llrs, code.frozen_mask(), keep=keep)
 
 
 class TestBatchIndependence:
