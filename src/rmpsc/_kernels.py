@@ -51,6 +51,16 @@ _RATE1_GUARD = (
 )
 
 
+def _rate1_guards(n: int, minsum: bool) -> tuple:
+    """The Rate-1 guard of each tree level 0..n of a decoder of length 2^n
+    under the rule (see the comment above ``sc_decode_batch``'s plan): 0
+    under min-sum, ``_RATE1_GUARD`` under the exact rule, infinite above
+    level 14."""
+    if minsum:
+        return (0.0,) * (n + 1)
+    return _RATE1_GUARD[: n + 1] + (np.inf,) * (n + 1 - len(_RATE1_GUARD))
+
+
 def _scratch(width: int):
     """Scratch for f and g over tiles of up to ``width`` elements: |a| and |b|
     (then the sign mask), the two correction terms of the exact rule, the
@@ -435,8 +445,7 @@ def sc_decode_batch(llrs: np.ndarray, frozen: np.ndarray, minsum: bool = False, 
                              f"not ({nodes << level}, {B})")
     plan = _plan(frozen.tobytes(), tuple(sorted(keep)) if keep else ())
     X = np.zeros((N, B), dtype=np.uint8)
-    # the Rate-1 guard of each level (see the comment above)
-    guards = (0.0,) * (n + 1) if minsum else _RATE1_GUARD + (np.inf,) * (n + 1 - len(_RATE1_GUARD))
+    guards = _rate1_guards(n, minsum)
     width = _scratch_width(N, B)
     ws = _RETAINED.pop(None, None) or _Workspace()
     rows, halves, tiles, scratch = ws.level_views(N, B, width)

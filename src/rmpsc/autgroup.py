@@ -10,7 +10,9 @@ from itertools import combinations, groupby
 import numpy as np
 
 from . import _gf2
-from ._kernels import LLR_CLAMP, _batch_rows, _rows_within, _scratch_width, sc_decode_batch
+from ._kernels import (
+    LLR_CLAMP, _batch_rows, _rate1_guards, _rows_within, _scratch_width, sc_decode_batch,
+)
 from .codes import CodeSpec, dim_rm
 from .monomials import derivative_dimensions
 # encode_batch is unused here but kept importable: perfbench/spans.py wraps it by name
@@ -268,11 +270,12 @@ def _absorbed_swaps(llrs, swaps, code: CodeSpec, minsum: bool) -> list[tuple[int
     swapped input of plain SC's, up to the first node whose decisions
     differ, and decisions that differ there stay different in X.  So a frame
     tells the swap apart iff some node of level b + 1, fed plain SC's own
-    input, decides differently in the two bit orders.  Plain SC decodes the
-    other frames in windows of at most round 1's rows (the last one may
-    overlap frames already checked) and keeps the node inputs of the open
-    swaps' levels (``sc_decode_batch``'s ``keep``, one
-    window at a time); ``_alike_on_nodes`` then decodes them in both orders.
+    input in the swapped order, decides other than plain SC did.  Plain SC
+    decodes the other frames in windows of at most round 1's rows (the last
+    one may overlap frames already checked), keeps the node inputs of the
+    open swaps' levels (``sc_decode_batch``'s ``keep``, one window at a
+    time) and gives its own node codewords (``_node_codewords``);
+    ``_alike_on_nodes`` then decodes the nodes in the swapped orders alone.
     The answer is that of decoding every frame under every swap.
     """
     N, trials = code.N, llrs.shape[0]
@@ -315,57 +318,95 @@ def _absorbed_swaps(llrs, swaps, code: CodeSpec, minsum: bool) -> list[tuple[int
             kept[level] = np.zeros((nodes << level, w))
         clamped = work[: N * w].reshape(N, w)
         np.clip(frames[:, lo : lo + w], -LLR_CLAMP, LLR_CLAMP, out=clamped)
-        sc_decode_batch(clamped.T, frozen, minsum, keep=kept)
+        X = sc_decode_batch(clamped.T, frozen, minsum, keep=kept)
         for level in sorted(kept):
             at = [swap for swap in open_ if swap[1] + 1 == level]
-            alike = _alike_on_nodes(kept.pop(level), at, frozen, minsum, first, work)
+            alike = _alike_on_nodes(
+                kept.pop(level), _node_codewords(X, frozen, level), at, frozen, minsum, first, work
+            )
             open_ = [swap for swap in open_ if swap[1] + 1 != level or swap in alike]
     return open_
 
 
-def _alike_on_nodes(inputs, swaps, frozen, minsum, rows, work) -> list:
+def _node_codewords(X, frozen, level: int) -> np.ndarray:
+    """Plain SC's codeword of each node of tree level ``level`` with an
+    information bit, from the (B, N) codewords X that ``sc_decode_batch``
+    decided, in the layout of the level's kept inputs: rows
+    [j 2^level, (j+1) 2^level) for the j-th such node, one column per frame.
+
+    A node's codeword is the polar transform of its input bits, and the
+    input bits are ``polar_transform(X)``: so the codewords are
+    ``polar_transform`` of ``polar_transform(X)`` cut into the level's
+    nodes, which is X with the combines above the level undone, the polar
+    transform over the index bits from ``level`` up.
+    """
+    B, N = X.shape
+    size = 1 << level
+    # (N / size, size, B), node by node; the transform runs over the first
+    # axis, the node index, and returns a view of its node-major copy
+    nodes = X.T.reshape(N // size, size, B)
+    codewords = np.moveaxis(polar_transform(np.moveaxis(nodes, 0, -1)), -1, 0)
+    return codewords[~frozen.reshape(-1, size).all(axis=1)].reshape(-1, B)
+
+
+def _alike_on_nodes(inputs, codewords, swaps, frozen, minsum, rows, work) -> list:
     """The swaps among ``swaps``, all of index bits a < b with the same
-    level b + 1, that decide every node of that level alike in both bit
-    orders, given the nodes' inputs: ``inputs``, the array that
-    ``sc_decode_batch`` kept for the level, rows [j 2^(b+1), (j+1) 2^(b+1))
+    level b + 1, under which every node of that level decides as plain SC
+    did, given the nodes' inputs and plain SC's codewords: ``inputs``, the
+    array that ``sc_decode_batch`` kept for the level, and ``codewords``,
+    ``_node_codewords`` of its X, both with rows [j 2^(b+1), (j+1) 2^(b+1))
     for the j-th node with an information bit (a Rate-0 node decides zeros
     in any order).
 
-    The nodes are taken one distinct frozen pattern at a time.  The inputs
-    of a pattern's nodes are gathered into ``work``, unswapped and under
-    each open swap, and decoded as the rows of kernel calls that each need
-    no more workspace than a call of ``rows`` whole frames (``_rows_within``).
-    A swap closes at the first call that decides one of its nodes
-    differently.
+    Two kinds of node decide alike in every order and are not decoded: a
+    node whose kept rows are all zero, left as given below a Rate-1 node
+    whose guard held (or fed zeros, which decode to zeros in any order), and
+    a node with no frozen bit whose input clears its level's Rate-1 guard
+    over the window (``_rate1_guards``), which SC decides by hard decision
+    in either order, as plain SC did.  The others are taken one distinct
+    frozen pattern at a time.  Their inputs are gathered into ``work`` under
+    each open swap and decoded as the rows of kernel calls that each need no
+    more workspace than a call of ``rows`` whole frames (``_rows_within``).
+    A swap closes at the first call that decides one of its nodes other
+    than plain SC, whose codewords are gathered by the same swap.
     """
     size = 2 << swaps[0][1]
+    level = size.bit_length() - 1
     w = inputs.shape[1]
     blocks = frozen.reshape(-1, size)
-    patterns, which = np.unique(blocks[~blocks.all(axis=1)], axis=0, return_inverse=True)
+    blocks = blocks[~blocks.all(axis=1)]
+    patterns, which = np.unique(blocks, axis=0, return_inverse=True)
+    by_node = inputs.reshape(-1, size, w)
+    decided = ~by_node.any(axis=(1, 2))
+    rate1 = ~blocks.any(axis=1)
+    if rate1.any():
+        guard = _rate1_guards(level, minsum)[level]
+        decided[rate1] |= np.abs(by_node[rate1]).min(axis=(1, 2)) > guard
     budget = _rows_within(size, frozen.size, rows)
     open_ = list(swaps)
+    # perms[o]: the node permutation of open_[o]
+    perms = np.array([_swap_permutation(size, a, b) for a, b in open_])
     for u, pattern in enumerate(patterns):
-        nodes = np.flatnonzero(which == u)
-        # a call's nodes and frames, per order: all w frames of cj nodes, or
+        nodes = np.flatnonzero((which.ravel() == u) & ~decided)
+        # a call's nodes and frames, per swap: all w frames of cj nodes, or
         # wc frames of one node
-        per = max(1, budget // (len(open_) + 1))
+        per = max(1, budget // len(open_))
         cj, wc = (per // w, w) if per >= w else (1, per)
         for j0 in range(0, nodes.size, cj):
             for c0 in range(0, w, wc):
-                perms = np.array(
-                    [np.arange(size)] + [_swap_permutation(size, a, b) for a, b in open_]
-                )
-                # take[k, o, j]: the row of input k of node j in order o
+                # take[k, o, j]: the row of input k of node j under swap o
                 take = nodes[j0 : j0 + cj] * size + perms.T[:, :, None]
                 cols = inputs[:, c0 : c0 + wc]
                 stacked = work[: take.size * cols.shape[1]].reshape(take.shape + cols.shape[1:])
                 np.take(cols, take, axis=0, out=stacked, mode="clip")
                 X = sc_decode_batch(stacked.reshape(size, -1).T, pattern, minsum)
-                X = X.T.reshape(stacked.shape)
-                differ = (X[:, 1:] != np.take(X[:, 0], perms[1:].T, axis=0)).any(axis=(0, 2, 3))
-                open_ = [swap for swap, d in zip(open_, differ.tolist()) if not d]
-                if not open_:
-                    return []
+                want = np.take(codewords[:, c0 : c0 + wc], take, axis=0)
+                differ = (X.T.reshape(stacked.shape) != want).any(axis=(0, 2, 3))
+                if differ.any():
+                    open_ = [swap for swap, d in zip(open_, differ.tolist()) if not d]
+                    if not open_:
+                        return []
+                    perms = perms[~differ]
     return open_
 
 
@@ -385,10 +426,11 @@ def absorption_structure_empirical(
     swap in one call.  A swap of index bits a < b acts only inside the SC
     nodes of size 2^(b+1), so on the other frames each swap still open is
     checked on those nodes alone: plain SC decodes the frames once and keeps
-    the nodes' inputs, and each node is decoded in both bit orders.  A swap
-    stops at its first differing window or node; the order in which frames
-    are checked does not change whether any of them differs, so the answer
-    is that of checking every frame of every swap.  Absorbed swaps must tile
+    the nodes' inputs, and each node that can tell a swap apart is decoded
+    in the swapped orders and compared with plain SC's own codeword for it.
+    A swap stops at its first differing window or node; the order in which
+    frames are checked does not change whether any of them differs, so the
+    answer is that of checking every frame of every swap.  Absorbed swaps must tile
     into consecutive blocks.  For a partially symmetric code of best
     distance whose dimension is not extreme, the last block is known to be
     one, and a probe result contradicting that raises.

@@ -497,8 +497,9 @@ class TestAbsorption:
         # (sc_decode_frames), plain SC's windows that keep node inputs, and
         # the node calls.  Each fits the workspace that round 1's call
         # leaves, which every later call keeps and none grows
-        whole, calls = [], []
+        whole, calls, levels = [], [], []
         frames, batch = autgroup.sc_decode_frames, autgroup.sc_decode_batch
+        alike_on_nodes = autgroup._alike_on_nodes
 
         def counting_frames(llrs, code, **kwargs):
             X = frames(llrs, code, **kwargs)
@@ -509,15 +510,24 @@ class TestAbsorption:
         def counting_batch(llrs, frozen, minsum=False, keep=None):
             X = batch(llrs, frozen, minsum, keep=keep)
             calls.append((llrs.shape, keep is not None, _kernels._RETAINED.get(None)))
+            if keep is None:
+                levels[-1][2].append(np.array(llrs))
             return X
+
+        def recording(inputs, codewords, swaps, *args):
+            # each level's kept inputs, its swaps and the rows of its node calls
+            levels.append((inputs, swaps, []))
+            return alike_on_nodes(inputs, codewords, swaps, *args)
 
         monkeypatch.setattr(autgroup, "sc_decode_frames", counting_frames)
         monkeypatch.setattr(autgroup, "sc_decode_batch", counting_batch)
+        monkeypatch.setattr(autgroup, "_alike_on_nodes", recording)
         for i_min, n in [((27,), 7), ((19,), 6), ((63, 121), 10)]:
             code = CodeSpec.from_i_min(i_min, n)
             monkeypatch.setattr(_kernels, "_RETAINED", {})
             whole.clear()
             calls.clear()
+            levels.clear()
             absorption_structure_empirical(code, seed=1000)
             ((rows, ws, size, width),) = whole
             assert rows <= _batch_rows(code.N)
@@ -530,17 +540,42 @@ class TestAbsorption:
         # (1024,512): round 1 closes the 21 non-absorbed swaps on 10 frames
         # (250 rows).  Plain SC decodes the other 490 in two windows of 250
         # (the second overlaps the first by 10 frames), keeping the nodes of
-        # level 2 (swap (0, 1)) and 3 (swaps (0, 2) and (1, 2)).  Per window
-        # the 163 level-2 nodes with an information bit (three patterns) are
-        # decoded in two orders, and the 99 of level 3 in three, in calls
-        # whose scratch is no wider than round 1's 16250 elements: at most
-        # 8125 rows of 4 LLRs (two f/g scratch rows each) and 4062 of 8
+        # level 2 (swap (0, 1)) and 3 (swaps (0, 2) and (1, 2)).  Of the 163
+        # level-2 nodes with an information bit, 93 have no frozen bit: 58
+        # lie below a larger Rate-1 node whose guard held, and the other 35
+        # clear their own guard.  Of the 99 of level 3, 29 have no frozen
+        # bit: 14 below a larger Rate-1 node and 15 clear.  So per window the other 70 nodes of each level
+        # (two patterns each) are decoded under the open swaps alone, in
+        # calls whose scratch is no wider than round 1's 16250 elements: at
+        # most 8125 rows of 4 LLRs (two f/g scratch rows each), 32 nodes of
+        # 250 frames, and 4062 of 8, 8 nodes of 250 frames under two swaps
         assert rows == 250
         assert [shape for shape, keeps, _ in calls if keeps] == [(250, 1024)] * 2
-        window = [(8000, 4)] * 5 + [(6500, 4), (8000, 4), (8000, 4), (1500, 4)]
-        window += [(8000, 4), (8000, 4), (1500, 4)] + [(3750, 8)] * 5 + [(3000, 8)]
-        window += [(3750, 8)] * 14
+        window = [(8000, 4), (750, 4)] * 2 + ([(4000, 8)] * 4 + [(1500, 8)]) * 2
         assert [shape for shape, keeps, _ in calls if not keeps] == window * 2
+        assert [swaps for _, swaps, _ in levels] == [[(0, 1)], [(0, 2), (1, 2)]] * 2
+        for inputs, swaps, node_rows in levels:
+            size = 2 << swaps[0][1]
+            level = size.bit_length() - 1
+            w = inputs.shape[1]
+            blocks = code.frozen_mask().reshape(-1, size)
+            blocks = blocks[~blocks.all(axis=1)]
+            by_node = inputs.reshape(-1, size, w)
+            zero = ~by_node.any(axis=(1, 2))
+            guard = _kernels._rate1_guards(level, autgroup.PROBE_MINSUM)[level]
+            cleared = ~blocks.any(axis=1) & (np.abs(by_node).min(axis=(1, 2)) > guard)
+            assert (zero.sum(), (cleared & ~zero).sum()) == ((58, 35) if level == 2 else (14, 15))
+            # every node call holds the swapped rows of the other nodes alone:
+            # open swaps at the level x nodes x frames, no unswapped order
+            # and no node whose kept rows are all zero
+            nodes = np.flatnonzero(~zero & ~cleared)
+            perms = [autgroup._swap_permutation(size, a, b) for a, b in swaps]
+            want = np.concatenate([by_node[j][p].T for p in perms for j in nodes])
+            got = np.concatenate(node_rows)
+            assert all(len(r) % (len(swaps) * w) == 0 for r in node_rows)
+            assert got.any(axis=1).all()
+            assert len(got) == len(swaps) * nodes.size * w
+            assert np.array_equal(got[np.lexsort(got.T)], want[np.lexsort(want.T)])
         # (32,12) has one admissible swap, which the first window tells
         # apart: SC and the swap decode all 500 frames in one call
         whole.clear()

@@ -24,13 +24,15 @@ from rmpsc._kernels import (
     _TILE,
     _f,
     _g,
+    _rate1_guards,
     _scratch,
     _tiles,
     polar_transform,
     sc_decode_batch,
 )
 from rmpsc.autgroup import (
-    _swap_permutation, compute_blta_structure, permutation_from_affine, sample_blta,
+    _node_codewords, _swap_permutation, compute_blta_structure, permutation_from_affine,
+    sample_blta,
 )
 from rmpsc.codes import MAX_N, CodeSpec
 from rmpsc.scdec import ae_sc_decode_frames, encode_batch, sc_decode_frames
@@ -772,8 +774,7 @@ def kept_by_kernel(reference, frozen, minsum, level):
     node's input, or NaN where an ancestor is a Rate-1 node whose guard
     held over the batch.  Also returns the number of such NaN blocks."""
     n = len(frozen).bit_length() - 1
-    guards = [0.0 if minsum else _RATE1_GUARD[lv] if lv < len(_RATE1_GUARD) else np.inf
-              for lv in range(n + 1)]
+    guards = _rate1_guards(n, minsum)
 
     def held(lv, start):
         """Whether the node (lv, start) is Rate-1 and its guard holds."""
@@ -863,6 +864,46 @@ class TestKeptNodeInputs:
                                         sc_decode_batch(v[:, p], rate1, minsum)[:, p], X
                                     ), (name, kind, level, a, b)
                                 checked += 1
+        assert checked
+
+    @pytest.mark.parametrize("rule", ["exact", "minsum"])
+    @pytest.mark.parametrize("name", GOLDEN_CODES)
+    def test_node_codewords_undo_the_upper_combines(self, name, rule):
+        # the absorption probe's reference: plain SC's codeword of a node is
+        # polar_transform of polar_transform(X) cut into the level's nodes,
+        # which autgroup._node_codewords gives, and it is what the kernel
+        # decides for the node's kept input alone under the node's frozen
+        # pattern.  Nodes left as given below a held guard are exempt
+        minsum = rule == "minsum"
+        checked = 0
+        with np.load(GOLDEN) as g:
+            frozen = g[f"frozen_{name}"]
+            n = len(frozen).bit_length() - 1
+            for kind in GOLDEN_KINDS:
+                llrs = g[f"llrs_{name}_{kind}"]
+                B = len(llrs)
+                X = sc_decode_batch(llrs, frozen, minsum)
+                reference = sc_node_inputs(llrs, frozen, minsum)
+                for level in range(n + 1):
+                    size = 1 << level
+                    blocks = frozen.reshape(-1, size)
+                    info = ~blocks.all(axis=1)
+                    # (B, nodes, size)
+                    codewords = polar_transform(polar_transform(X).reshape(B, -1, size))[:, info]
+                    got = _node_codewords(X, frozen, level)
+                    assert np.array_equal(got, codewords.transpose(1, 2, 0).reshape(-1, B)), (
+                        kind, level)
+                    kept, _ = kept_by_kernel(reference, frozen, minsum, level)
+                    kept = kept.reshape(-1, size, B)
+                    given = np.isnan(kept).any(axis=(1, 2))
+                    patterns = blocks[info]
+                    for pattern in np.unique(patterns[~given], axis=0):
+                        nodes = np.flatnonzero(~given & (patterns == pattern).all(axis=1))
+                        rows = np.concatenate([kept[j].T for j in nodes])
+                        want = np.concatenate([codewords[:, j] for j in nodes])
+                        assert np.array_equal(sc_decode_batch(rows, pattern, minsum), want), (
+                            kind, level, pattern)
+                        checked += nodes.size
         assert checked
 
     def test_kept_inputs_are_not_clamped(self):
