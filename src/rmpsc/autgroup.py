@@ -10,9 +10,7 @@ from itertools import combinations, groupby
 import numpy as np
 
 from . import _gf2
-from ._kernels import (
-    LLR_CLAMP, _batch_rows, _rate1_guards, _rows_within, _scratch_width, sc_decode_batch,
-)
+from ._kernels import _batch_rows, _rate1_guards, _rows_within, sc_decode_batch
 from .codes import CodeSpec, dim_rm
 from .monomials import derivative_dimensions
 # encode_batch is unused here but kept importable: perfbench/spans.py wraps it by name
@@ -243,7 +241,8 @@ def sample_blta(S: BlockStructure, rng) -> AffineMap:
 # Classes that are distinct under min-sum are therefore also distinct for
 # the exact decoder.
 PROBE_MINSUM = True
-# the noisy frames a probe decodes, and their Eb/N0 in dB
+# the most noisy frames round 1 of a probe decodes, and the random inputs it
+# decodes for each node pattern; the frames' Eb/N0 in dB
 PROBE_TRIALS = 500
 PROBE_SNR_DB = 2.0
 
@@ -255,158 +254,95 @@ def _swap_permutation(N: int, a: int, b: int) -> np.ndarray:
     return i ^ (((i >> a) ^ (i >> b)) & 1) * ((1 << a) | (1 << b))
 
 
-def _absorbed_swaps(llrs, swaps, code: CodeSpec, minsum: bool) -> list[tuple[int, int]]:
-    """The swaps whose branch, the SC decode of the swapped LLRs swapped
-    back, equals plain SC on every frame of ``llrs``.
+def _node_inputs(seed: int, level: int, pattern, trials: int) -> np.ndarray:
+    """``trials`` standard-normal inputs of an SC node of tree level
+    ``level`` with frozen pattern ``pattern``, node-major: a (2^level,
+    trials) view, input t in column t.  They come from a Philox stream
+    keyed by the seed, the level and the pattern alone, so no input depends
+    on the calls that decode them."""
+    bits = np.packbits(np.asarray(pattern, dtype=bool), bitorder="little")
+    stream = (0xAB5, level, int.from_bytes(bits.tobytes(), "little"))
+    key = np.random.SeedSequence(seed, spawn_key=stream).generate_state(2, np.uint64)
+    return np.random.Generator(np.random.Philox(key=key)).standard_normal((trials, 1 << level)).T
 
-    Round 1 decodes a first window of max(1, rows // (len(swaps) + 1))
-    frames, rows = ``_batch_rows(N)``, unswapped (plain SC) and under every
-    swap, as the rows of one ``sc_decode_frames`` call, and closes each swap
-    that differs on one of them.  The swaps still open are checked on the
-    other frames node by node.  A swap of index bits a < b acts only inside
-    the SC nodes of tree level b + 1: above them f, g, the Rep fold and the
+
+def _differing(inputs, perms, decode, work) -> np.ndarray:
+    """For each permutation in ``perms`` after the first, the identity,
+    whether some column of the node-major ``inputs`` decodes otherwise in
+    its order than in the identity's, once the permutation is undone.  The
+    permuted columns are gathered into ``work``, block j for perms[j], as
+    the rows of one ``decode`` call."""
+    size, w = inputs.shape
+    stacked = work[: size * len(perms) * w].reshape(size, len(perms), w)
+    # the indices are valid; take would buffer its output under "raise"
+    np.take(inputs, perms.T, axis=0, out=stacked, mode="clip")
+    X = decode(stacked.reshape(size, -1).T).T.reshape(stacked.shape)
+    # a coordinate swap is an involution: undo it by the same gather
+    return (X[:, 1:] != np.take(X[:, 0], perms[1:].T, axis=0)).any(axis=(0, 2))
+
+
+def _absorbed_swaps(code: CodeSpec, swaps, minsum: bool, trials: int, snr_db: float,
+                    seed: int) -> list[tuple[int, int]]:
+    """The swaps among ``swaps`` that SC absorbs, as far as the probe sees.
+
+    Round 1 decodes a window of max(1, rows // (len(swaps) + 1)) noisy
+    frames (at most ``trials``; rows = ``_batch_rows(N)``), the first of the
+    probe stream, unswapped (plain SC) and under every swap, as the rows of
+    one ``sc_decode_frames`` call, and closes each swap that differs on one
+    of them.  Each swap (a, b) still open, a < b, is then decided on the SC
+    nodes of tree level b + 1 alone.  Above them f, g, the Rep fold and the
     Rate-1 guard (which reads min |v|) act alike on halves that the swap
     permutes alike, so the swapped decode feeds each of these nodes the
-    swapped input of plain SC's, up to the first node whose decisions
-    differ, and decisions that differ there stay different in X.  So a frame
-    tells the swap apart iff some node of level b + 1, fed plain SC's own
-    input in the swapped order, decides other than plain SC did.  Plain SC
-    decodes the other frames in windows of at most round 1's rows (the last
-    one may overlap frames already checked), keeps the node inputs of the
-    open swaps' levels (``sc_decode_batch``'s ``keep``, one window at a
-    time) and gives its own node codewords (``_node_codewords``);
-    ``_alike_on_nodes`` then decodes the nodes in the swapped orders alone.
-    The answer is that of decoding every frame under every swap.
+    swapped input of plain SC's, and the swap is absorbed iff every such
+    node decides alike in both orders.  So for each distinct frozen pattern
+    among the level's nodes with an information bit, ``trials`` seeded
+    random inputs (``_node_inputs``) are decoded unswapped and under the
+    level's open swaps, stacked as the rows of kernel calls that each fit
+    the workspace round 1's call leaves (``_rows_within``), and a swap
+    closes at its first input that decides otherwise.  A Rate-1 pattern
+    whose inputs all clear its level's guard (``_rate1_guards``) is decided
+    by hard decision in either order and is not decoded.  Min-sum SC is
+    homogeneous and node inputs are never clamped, so under min-sum the
+    inputs' scale does not matter.
     """
-    N, trials = code.N, llrs.shape[0]
     if not swaps:
         return []
+    N = code.N
     rows = _batch_rows(N)
     # row 0 is the identity; a coordinate swap is an involution, so
     # branch_in[:, p] = llrs is llrs[:, p]
     perms = np.array([np.arange(N)] + [_swap_permutation(N, a, b) for a, b in swaps])
-    frames = llrs.T  # node-major, (N, trials)
     window = min(max(1, rows // len(perms)), trials)
     first = len(perms) * window  # rows of round 1's call
-    # one buffer for round 1's gather, node-major (frame i of block j, 0 the
-    # identity and then the swaps, on row j * window + i), and then for
-    # plain SC's clamped windows and the node calls' gathers
+    # one buffer for every call's gather, node-major
     work = np.empty(max(rows, len(perms)) * N)
-    stacked = work[: first * N].reshape(N, len(perms), window)
-    # the indices are valid; take would buffer its output under "raise"
-    np.take(frames[:, :window], perms.T, axis=0, out=stacked, mode="clip")
-    X = sc_decode_frames(stacked.reshape(N, -1).T, code, minsum=minsum)
-    X = X.T.reshape(stacked.shape)
-    # each swap's decisions against plain SC's, gathered by the same swap
-    differ = (X[:, 1:] != np.take(X[:, 0], perms[1:].T, axis=0)).any(axis=(0, 2))
+    _, llrs = noisy_frames(code, snr_db, seed, (0xAB5,), 0, window)
+    differ = _differing(llrs.T, perms, lambda v: sc_decode_frames(v, code, minsum=minsum), work)
     open_ = [swap for swap, d in zip(swaps, differ.tolist()) if not d]
     frozen = code.frozen_mask()
-    # plain SC's windows: w frames each, the last one ending at the last
-    # frame; at most round 1's rows, and no wider a kernel scratch (whose
-    # width does not grow with the rows everywhere)
-    w = min(first, trials - window)
-    while w > 1 and _scratch_width(N, w) > _scratch_width(N, first):
-        w -= 1
-    for lo in range(window, trials, max(w, 1)):
-        if not open_:
-            break
-        lo = min(lo, trials - w)
-        kept = {}
-        for level in {b + 1 for _, b in open_}:
-            # 2^level rows for each node of the level with an information bit
-            nodes = (~frozen.reshape(-1, 1 << level).all(axis=1)).sum()
-            kept[level] = np.zeros((nodes << level, w))
-        clamped = work[: N * w].reshape(N, w)
-        np.clip(frames[:, lo : lo + w], -LLR_CLAMP, LLR_CLAMP, out=clamped)
-        X = sc_decode_batch(clamped.T, frozen, minsum, keep=kept)
-        for level in sorted(kept):
-            at = [swap for swap in open_ if swap[1] + 1 == level]
-            alike = _alike_on_nodes(
-                kept.pop(level), _node_codewords(X, frozen, level), at, frozen, minsum, first, work
-            )
-            open_ = [swap for swap in open_ if swap[1] + 1 != level or swap in alike]
-    return open_
-
-
-def _node_codewords(X, frozen, level: int) -> np.ndarray:
-    """Plain SC's codeword of each node of tree level ``level`` with an
-    information bit, from the (B, N) codewords X that ``sc_decode_batch``
-    decided, in the layout of the level's kept inputs: rows
-    [j 2^level, (j+1) 2^level) for the j-th such node, one column per frame.
-
-    A node's codeword is the polar transform of its input bits, and the
-    input bits are ``polar_transform(X)``: so the codewords are
-    ``polar_transform`` of ``polar_transform(X)`` cut into the level's
-    nodes, which is X with the combines above the level undone, the polar
-    transform over the index bits from ``level`` up.
-    """
-    B, N = X.shape
-    size = 1 << level
-    # (N / size, size, B), node by node; the transform runs over the first
-    # axis, the node index, and returns a view of its node-major copy
-    nodes = X.T.reshape(N // size, size, B)
-    codewords = np.moveaxis(polar_transform(np.moveaxis(nodes, 0, -1)), -1, 0)
-    return codewords[~frozen.reshape(-1, size).all(axis=1)].reshape(-1, B)
-
-
-def _alike_on_nodes(inputs, codewords, swaps, frozen, minsum, rows, work) -> list:
-    """The swaps among ``swaps``, all of index bits a < b with the same
-    level b + 1, under which every node of that level decides as plain SC
-    did, given the nodes' inputs and plain SC's codewords: ``inputs``, the
-    array that ``sc_decode_batch`` kept for the level, and ``codewords``,
-    ``_node_codewords`` of its X, both with rows [j 2^(b+1), (j+1) 2^(b+1))
-    for the j-th node with an information bit (a Rate-0 node decides zeros
-    in any order).
-
-    Two kinds of node decide alike in every order and are not decoded: a
-    node whose kept rows are all zero, left as given below a Rate-1 node
-    whose guard held (or fed zeros, which decode to zeros in any order), and
-    a node with no frozen bit whose input clears its level's Rate-1 guard
-    over the window (``_rate1_guards``), which SC decides by hard decision
-    in either order, as plain SC did.  The others are taken one distinct
-    frozen pattern at a time.  Their inputs are gathered into ``work`` under
-    each open swap and decoded as the rows of kernel calls that each need no
-    more workspace than a call of ``rows`` whole frames (``_rows_within``).
-    A swap closes at the first call that decides one of its nodes other
-    than plain SC, whose codewords are gathered by the same swap.
-    """
-    size = 2 << swaps[0][1]
-    level = size.bit_length() - 1
-    w = inputs.shape[1]
-    blocks = frozen.reshape(-1, size)
-    blocks = blocks[~blocks.all(axis=1)]
-    patterns, which = np.unique(blocks, axis=0, return_inverse=True)
-    by_node = inputs.reshape(-1, size, w)
-    decided = ~by_node.any(axis=(1, 2))
-    rate1 = ~blocks.any(axis=1)
-    if rate1.any():
+    for level in sorted({b + 1 for _, b in open_}):
+        size = 1 << level
         guard = _rate1_guards(level, minsum)[level]
-        decided[rate1] |= np.abs(by_node[rate1]).min(axis=(1, 2)) > guard
-    budget = _rows_within(size, frozen.size, rows)
-    open_ = list(swaps)
-    # perms[o]: the node permutation of open_[o]
-    perms = np.array([_swap_permutation(size, a, b) for a, b in open_])
-    for u, pattern in enumerate(patterns):
-        nodes = np.flatnonzero((which.ravel() == u) & ~decided)
-        # a call's nodes and frames, per swap: all w frames of cj nodes, or
-        # wc frames of one node
-        per = max(1, budget // len(open_))
-        cj, wc = (per // w, w) if per >= w else (1, per)
-        for j0 in range(0, nodes.size, cj):
-            for c0 in range(0, w, wc):
-                # take[k, o, j]: the row of input k of node j under swap o
-                take = nodes[j0 : j0 + cj] * size + perms.T[:, :, None]
-                cols = inputs[:, c0 : c0 + wc]
-                stacked = work[: take.size * cols.shape[1]].reshape(take.shape + cols.shape[1:])
-                np.take(cols, take, axis=0, out=stacked, mode="clip")
-                X = sc_decode_batch(stacked.reshape(size, -1).T, pattern, minsum)
-                want = np.take(codewords[:, c0 : c0 + wc], take, axis=0)
-                differ = (X.T.reshape(stacked.shape) != want).any(axis=(0, 2, 3))
-                if differ.any():
-                    open_ = [swap for swap, d in zip(open_, differ.tolist()) if not d]
-                    if not open_:
-                        return []
-                    perms = perms[~differ]
+        budget = _rows_within(size, N, first)
+        at = [swap for swap in open_ if swap[1] + 1 == level]
+        blocks = frozen.reshape(-1, size)
+        for pattern in np.unique(blocks[~blocks.all(axis=1)], axis=0):
+            if not at:
+                break
+            inputs = _node_inputs(seed, level, pattern, trials)
+            if not pattern.any() and np.abs(inputs).min() > guard:
+                continue
+            lo = 0
+            while at and lo < trials:
+                node_perms = np.array(
+                    [np.arange(size)] + [_swap_permutation(size, a, b) for a, b in at]
+                )
+                hi = min(lo + max(1, budget // len(node_perms)), trials)
+                differ = _differing(inputs[:, lo:hi], node_perms,
+                                    lambda v: sc_decode_batch(v, pattern, minsum), work)
+                at = [swap for swap, d in zip(at, differ.tolist()) if not d]
+                lo = hi
+        open_ = [swap for swap in open_ if swap[1] + 1 != level or swap in at]
     return open_
 
 
@@ -419,28 +355,24 @@ def absorption_structure_empirical(
     """Empirical block structure of the SC absorption group.
 
     Every coordinate swap admissible for the full automorphism group (a
-    pair of equal derivative dimensions) is probed on a shared batch of
-    ``trials`` noisy codewords: it is absorbed iff SC on the swapped frames,
-    swapped back, equals SC on every frame (``_absorbed_swaps``).  A first
-    window of frames is decoded whole, unswapped (plain SC) and under every
-    swap in one call.  A swap of index bits a < b acts only inside the SC
-    nodes of size 2^(b+1), so on the other frames each swap still open is
-    checked on those nodes alone: plain SC decodes the frames once and keeps
-    the nodes' inputs, and each node that can tell a swap apart is decoded
-    in the swapped orders and compared with plain SC's own codeword for it.
-    A swap stops at its first differing window or node; the order in which
-    frames are checked does not change whether any of them differs, so the
-    answer is that of checking every frame of every swap.  Absorbed swaps must tile
-    into consecutive blocks.  For a partially symmetric code of best
-    distance whose dimension is not extreme, the last block is known to be
-    one, and a probe result contradicting that raises.
+    pair of equal derivative dimensions) is probed (``_absorbed_swaps``).
+    Round 1 decodes a first window of noisy frames at ``snr_db``, drawn
+    from ``seed``, unswapped (plain SC) and under every swap in one call.
+    A swap of index bits a < b acts only inside the SC nodes of size
+    2^(b+1), so each swap still open is then decided on those nodes alone:
+    ``trials`` seeded random inputs per distinct frozen pattern, decoded
+    unswapped and swapped.  A swap stops at its first differing frame or
+    input; the order in which they are checked does not change whether any
+    of them differs.  Absorbed swaps must tile into consecutive blocks.
+    For a partially symmetric code of best distance whose dimension is not
+    extreme, the last block is known to be one, and a probe result
+    contradicting that raises.
     """
     if trials < 100:
         raise ValueError("need at least 100 probe trials")
     dims = derivative_dimensions(code.info_set, code.n)
-    _, llrs = noisy_frames(code, snr_db, seed, (0xAB5,), 0, trials)
     swaps = [(a, b) for a, b in combinations(range(code.n), 2) if dims[a] == dims[b]]
-    absorbed = set(_absorbed_swaps(llrs, swaps, code, PROBE_MINSUM))
+    absorbed = set(_absorbed_swaps(code, swaps, PROBE_MINSUM, trials, snr_db, seed))
     blocks = _blocks_from_pairs(code.n, lambda a, b: (a, b) in absorbed)
     result = BlockStructure(blocks)
     # structural guarantee: a partially/fully symmetric best-distance code of

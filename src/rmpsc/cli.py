@@ -273,7 +273,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_code_args(p)
     p.add_argument("--absorption", action="store_true", help="probe the absorption group")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--seed", type=_parse_seed, default=0)
+    p.add_argument(
+        "--seed", type=_parse_seed, default=0, help="seeds the absorption probe only"
+    )
     p.add_argument("--out")
     p.set_defaults(func=cmd_analyze)
 

@@ -17,8 +17,8 @@ transform: a word is a codeword iff its input bits are zero on the frozen
 set, and the dual has the reversed frozen set as its information set), and
 successive
 cancellation decoding that visits every leaf, with the textbook f and g,
-with the input of every node recorded (the kernel keeps the inputs of the
-nodes it computes), and the SC kernel's pruned walk as a recursion (the
+with the input of every node recorded (the absorption probe decodes nodes
+alone), and the SC kernel's pruned walk as a recursion (the
 library runs it as a flat plan).  Results must be equal, not just close.
 
 The weight spectrum of a span of packed words is the walk over every XOR
@@ -27,7 +27,7 @@ absorption probe decodes every frame of every swap, one swap at a time,
 against a plain SC reference decoded up front, or in windows of whole
 frames shared by the identity and the open swaps, each swap up to its first
 differing window (the library decodes whole frames for its first window
-only, and then each open swap's own SC nodes).
+only, and then each open swap's own SC nodes on seeded random inputs).
 
 Beside them are helpers that only the tests use: the seeded hill-climb over
 one-monomial swaps that searched n >= 8 before the search was exact (a

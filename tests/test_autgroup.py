@@ -29,7 +29,7 @@ from rmpsc.autgroup import (
     variable_swap,
 )
 from rmpsc.monomials import _members, derivative_dimensions
-from rmpsc.scdec import sc_decode_frames
+from rmpsc._kernels import sc_decode_batch
 from test_codes import small_codes
 
 
@@ -51,6 +51,51 @@ def rm_code(r, n):
     return CodeSpec.from_info_set(
         {i for i in range(1 << n) if (~i & ((1 << n) - 1)).bit_count() <= r}, n
     )
+
+
+def probe_group(codes):
+    """The codes the probe tests run on: every maximiser of n <= 6, one of
+    each of 15 dimensions at n = 7 and 8, or the benchmark's three codes."""
+    if codes == "n<=6":
+        return [c for n in range(1, 7) for k in range(1, (1 << n) + 1)
+                for c in search_max_symmetry(n, k)[1]]
+    if codes == "n=7,8":
+        return [search_max_symmetry(n, k)[1][0]
+                for n, ks in ((7, (3, 10, 29, 35, 64, 93, 99, 120)),
+                              (8, (9, 37, 93, 128, 163, 219, 247)))
+                for k in ks]
+    return [CodeSpec.from_i_min(i_min, n) for i_min, n in (((19,), 6), ((27,), 7), ((63, 121), 10))]
+
+
+def admissible_swaps(code):
+    """The coordinate swaps the probe tests: pairs of equal derivative
+    dimension."""
+    dims = derivative_dimensions(code.info_set, code.n)
+    return [(a, b) for a, b in itertools.combinations(range(code.n), 2) if dims[a] == dims[b]]
+
+
+def block_of(structure, v):
+    """The index of the block of ``structure`` that holds variable v."""
+    return int(np.searchsorted(np.cumsum(structure.blocks), v, side="right"))
+
+
+def node_margins(code, swaps, seed, trials=500):
+    """For each swap (a, b) in ``swaps``, the most of the probe's ``trials``
+    min-sum inputs of one frozen pattern of tree level b + 1 that the swap
+    tells apart from SC."""
+    most = dict.fromkeys(swaps, 0)
+    frozen = code.frozen_mask()
+    for level in {b + 1 for _, b in swaps}:
+        blocks = frozen.reshape(-1, 1 << level)
+        for pattern in np.unique(blocks[~blocks.all(axis=1)], axis=0):
+            v = autgroup._node_inputs(seed, level, pattern, trials).T
+            X = sc_decode_batch(v, pattern, True)
+            for a, b in swaps:
+                if b + 1 == level:
+                    p = autgroup._swap_permutation(1 << level, a, b)
+                    differ = (sc_decode_batch(v[:, p], pattern, True)[:, p] != X).any(axis=1)
+                    most[a, b] = max(most[a, b], int(differ.sum()))
+    return most
 
 
 class TestPermutation:
@@ -450,56 +495,67 @@ class TestAbsorption:
                                               ("exact", 5.0)])
     @pytest.mark.parametrize("codes", ["n<=6", "n=7,8", "workload"])
     def test_matches_windowed_probe(self, codes, rule, snr_db):
-        # the node test answers as the windowed probe that decoded whole
-        # frames under every open swap (tests/_reference.py), on the same
-        # frames, seeds 0-3; the exact rule also at 0 and 5 dB
+        # the probe (round 1 on channel frames, then random node inputs)
+        # against the windowed probe that decoded all 500 channel frames
+        # under every open swap (tests/_reference.py), seeds 0-3: equal under
+        # min-sum; under the exact rule, whose node decisions depend on the
+        # inputs' scale, it keeps no swap that the reference closes
         minsum = rule == "minsum"
-        if codes == "n<=6":
-            group = [c for n in range(1, 7) for k in range(1, (1 << n) + 1)
-                     for c in search_max_symmetry(n, k)[1]]
-        elif codes == "n=7,8":
-            group = [search_max_symmetry(n, k)[1][0]
-                     for n, ks in ((7, (3, 10, 29, 35, 64, 93, 99, 120)),
-                                   (8, (9, 37, 93, 128, 163, 219, 247)))
-                     for k in ks]
-        else:
-            group = [CodeSpec.from_i_min(i_min, n)
-                     for i_min, n in (((19,), 6), ((27,), 7), ((63, 121), 10))]
-        for code in group:
-            dims = derivative_dimensions(code.info_set, code.n)
-            swaps = [(a, b) for a, b in itertools.combinations(range(code.n), 2)
-                     if dims[a] == dims[b]]
+        for code in probe_group(codes):
+            swaps = admissible_swaps(code)
             for seed in range(4):
                 _, llrs = noisy_frames(code, snr_db, seed, (0xAB5,), 0, autgroup.PROBE_TRIALS)
                 want = reference._absorbed_swaps(llrs, swaps, code, minsum)
-                got = autgroup._absorbed_swaps(llrs, swaps, code, minsum)
-                assert got == want, (code.i_min, code.n, seed)
+                got = autgroup._absorbed_swaps(
+                    code, swaps, minsum, autgroup.PROBE_TRIALS, snr_db, seed
+                )
+                if minsum:
+                    assert got == want, (code.i_min, code.n, seed)
+                else:
+                    assert set(got) <= set(want), (code.i_min, code.n, seed)
 
     @pytest.mark.parametrize("minsum", [True, False])
-    def test_frames_beyond_the_clamp(self, minsum):
-        # plain SC's windows are clamped as sc_decode_frames clamps the whole
-        # frames: on frames scaled far past LLR_CLAMP, where the clamp's ties
-        # tell swaps apart that min-sum alone would not, the node test still
-        # answers as the windowed probe
+    def test_frames_beyond_the_clamp(self, minsum, monkeypatch):
+        # round 1 decodes its window as sc_decode_frames does, clamped: on
+        # frames scaled far past LLR_CLAMP, where the clamp's ties tell swaps
+        # apart that min-sum alone would not, the probe keeps the swaps that
+        # the windowed probe keeps on round 1's frames and that the node
+        # test keeps after a round 1 on all-zero frames, which tell no swap
+        # apart
+        draw = autgroup.noisy_frames
+        frames = []
+
+        def scaled(scale):
+            def noisy(*args):
+                frames.append(scale * draw(*args)[1])
+                return None, frames[-1]
+            return noisy
+
+        closed_by_ties = 0
         for i_min, n in (((19,), 6), ((27,), 7), ((63, 121), 10)):
             code = CodeSpec.from_i_min(i_min, n)
-            dims = derivative_dimensions(code.info_set, code.n)
-            swaps = [(a, b) for a, b in itertools.combinations(range(code.n), 2)
-                     if dims[a] == dims[b]]
+            swaps = admissible_swaps(code)
+            monkeypatch.setattr(autgroup, "noisy_frames", scaled(0.0))
+            nodes = autgroup._absorbed_swaps(code, swaps, minsum, 500, 2.0, 0)
             for scale in (30.0, 100.0):
-                _, llrs = noisy_frames(code, 2.0, 0, (0xAB5,), 0, autgroup.PROBE_TRIALS)
-                llrs *= scale
+                frames.clear()
+                monkeypatch.setattr(autgroup, "noisy_frames", scaled(scale))
+                got = autgroup._absorbed_swaps(code, swaps, minsum, 500, 2.0, 0)
+                (llrs,) = frames
+                assert len(llrs) == _batch_rows(code.N) // (len(swaps) + 1)
                 want = reference._absorbed_swaps(llrs, swaps, code, minsum)
-                assert autgroup._absorbed_swaps(llrs, swaps, code, minsum) == want, (n, scale)
+                assert got == [swap for swap in want if swap in nodes], (n, scale)
+                closed_by_ties += len(set(nodes) - set(want))
+        # under min-sum the clamp's ties close swaps that the node test keeps
+        assert closed_by_ties or not minsum
 
     def test_probe_calls_are_bounded(self, monkeypatch):
-        # the kernel calls of both paths: round 1's whole frames
-        # (sc_decode_frames), plain SC's windows that keep node inputs, and
-        # the node calls.  Each fits the workspace that round 1's call
-        # leaves, which every later call keeps and none grows
-        whole, calls, levels = [], [], []
-        frames, batch = autgroup.sc_decode_frames, autgroup.sc_decode_batch
-        alike_on_nodes = autgroup._alike_on_nodes
+        # the kernel calls of both phases: round 1's whole frames
+        # (sc_decode_frames) and the node calls.  Each fits the workspace
+        # that round 1's call leaves, which every later call keeps and none
+        # grows; round 1 draws its window of frames and no more
+        whole, calls, drawn = [], [], []
+        frames, batch, draw = autgroup.sc_decode_frames, autgroup.sc_decode_batch, noisy_frames
 
         def counting_frames(llrs, code, **kwargs):
             X = frames(llrs, code, **kwargs)
@@ -507,110 +563,157 @@ class TestAbsorption:
             whole.append((len(llrs), ws, ws.llrs.size, ws.scratch[3].size))
             return X
 
-        def counting_batch(llrs, frozen, minsum=False, keep=None):
-            X = batch(llrs, frozen, minsum, keep=keep)
-            calls.append((llrs.shape, keep is not None, _kernels._RETAINED.get(None)))
-            if keep is None:
-                levels[-1][2].append(np.array(llrs))
+        def counting_batch(llrs, frozen, minsum=False):
+            X = batch(llrs, frozen, minsum)
+            calls.append((llrs.shape, tuple(frozen.tolist()), _kernels._RETAINED.get(None)))
             return X
 
-        def recording(inputs, codewords, swaps, *args):
-            # each level's kept inputs, its swaps and the rows of its node calls
-            levels.append((inputs, swaps, []))
-            return alike_on_nodes(inputs, codewords, swaps, *args)
+        def counting_draw(code, snr_db, seed, stream, start, count):
+            drawn.append((start, count))
+            return draw(code, snr_db, seed, stream, start, count)
 
         monkeypatch.setattr(autgroup, "sc_decode_frames", counting_frames)
         monkeypatch.setattr(autgroup, "sc_decode_batch", counting_batch)
-        monkeypatch.setattr(autgroup, "_alike_on_nodes", recording)
+        monkeypatch.setattr(autgroup, "noisy_frames", counting_draw)
         for i_min, n in [((27,), 7), ((19,), 6), ((63, 121), 10)]:
             code = CodeSpec.from_i_min(i_min, n)
             monkeypatch.setattr(_kernels, "_RETAINED", {})
             whole.clear()
             calls.clear()
-            levels.clear()
+            drawn.clear()
             absorption_structure_empirical(code, seed=1000)
             ((rows, ws, size, width),) = whole
+            swaps = admissible_swaps(code)
             assert rows <= _batch_rows(code.N)
-            for shape, keeps, kept in calls:
+            assert drawn == [(0, rows // (len(swaps) + 1))]
+            for shape, _, kept in calls:
                 assert kept is ws and ws.llrs.size == size and ws.scratch[3].size == width
-                # no more LLRs than a whole-frame call, and plain SC's windows
-                # no more rows than round 1's
-                assert shape[0] * shape[1] <= code.N * _batch_rows(code.N), (n, shape)
-                assert keeps == (shape[1] == code.N) and (not keeps or shape[0] <= rows)
+                assert shape[0] * shape[1] <= code.N * rows, (n, shape)
         # (1024,512): round 1 closes the 21 non-absorbed swaps on 10 frames
-        # (250 rows).  Plain SC decodes the other 490 in two windows of 250
-        # (the second overlaps the first by 10 frames), keeping the nodes of
-        # level 2 (swap (0, 1)) and 3 (swaps (0, 2) and (1, 2)).  Of the 163
-        # level-2 nodes with an information bit, 93 have no frozen bit: 58
-        # lie below a larger Rate-1 node whose guard held, and the other 35
-        # clear their own guard.  Of the 99 of level 3, 29 have no frozen
-        # bit: 14 below a larger Rate-1 node and 15 clear.  So per window the other 70 nodes of each level
-        # (two patterns each) are decoded under the open swaps alone, in
-        # calls whose scratch is no wider than round 1's 16250 elements: at
-        # most 8125 rows of 4 LLRs (two f/g scratch rows each), 32 nodes of
-        # 250 frames, and 4062 of 8, 8 nodes of 250 frames under two swaps
+        # (250 rows).  The absorbed (0, 1) is then decided on the level-2
+        # nodes and (0, 2) and (1, 2) on the level-3 nodes.  Each level has
+        # three frozen patterns among its nodes with an information bit: the
+        # Rate-1 one, whose inputs all clear the min-sum guard (zero), is
+        # not decoded; each other one decodes its 500 inputs unswapped and
+        # under the level's open swaps in one call, within round 1's scratch
+        # of 16250 elements (at most 8125 rows of 4 LLRs, 4062 of 8)
         assert rows == 250
-        assert [shape for shape, keeps, _ in calls if keeps] == [(250, 1024)] * 2
-        window = [(8000, 4), (750, 4)] * 2 + ([(4000, 8)] * 4 + [(1500, 8)]) * 2
-        assert [shape for shape, keeps, _ in calls if not keeps] == window * 2
-        assert [swaps for _, swaps, _ in levels] == [[(0, 1)], [(0, 2), (1, 2)]] * 2
-        for inputs, swaps, node_rows in levels:
-            size = 2 << swaps[0][1]
-            level = size.bit_length() - 1
-            w = inputs.shape[1]
-            blocks = code.frozen_mask().reshape(-1, size)
-            blocks = blocks[~blocks.all(axis=1)]
-            by_node = inputs.reshape(-1, size, w)
-            zero = ~by_node.any(axis=(1, 2))
-            guard = _kernels._rate1_guards(level, autgroup.PROBE_MINSUM)[level]
-            cleared = ~blocks.any(axis=1) & (np.abs(by_node).min(axis=(1, 2)) > guard)
-            assert (zero.sum(), (cleared & ~zero).sum()) == ((58, 35) if level == 2 else (14, 15))
-            # every node call holds the swapped rows of the other nodes alone:
-            # open swaps at the level x nodes x frames, no unswapped order
-            # and no node whose kept rows are all zero
-            nodes = np.flatnonzero(~zero & ~cleared)
-            perms = [autgroup._swap_permutation(size, a, b) for a, b in swaps]
-            want = np.concatenate([by_node[j][p].T for p in perms for j in nodes])
-            got = np.concatenate(node_rows)
-            assert all(len(r) % (len(swaps) * w) == 0 for r in node_rows)
-            assert got.any(axis=1).all()
-            assert len(got) == len(swaps) * nodes.size * w
-            assert np.array_equal(got[np.lexsort(got.T)], want[np.lexsort(want.T)])
+        level2 = [(1, 0, 0, 0), (1, 1, 1, 0)]
+        level3 = [(1,) + (0,) * 7, (1,) * 7 + (0,)]
+        assert [(shape, frozen) for shape, frozen, _ in calls] == (
+            [((1000, 4), f) for f in level2] + [((1500, 8), f) for f in level3]
+        )
         # (32,12) has one admissible swap, which the first window tells
         # apart: SC and the swap decode all 500 frames in one call
         whole.clear()
         calls.clear()
+        drawn.clear()
         absorption_structure_empirical(CodeSpec.from_i_min((14, 21), 5), seed=0)
-        assert [r for r, *_ in whole] == [1000] and not calls
+        assert [r for r, *_ in whole] == [1000] and not calls and drawn == [(0, 500)]
+        # a code with no admissible swap draws no frame and decodes nothing
+        whole.clear()
+        drawn.clear()
+        code = CodeSpec.from_i_min((2,), 2)
+        assert not admissible_swaps(code)
+        assert absorption_structure_empirical(code).blocks == (1, 1)
+        assert not whole and not calls and not drawn
 
-    def test_every_frame_is_checked(self, monkeypatch):
-        # one frame that tells swap (2, 3) of (64,37) apart from SC, planted
-        # in a quiet batch, closes that swap wherever it falls, and the
-        # absorbed (0, 1) stays open: 64 rows give round 1 a window of 21
-        # frames (the identity and two swaps); the other 179 are decoded in
-        # three windows of plain SC, and the swap's own nodes, of level 4
-        # (below the root, level 6), tell it apart there
+    def test_every_node_input_is_checked(self, monkeypatch):
+        # one node input that tells swap (2, 3) of (64,37) apart from SC,
+        # planted among inputs that tell nothing apart, closes that swap
+        # wherever it falls, and the absorbed (0, 1) stays open.  Round 1
+        # gets all-zero frames, which tell no swap apart, and 64 rows give
+        # it a window of 21 frames (the identity and two swaps), so each
+        # level-4 pattern's 500 inputs are decoded in four calls of at most
+        # 126 inputs under the identity and (2, 3)
         code = CodeSpec.from_i_min({19}, 6)
         swaps = [(0, 1), (2, 3)]
-        _, quiet = noisy_frames(code, 8.0, 0, (0xAB5,), 0, 200)
-        loud, sc_ref = reference._probe_batch(code, 200, 2.0, 0, True)
-        p = autgroup._swap_permutation(code.N, 2, 3)
-        differ = (sc_decode_frames(loud[:, p], code, minsum=True)[:, p] != sc_ref).any(axis=1)
-        tell = loud[np.flatnonzero(differ)[0]]
-        whole, decode = [], autgroup.sc_decode_frames
+        blocks = code.frozen_mask().reshape(-1, 16)
+        patterns = np.unique(blocks[~blocks.all(axis=1)], axis=0)
+        p = autgroup._swap_permutation(16, 2, 3)
 
-        def counting(llrs, code, **kwargs):
-            whole.append(len(llrs))
-            return decode(llrs, code, **kwargs)
+        def telling(pattern):
+            v = autgroup._node_inputs(0, 4, pattern, 500).T
+            X = sc_decode_batch(v, pattern, True)
+            differ = (sc_decode_batch(v[:, p], pattern, True)[:, p] != X).any(axis=1)
+            return v[differ]
+
+        loud = next(pattern for pattern in patterns if len(telling(pattern)))
+        tell = telling(loud)[0]
+        planted = []
+        calls = []
+        batch = autgroup.sc_decode_batch
+
+        def node_inputs(seed, level, pattern, trials):
+            # positive inputs decode to zeros in any order
+            v = np.ones((1 << level, trials))
+            if planted and np.array_equal(pattern, loud):
+                v[:, planted[0]] = tell
+            return v
+
+        def counting(llrs, frozen, minsum=False):
+            calls.append((len(llrs), len(frozen)))
+            return batch(llrs, frozen, minsum)
 
         monkeypatch.setattr(autgroup, "_batch_rows", lambda N: 64)
-        monkeypatch.setattr(autgroup, "sc_decode_frames", counting)
-        assert autgroup._absorbed_swaps(quiet, swaps, code, True) == swaps
-        for frame in range(200):
-            llrs = quiet.copy()
-            llrs[frame] = tell
-            assert autgroup._absorbed_swaps(llrs, swaps, code, True) == [(0, 1)], frame
-        assert whole == [63] * 201
+        monkeypatch.setattr(autgroup, "noisy_frames",
+                            lambda code, *args: (None, np.zeros((args[-1], code.N))))
+        monkeypatch.setattr(autgroup, "_node_inputs", node_inputs)
+        monkeypatch.setattr(autgroup, "sc_decode_batch", counting)
+        assert autgroup._absorbed_swaps(code, swaps, True, 500, 2.0, 0) == swaps
+        # the Rate-1 pattern's inputs clear its guard and are not decoded
+        decoded = sum(1 for pattern in patterns if pattern.any())
+        assert [r for r, size in calls if size == 16] == [252, 252, 252, 244] * decoded
+        for pos in range(500):
+            planted[:] = [pos]
+            assert autgroup._absorbed_swaps(code, swaps, True, 500, 2.0, 0) == [(0, 1)], pos
+
+    def test_random_node_inputs_tell_non_absorbed_swaps_apart_by_a_margin(self):
+        # every in-block swap that the probe does not absorb differs from SC
+        # on at least 30 of the 500 inputs of its most telling node pattern,
+        # seeds 0-4, on the n <= 6 maximisers and the workload codes
+        least = []
+        for code in probe_group("n<=6") + probe_group("workload"):
+            full = compute_blta_structure(code)
+            for seed in range(5):
+                absorbed = absorption_structure_empirical(code, seed=seed)
+                apart = [(a, b) for a, b in admissible_swaps(code)
+                         if block_of(absorbed, a) != block_of(absorbed, b)]
+                assert all(block_of(full, a) == block_of(full, b) for a, b in apart)
+                least += [(count, code.i_min, swap, seed)
+                          for swap, count in node_margins(code, apart, seed).items()]
+        assert len(least) > 100
+        assert min(least)[0] >= 30, min(least)
+        # (32,6) i_min (15,): swaps (0, 2) and (1, 2), which 500 channel
+        # frames tell apart on as few as 2-3 frames, clear the same floor at
+        # seeds 0-19
+        code = CodeSpec.from_i_min((15,), 5)
+        for seed in range(20):
+            assert absorption_structure_empirical(code, seed=seed).blocks[0] == 2
+            margins = node_margins(code, [(0, 2), (1, 2)], seed)
+            assert min(margins.values()) >= 30, (seed, margins)
+
+    def test_exact_rule_absorbs_lta_alone(self, monkeypatch):
+        # PROBE_MINSUM's note: the exact check-node rule absorbs LTA alone on
+        # (64,37) and (128,60), 945 and 6615 classes, at seeds 0-9
+        monkeypatch.setattr(autgroup, "PROBE_MINSUM", False)
+        for i_min, n, classes in (((19,), 6, 945), ((27,), 7, 6615)):
+            code = CodeSpec.from_i_min(i_min, n)
+            full = compute_blta_structure(code)
+            for seed in range(10):
+                absorbed = absorption_structure_empirical(code, seed=seed)
+                assert absorbed.blocks == (1,) * n, (n, seed)
+                assert equivalent_class_count(full, absorbed) == classes
+
+    def test_batch_size_does_not_change_the_structure(self, monkeypatch):
+        # 64 rows change round 1's window and every node call's size
+        group = probe_group("n<=6")
+        want = {(c.n, c.i_min, s): absorption_structure_empirical(c, seed=s)
+                for c in group for s in range(4)}
+        monkeypatch.setattr(autgroup, "_batch_rows", lambda N: 64)
+        got = {(c.n, c.i_min, s): absorption_structure_empirical(c, seed=s)
+               for c in group for s in range(4)}
+        assert got == want
 
     @seed(13)
     @settings(max_examples=30, deadline=None, derandomize=False, database=None)

@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import itertools
 import sys
 import threading
 from functools import reduce
@@ -19,7 +20,6 @@ from _reference import (
 from rmpsc._gf2 import pack_row
 import rmpsc._kernels
 from rmpsc._kernels import (
-    LLR_CLAMP,
     _RATE1_GUARD,
     _TILE,
     _f,
@@ -31,8 +31,7 @@ from rmpsc._kernels import (
     sc_decode_batch,
 )
 from rmpsc.autgroup import (
-    _node_codewords, _swap_permutation, compute_blta_structure, permutation_from_affine,
-    sample_blta,
+    _swap_permutation, compute_blta_structure, permutation_from_affine, sample_blta,
 )
 from rmpsc.codes import MAX_N, CodeSpec
 from rmpsc.scdec import ae_sc_decode_frames, encode_batch, sc_decode_frames
@@ -767,12 +766,12 @@ class TestFlatPlan:
         assert set(ws.views) == {(128, 512), (128, 768)}
 
 
-def kept_by_kernel(reference, frozen, minsum, level):
-    """What ``sc_decode_batch`` keeps for ``level`` when its kept array is
-    given filled with NaN, from the inputs of every node (``reference``,
-    ``sc_node_inputs``'s): one block per node with an information bit, the
-    node's input, or NaN where an ancestor is a Rate-1 node whose guard
-    held over the batch.  Also returns the number of such NaN blocks."""
+def held_below(reference, frozen, minsum, level):
+    """The first u-index of each node of tree level ``level`` with an
+    information bit that lies below a Rate-1 node whose guard holds over the
+    batch, given the input of every node (``reference``,
+    ``sc_node_inputs``'s): the kernel decides that ancestor by hard decision
+    and never visits them."""
     n = len(frozen).bit_length() - 1
     guards = _rate1_guards(n, minsum)
 
@@ -781,59 +780,24 @@ def kept_by_kernel(reference, frozen, minsum, level):
         v = reference[lv][start : start + (1 << lv)]
         return not frozen[start : start + (1 << lv)].any() and np.abs(v).min() > guards[lv]
 
-    blocks, skipped = [], 0
     size = 1 << level
-    for start in range(0, len(frozen), size):
-        if frozen[start : start + size].all():
-            continue
-        if any(held(lv, start >> lv << lv) for lv in range(level + 1, n + 1)):
-            blocks.append(np.full((size, reference[level].shape[1]), np.nan))
-            skipped += 1
-        else:
-            blocks.append(reference[level][start : start + size])
-    return np.concatenate(blocks), skipped
+    return [start for start in range(0, len(frozen), size)
+            if not frozen[start : start + size].all()
+            and any(held(lv, start >> lv << lv) for lv in range(level + 1, n + 1))]
 
 
 class TestKeptNodeInputs:
-    """A call that keeps the inputs of the nodes of some tree levels (the
-    absorption probe's node test) keeps plain SC's own node inputs, bit for
-    bit, and decides as a call that keeps none."""
-
-    @pytest.mark.parametrize("rule", ["exact", "minsum"])
-    @pytest.mark.parametrize("name", GOLDEN_CODES)
-    def test_kept_inputs_are_plain_sc_inputs(self, name, rule):
-        minsum = rule == "minsum"
-        skipped = ties = 0
-        with np.load(GOLDEN) as g:
-            frozen = g[f"frozen_{name}"]
-            n = len(frozen).bit_length() - 1
-            for kind in GOLDEN_KINDS:
-                llrs = g[f"llrs_{name}_{kind}"]
-                reference = sc_node_inputs(llrs, frozen, minsum)
-                # one level at a time (the Rep shortcut stays above it) and
-                # every level at once (no Rep shortcut is left)
-                for levels in [(lv,) for lv in range(n + 1)] + [tuple(range(n + 1))]:
-                    want = {lv: kept_by_kernel(reference, frozen, minsum, lv) for lv in levels}
-                    keep = {lv: np.full(w.shape, np.nan) for lv, (w, _) in want.items()}
-                    X = sc_decode_batch(llrs, frozen, minsum, keep=keep)
-                    key = f"{name}_{kind}_{rule}"
-                    assert np.array_equal(np.packbits(X, axis=1), g[f"X_{key}"]), (key, levels)
-                    for lv, (w, s) in want.items():
-                        # bits, so that -0.0 and +0.0 differ
-                        assert np.array_equal(keep[lv].view(np.uint64), w.view(np.uint64)), (
-                            key, levels, lv)
-                        skipped += s
-                        ties += np.signbit(w[w == 0]).sum()
-        # some rows are left as given below a guarded Rate-1 node, and some
-        # kept inputs are -0.0
-        assert skipped
-        assert ties
+    """The inputs plain SC feeds its nodes, as the reference recursion keeps
+    them (``sc_node_inputs``), and the two facts about them that the
+    absorption probe's node test rests on: a node decides alone, on its own
+    input, as it does inside the whole decode, and a swap of index bits
+    below a node's level feeds the node its swapped input."""
 
     @pytest.mark.parametrize("rule", ["exact", "minsum"])
     def test_inputs_below_a_held_guard_decode_alike(self, rule):
-        # the rows a call leaves as given: the true inputs of those nodes
-        # decide alike in both orders of every swap of the node's index
-        # bits, and so do zeros
+        # the nodes the kernel never visits, below a Rate-1 node whose guard
+        # held: their true inputs decide alike in both orders of every swap
+        # of the node's index bits, and so do zeros
         minsum = rule == "minsum"
         checked = 0
         with np.load(GOLDEN) as g:
@@ -843,16 +807,12 @@ class TestKeptNodeInputs:
                 for kind in GOLDEN_KINDS:
                     reference = sc_node_inputs(g[f"llrs_{name}_{kind}"], frozen, minsum)
                     for level in range(2, n):
-                        kept, _ = kept_by_kernel(reference, frozen, minsum, level)
-                        size = 1 << level
-                        blocks = kept.reshape(-1, size, kept.shape[1])
-                        nodes = np.flatnonzero(np.isnan(blocks[:, 0, 0]))
-                        if not nodes.size:
+                        starts = held_below(reference, frozen, minsum, level)
+                        if not starts:
                             continue
-                        starts = [s for s in range(0, len(frozen), size)
-                                  if not frozen[s : s + size].all()]
+                        size = 1 << level
                         rows = np.concatenate(
-                            [reference[level][starts[j] : starts[j] + size].T for j in nodes]
+                            [reference[level][start : start + size].T for start in starts]
                         )
                         rate1 = np.zeros(size, dtype=np.uint8)
                         for b in range(1, level):
@@ -869,11 +829,10 @@ class TestKeptNodeInputs:
     @pytest.mark.parametrize("rule", ["exact", "minsum"])
     @pytest.mark.parametrize("name", GOLDEN_CODES)
     def test_node_codewords_undo_the_upper_combines(self, name, rule):
-        # the absorption probe's reference: plain SC's codeword of a node is
-        # polar_transform of polar_transform(X) cut into the level's nodes,
-        # which autgroup._node_codewords gives, and it is what the kernel
-        # decides for the node's kept input alone under the node's frozen
-        # pattern.  Nodes left as given below a held guard are exempt
+        # plain SC's codeword of a node is polar_transform of
+        # polar_transform(X) cut into the level's nodes, and it is what the
+        # kernel decides for the node's input alone under the node's frozen
+        # pattern, at every level: the node test decodes nodes alone
         minsum = rule == "minsum"
         checked = 0
         with np.load(GOLDEN) as g:
@@ -887,75 +846,63 @@ class TestKeptNodeInputs:
                 for level in range(n + 1):
                     size = 1 << level
                     blocks = frozen.reshape(-1, size)
-                    info = ~blocks.all(axis=1)
                     # (B, nodes, size)
-                    codewords = polar_transform(polar_transform(X).reshape(B, -1, size))[:, info]
-                    got = _node_codewords(X, frozen, level)
-                    assert np.array_equal(got, codewords.transpose(1, 2, 0).reshape(-1, B)), (
-                        kind, level)
-                    kept, _ = kept_by_kernel(reference, frozen, minsum, level)
-                    kept = kept.reshape(-1, size, B)
-                    given = np.isnan(kept).any(axis=(1, 2))
-                    patterns = blocks[info]
-                    for pattern in np.unique(patterns[~given], axis=0):
-                        nodes = np.flatnonzero(~given & (patterns == pattern).all(axis=1))
-                        rows = np.concatenate([kept[j].T for j in nodes])
+                    codewords = polar_transform(polar_transform(X).reshape(B, -1, size))
+                    for pattern in np.unique(blocks, axis=0):
+                        nodes = np.flatnonzero((blocks == pattern).all(axis=1))
+                        rows = np.concatenate(
+                            [reference[level][j * size : (j + 1) * size].T for j in nodes]
+                        )
                         want = np.concatenate([codewords[:, j] for j in nodes])
                         assert np.array_equal(sc_decode_batch(rows, pattern, minsum), want), (
                             kind, level, pattern)
                         checked += nodes.size
         assert checked
 
-    def test_kept_inputs_are_not_clamped(self):
-        # the kernel called directly, on LLRs beyond the clamp: the root's
-        # kept input is the input, and g sums past it below
-        code = CodeSpec.from_i_min({19}, 6)
-        frozen = code.frozen_mask()
-        with np.load(GOLDEN) as g:
-            llrs = 2.0 * g["llrs_64_37_clamped"]
-        keep = {lv: np.zeros(kept_by_kernel(sc_node_inputs(llrs, frozen, True), frozen, True,
-                                             lv)[0].shape) for lv in range(7)}
-        sc_decode_batch(llrs, frozen, True, keep=keep)
-        assert np.array_equal(keep[6], llrs.T)
-        assert np.abs(keep[6]).max() == 2 * LLR_CLAMP
-        assert max(np.abs(keep[lv]).max() for lv in range(6)) > 2 * LLR_CLAMP
-
-    def test_plan_that_keeps_nothing_is_the_plain_plan(self, monkeypatch):
-        # keeping a level adds "keep" steps and walks the Rep nodes above it
-        # as splits; a call that keeps nothing runs the plan of no level,
-        # which has neither, and keeping the root adds its one step
-        plans = []
-        plan_of = rmpsc._kernels._plan
-
-        def recording(*args):
-            plans.append(args)
-            return plan_of(*args)
-
-        monkeypatch.setattr(rmpsc._kernels, "_plan", recording)
+    @pytest.mark.parametrize("rule", ["exact", "minsum"])
+    def test_swapped_frames_feed_nodes_the_swapped_inputs(self, rule):
+        # the node test's reduction, for plain SC: swapping index bits a < b
+        # of a frame feeds each node of level b + 1 the swapped input of
+        # plain SC's, up to and including the first node whose decisions,
+        # swapped back, differ from plain SC's; when no node's do, the
+        # swapped frame decodes to plain SC's codeword, swapped (the golden
+        # sets of N <= 128, as the reference recursion is slow)
+        minsum = rule == "minsum"
+        checked = differing = 0
         with np.load(GOLDEN) as g:
             for name in GOLDEN_CODES:
                 frozen = g[f"frozen_{name}"]
                 N = len(frozen)
-                plans.clear()
-                sc_decode_batch(g[f"llrs_{name}_noisy"], frozen)
-                mask = frozen.astype(bool).tobytes()
-                assert plans == [(mask, ())]
-                plan = plan_of(mask, ())
-                assert not any(step[0] == "keep" for step in plan)
-                root = ("keep", N.bit_length() - 1, 0, 0, N, 0)
-                # the same steps after it, each Rate-1 jump one step later
-                later = tuple(step[:5] + (step[5] + (step[0] == "rate1"),) for step in plan)
-                assert plan_of(mask, (N.bit_length() - 1,)) == (root,) + later
-
-    def test_kept_arrays_are_checked(self):
-        code = CodeSpec.from_i_min({19}, 6)
-        llrs = np.ones((3, 64))
-        # level 2 of (64,37): 12 nodes with an information bit
-        sc_decode_batch(llrs, code.frozen_mask(), keep={2: np.zeros((48, 3))})
-        for keep in ({2: np.zeros((64, 3))}, {2: np.zeros((48, 2))}, {7: np.zeros((0, 3))},
-                     {-1: np.zeros((48, 3))}):
-            with pytest.raises(ValueError, match="kept level"):
-                sc_decode_batch(llrs, code.frozen_mask(), keep=keep)
+                if N > 128:
+                    continue
+                for kind in GOLDEN_KINDS:
+                    llrs = g[f"llrs_{name}_{kind}"]
+                    plain = sc_node_inputs(llrs, frozen, minsum)
+                    X = sc_reference(llrs, frozen, minsum)
+                    for a, b in itertools.combinations(range(N.bit_length() - 2), 2):
+                        p = _swap_permutation(N, a, b)
+                        q = _swap_permutation(2 << b, a, b)
+                        swapped = sc_node_inputs(llrs[:, p], frozen, minsum)[b + 1]
+                        # (nodes, 2 << b, B), node by node in decoding order
+                        want = plain[b + 1].reshape(-1, 2 << b, len(llrs))[:, q]
+                        got = swapped.reshape(want.shape)
+                        alike = (got.view(np.uint64) == want.view(np.uint64)).all(axis=1)
+                        differ = np.array([
+                            (sc_reference(got[j].T, f, minsum)[:, q]
+                             != sc_reference(want[j][q].T, f, minsum)).any(axis=1)
+                            for j, f in enumerate(frozen.reshape(-1, 2 << b))
+                        ])
+                        # the first differing node of each frame, or the
+                        # number of nodes where none differs
+                        first = np.where(differ.any(axis=0), differ.argmax(axis=0), len(differ))
+                        upto = np.arange(len(differ))[:, None] <= first
+                        assert alike[upto].all(), (name, kind, a, b)
+                        Y = sc_reference(llrs[:, p], frozen, minsum)[:, p]
+                        same = first == len(differ)
+                        assert np.array_equal(X[same], Y[same]), (name, kind, a, b)
+                        checked += 1
+                        differing += (~same).sum()
+        assert checked and differing
 
 
 class TestBatchIndependence:
